@@ -28,6 +28,10 @@ from .seeding import derive_rng
 #: absorbs float rounding in sums like 0.7 + 0.2 vs 0.9.
 NAIVE_MASS_TOL = 1e-9
 
+#: Most fold models fitted in one stacked ``learner.fit`` call.  Larger stacks
+#: buy little speed and hold more training state in memory at once.
+MAX_STACK = 20
+
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
@@ -88,20 +92,28 @@ def _true_label_scores(model, feats: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _score_matrix(model, feats)[np.arange(len(y)), y]
 
 
-def naive_set_from_probs(probs, alpha: float) -> np.ndarray:
-    """Smallest head of the probability ranking whose mass reaches 1 - alpha.
+def naive_mask(probs, alpha: float) -> np.ndarray:
+    """Smallest head of each row's probability ranking whose mass reaches 1 - alpha.
 
     Labels are taken in decreasing probability order, ties broken towards the
     smaller label, until the accumulated mass reaches ``1 - alpha`` (within
-    ``NAIVE_MASS_TOL``).  Returns sorted labels.  No coverage guarantee: the
-    set is exactly as honest as the probabilities are.
+    ``NAIVE_MASS_TOL``).  Returns a boolean mask shaped like ``probs``, one
+    row per sample.  No coverage guarantee: the set is exactly as honest as
+    the probabilities are.
     """
     alpha = _check_alpha(alpha)
     probs = np.asarray(probs, dtype=np.float64)
-    order = np.argsort(-probs, kind="stable")
-    cum = np.cumsum(probs[order])
-    n_keep = int(np.argmax(cum + NAIVE_MASS_TOL >= 1.0 - alpha)) + 1
-    return np.sort(order[:n_keep])
+    order = np.argsort(-probs, axis=-1, kind="stable")
+    cum = np.cumsum(np.take_along_axis(probs, order, axis=-1), axis=-1)
+    n_keep = np.argmax(cum + NAIVE_MASS_TOL >= 1.0 - alpha, axis=-1) + 1
+    mask = np.zeros(probs.shape, dtype=bool)
+    np.put_along_axis(mask, order, np.arange(probs.shape[-1]) < n_keep[..., None], axis=-1)
+    return mask
+
+
+def naive_set_from_probs(probs, alpha: float) -> np.ndarray:
+    """Sorted labels of the naive set (see ``naive_mask``) for one probability vector."""
+    return np.flatnonzero(naive_mask(probs, alpha))
 
 
 def naive_set(model, x: complex, alpha: float) -> np.ndarray:
@@ -170,11 +182,7 @@ class NaiveSetPredictor(_SetPredictor):
         self.model = learner.fit(feats, y, derive_rng(seed, 1))
 
     def predict_mask(self, x) -> np.ndarray:
-        probs = mlp.predictive_batch(self.model, mlp.features(x))
-        mask = np.zeros(probs.shape, dtype=bool)
-        for i, row in enumerate(probs):
-            mask[i, naive_set_from_probs(row, self.alpha)] = True
-        return mask
+        return naive_mask(mlp.predictive_batch(self.model, mlp.features(x)), self.alpha)
 
 
 class SplitConformalPredictor(_SetPredictor):
@@ -222,7 +230,8 @@ class CrossValConformalPredictor(_SetPredictor):
 
     Pilots are put in calibration order, cut into ``k`` contiguous folds of
     equal size, and one model is trained per left-out fold (model ``j`` seeded
-    by ``(seed, 1 + j)``).  Every pilot is scored by the model that did not
+    by ``(seed, 1 + j)``); the fold models train together in stacks of at
+    most ``MAX_STACK``.  Every pilot is scored by the model that did not
     see it; a candidate label enters the set when the count of pilots scoring
     at or above it reaches ``rank_threshold(n, alpha)``.
     """
@@ -246,16 +255,20 @@ class CrossValConformalPredictor(_SetPredictor):
             raise ValueError(f"fold count must be in [2, {n}], got {k}")
         if n % k:
             raise ValueError(f"{n} pilots cannot be cut into {k} equal folds")
-        order = _calibration_order(feats, y, seed)
-        self.folds = [order[j * (n // k) : (j + 1) * (n // k)] for j in range(k)]
+        folds = _calibration_order(feats, y, seed).reshape(k, n // k)
+        self.folds = list(folds)
+        # Row j holds every pilot outside fold j, folds in order.
+        keep = np.array([np.delete(folds, j, axis=0).ravel() for j in range(k)])
         self.n_labels = learner.arch.output_dim
         self.models = []
-        self.fold_scores = []
-        for j, fold in enumerate(self.folds):
-            keep = np.concatenate([f for jj, f in enumerate(self.folds) if jj != j])
-            model = learner.fit(feats[keep], y[keep], derive_rng(seed, 1 + j))
-            self.models.append(model)
-            self.fold_scores.append(_true_label_scores(model, feats[fold], y[fold]))
+        for start in range(0, k, MAX_STACK):
+            block = keep[start : start + MAX_STACK]
+            rngs = [derive_rng(seed, 1 + j) for j in range(start, start + len(block))]
+            self.models += learner.fit(feats[block], y[block], rngs)
+        self.fold_scores = [
+            _true_label_scores(model, feats[fold], y[fold])
+            for model, fold in zip(self.models, self.folds)
+        ]
         self.threshold_count = rank_threshold(n, alpha)
 
     @property

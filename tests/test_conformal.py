@@ -188,6 +188,34 @@ def test_naive_set_shrinks_as_alpha_grows(seed):
     )
 
 
+def _naive_row_oracle(probs, alpha):
+    # Walk labels by decreasing probability (ties: smaller label first) until
+    # the accumulated mass reaches the target.
+    mask = np.zeros(len(probs), dtype=bool)
+    mass = 0.0
+    for label in sorted(range(len(probs)), key=lambda l: (-probs[l], l)):
+        mask[label] = True
+        mass += probs[label]
+        if mass + conformal.NAIVE_MASS_TOL >= 1.0 - alpha:
+            break
+    return mask
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.6])
+def test_naive_mask_matches_row_by_row_oracle(alpha):
+    rng = np.random.default_rng(31)
+    probs = np.vstack(
+        [
+            rng.dirichlet(np.ones(4), size=500),
+            rng.dirichlet(np.full(4, 0.2), size=500),
+            [[0.7, 0.2, 0.06, 0.04], [0.25] * 4, [0.4, 0.4, 0.1, 0.1], [0.1, 0.4, 0.1, 0.4]],
+            [[0.0, 1.0, 0.0, 0.0], [0.35, 0.35, 0.3, 0.0], [0.2, 0.2, 0.3, 0.3]],
+        ]
+    )
+    expected = np.array([_naive_row_oracle(row, alpha) for row in probs])
+    assert np.array_equal(conformal.naive_mask(probs, alpha), expected)
+
+
 # ---------------------------------------------------------------- split CP
 
 
