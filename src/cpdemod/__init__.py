@@ -15,20 +15,15 @@ from .conformal import (
     NaiveSetPredictor,
     SplitConformalPredictor,
     cv_membership,
-    cv_predict,
     empirical_quantile,
-    kcv_predict,
-    naive_set,
-    nc_score,
     quantile_index,
     rank_threshold,
-    vb_predict,
 )
 from .harness import (
     ExperimentConfig,
     MetricsRecord,
-    evaluate_frame,
     run_experiment,
+    simulate_frame,
     write_csv,
     write_dat,
 )
@@ -38,11 +33,9 @@ from .mlp import (
     ModelArch,
     SGLDLearner,
     Weights,
-    forward,
     grad,
     init_weights,
     nll_loss,
-    predictive,
     train_gd,
     train_sgld,
 )

@@ -11,8 +11,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import conformal, harness, mlp
-from .channel import generate_frame
-from .seeding import derive_rng, hash64
 
 #: Environment variable that overrides ``--seed`` when set.
 SEED_ENV_VAR = "CONFORMAL_DEMOD_SEED"
@@ -99,6 +97,11 @@ def parse_args(argv=None) -> argparse.Namespace:
             args.seed = int(env_seed)
         except ValueError:
             parser.error(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
+    if args.command == "frame":
+        if args.method != "naive" and args.n_pilots < 2:
+            parser.error(f"--method {args.method} needs at least 2 pilots")
+        if args.method == "kcv" and (args.k < 2 or args.n_pilots % args.k):
+            parser.error(f"{args.n_pilots} pilots cannot be cut into {args.k} equal folds")
     return args
 
 
@@ -133,20 +136,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_frame(args: argparse.Namespace) -> int:
-    constellation = harness.make_constellation(args.constellation)
-    fseed = harness.frame_seed(args.seed, args.method, args.learner, args.n_pilots, 0)
-    frame = generate_frame(
-        args.n_pilots,
-        args.n_test,
-        10.0 ** (args.snr_db / 10.0),
-        constellation,
-        derive_rng(fseed, 0),
+    frame, mask = harness.simulate_frame(
+        args.method, args.learner, args.n_pilots, 0, args.snr_db, args.n_test,
+        args.alpha, args.k, args.seed, args.constellation,
     )
-    predictor = harness.build_predictor(
-        args.method, frame, constellation, args.learner, args.alpha, args.k,
-        hash64(fseed, 1),
-    )
-    mask = predictor.predict_mask(frame.test_x)
     hits, sizes = harness.tally(mask, frame.test_y)
     print(
         f"frame: method={args.method} learner={args.learner} "

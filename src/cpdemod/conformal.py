@@ -1,10 +1,13 @@
 """Set-valued demodulators: naive probability-mass sets and conformal sets.
 
-Three calibrated constructions are provided on top of any learner that maps a
-pilot set to a predictive distribution:
+The naive set keeps the most probable labels until their mass reaches the
+target; it has no calibration.  The three calibrated constructions are one
+construction over different fold plans: model ``j`` trains without fold
+``j``, scores that fold, and a rank count over all held-out scores decides
+which labels enter a set.
 
-* split (validation-based) conformal: train once, calibrate a score quantile
-  on held-out pilots;
+* split (validation-based) conformal: one model, one held-out fold; the rank
+  count is the same decision as the calibrated score quantile;
 * leave-one-out cross conformal: one model per left-out pilot;
 * leave-fold-out (k-fold) cross conformal: one model per left-out fold.
 
@@ -55,7 +58,7 @@ def quantile_index(n_scores: int, alpha: float) -> int:
 
 def rank_threshold(n_scores: int, alpha: float) -> int:
     """Minimum number of calibration scores a candidate's score must not
-    exceed for the candidate to enter a cross-conformal set:
+    exceed for the candidate to enter a split or cross-conformal set:
     ``floor(alpha * (n_scores + 1))``, exact rational arithmetic as above.
     A threshold of 0 makes membership vacuous (every label enters).
     """
@@ -76,20 +79,10 @@ def empirical_quantile(scores, alpha: float) -> float:
     return float(np.sort(arr)[k - 1])
 
 
-def nc_score(x: complex, y_label: int, model) -> float:
-    """Log loss of a candidate label under the model's predictive."""
-    p = mlp.predictive(model, x)[y_label]
-    return float(-math.log(max(float(p), mlp.PROB_FLOOR)))
-
-
 def _score_matrix(model, feats: np.ndarray) -> np.ndarray:
     """(n, labels) log loss of every label for every input row."""
     p = mlp.predictive_batch(model, feats)
     return -np.log(np.maximum(p, mlp.PROB_FLOOR))
-
-
-def _true_label_scores(model, feats: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _score_matrix(model, feats)[np.arange(len(y)), y]
 
 
 def naive_mask(probs, alpha: float) -> np.ndarray:
@@ -111,14 +104,10 @@ def naive_mask(probs, alpha: float) -> np.ndarray:
     return mask
 
 
-def naive_set_from_probs(probs, alpha: float) -> np.ndarray:
-    """Sorted labels of the naive set (see ``naive_mask``) for one probability vector."""
-    return np.flatnonzero(naive_mask(probs, alpha))
-
-
-def naive_set(model, x: complex, alpha: float) -> np.ndarray:
-    """Naive probability-mass set for one sample."""
-    return naive_set_from_probs(mlp.predictive(model, x), alpha)
+def _rank_counts(scores: np.ndarray, held_out: np.ndarray) -> np.ndarray:
+    """How many held-out scores lie at or above each score, counted along
+    the last axis after broadcasting: ``(scores <= held_out).sum(-1)``."""
+    return (scores <= held_out).sum(-1)
 
 
 def cv_membership(candidate_scores, val_scores, alpha: float) -> np.ndarray:
@@ -134,8 +123,7 @@ def cv_membership(candidate_scores, val_scores, alpha: float) -> np.ndarray:
     val = np.asarray(val_scores, dtype=np.float64)
     if cand.ndim != 2 or cand.shape[1] != val.size:
         raise ValueError("expected (labels, n) candidate scores and n validation scores")
-    counts = (cand <= val[None, :]).sum(axis=1)
-    return counts >= rank_threshold(val.size, alpha)
+    return _rank_counts(cand, val) >= rank_threshold(val.size, alpha)
 
 
 def _pilot_arrays(pilot_x, pilot_y) -> tuple[np.ndarray, np.ndarray]:
@@ -152,45 +140,76 @@ def _calibration_order(feats: np.ndarray, y: np.ndarray, seed: int) -> np.ndarra
     """Canonical sort followed by a seeded shuffle.
 
     The result depends only on the pilot multiset and the seed, so splits and
-    fold assignments are invariant to pilot arrival order.
+    fold assignments are invariant to pilot arrival order.  Calibration needs
+    at least two pilots: one to train on and one to hold out.
     """
+    if len(y) < 2:
+        raise ValueError("need at least two pilots")
     base = mlp.canonical_order(feats, y)
     perm = derive_rng(seed, 0).permutation(len(base))
     return base[perm]
 
 
-class _SetPredictor:
-    """Shared conveniences for fitted set-valued predictors."""
-
-    n_labels: int
-
-    def predict_mask(self, x) -> np.ndarray:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def predict_set(self, x: complex) -> np.ndarray:
-        """Sorted labels of the prediction set for one sample."""
-        return np.flatnonzero(self.predict_mask(np.array([x]))[0])
-
-
-class NaiveSetPredictor(_SetPredictor):
+class NaiveSetPredictor:
     """Probability-mass sets from one model trained on all pilots."""
 
     def __init__(self, pilot_x, pilot_y, alpha: float, learner, seed: int = 0):
         self.alpha = _check_alpha(alpha)
         feats, y = _pilot_arrays(pilot_x, pilot_y)
-        self.n_labels = learner.arch.output_dim
         self.model = learner.fit(feats, y, derive_rng(seed, 1))
 
     def predict_mask(self, x) -> np.ndarray:
         return naive_mask(mlp.predictive_batch(self.model, mlp.features(x)), self.alpha)
 
 
-class SplitConformalPredictor(_SetPredictor):
-    """Train on part of the pilots, calibrate a score quantile on the rest.
+class _FoldPlanPredictor:
+    """Conformal sets from a fold plan and the rank-count rule.
 
-    With fewer than 9 held-out pilots at alpha = 0.1 the calibrated quantile
-    is infinite and every prediction set is the full alphabet; the guarantee
-    is kept by refusing to rule anything out.
+    Model ``j`` trains on the pilots ``train[j]`` (seeded by ``(seed, 1 + j)``;
+    the models train together in stacks of at most ``MAX_STACK``) and scores
+    the pilots ``folds[j]``, which it never saw.  A candidate label enters the
+    set when at least ``rank_threshold(n_cal, alpha)`` of the ``n_cal``
+    held-out pilots score at or above it under their own model.  A threshold
+    of 0 admits every label, whatever the scores are.
+    """
+
+    def __init__(self, feats, y, alpha: float, learner, seed: int, train, folds):
+        self.alpha = _check_alpha(alpha)
+        self.folds = list(folds)
+        self.models = []
+        for start in range(0, len(train), MAX_STACK):
+            block = train[start : start + MAX_STACK]
+            rngs = [derive_rng(seed, 1 + j) for j in range(start, start + len(block))]
+            self.models += learner.fit(feats[block], y[block], rngs)
+        self.fold_scores = [
+            _score_matrix(model, feats[fold])[np.arange(len(fold)), y[fold]]
+            for model, fold in zip(self.models, self.folds)
+        ]
+        self.threshold_count = rank_threshold(sum(map(len, self.folds)), self.alpha)
+
+    @property
+    def val_scores(self) -> np.ndarray:
+        """Held-out score of every calibration pilot, fold by fold."""
+        return np.concatenate(self.fold_scores)
+
+    def predict_mask(self, x) -> np.ndarray:
+        feats = mlp.features(x)
+        counts = sum(
+            _rank_counts(_score_matrix(model, feats)[:, :, None], held_out)
+            for model, held_out in zip(self.models, self.fold_scores)
+        )
+        return counts >= self.threshold_count
+
+
+class SplitConformalPredictor(_FoldPlanPredictor):
+    """Split conformal: the one-fold plan.
+
+    One model trains on the first ``ceil(split_ratio * n)`` pilots in
+    calibration order and the rest are held out.  The rank count over one
+    fold is the same decision as comparing a score with the calibrated
+    quantile ``empirical_quantile(val_scores, alpha)``.  With fewer than 9
+    held-out pilots at alpha = 0.1 the threshold count is 0 and every set is
+    the full alphabet; the guarantee is kept by refusing to rule anything out.
     """
 
     def __init__(
@@ -202,38 +221,25 @@ class SplitConformalPredictor(_SetPredictor):
         split_ratio: float = 0.5,
         seed: int = 0,
     ):
-        self.alpha = _check_alpha(alpha)
         feats, y = _pilot_arrays(pilot_x, pilot_y)
+        order = _calibration_order(feats, y, seed)
         n = len(y)
-        if n < 2:
-            raise ValueError("need at least two pilots to split")
         n_train = math.ceil(split_ratio * n)
         if not 1 <= n_train <= n - 1:
             raise ValueError(
                 f"split_ratio={split_ratio!r} leaves an empty partition for {n} pilots"
             )
-        order = _calibration_order(feats, y, seed)
-        train_idx, val_idx = order[:n_train], order[n_train:]
-        self.n_labels = learner.arch.output_dim
-        self.model = learner.fit(feats[train_idx], y[train_idx], derive_rng(seed, 1))
-        self.val_feats = feats[val_idx]
-        self.val_labels = y[val_idx]
-        self.val_scores = _true_label_scores(self.model, self.val_feats, self.val_labels)
-        self.threshold = empirical_quantile(self.val_scores, self.alpha)
-
-    def predict_mask(self, x) -> np.ndarray:
-        return _score_matrix(self.model, mlp.features(x)) <= self.threshold
+        super().__init__(
+            feats, y, alpha, learner, seed, order[None, :n_train], [order[n_train:]]
+        )
 
 
-class CrossValConformalPredictor(_SetPredictor):
+class CrossValConformalPredictor(_FoldPlanPredictor):
     """Leave-fold-out conformal sets; ``k = n`` (the default) is leave-one-out.
 
-    Pilots are put in calibration order, cut into ``k`` contiguous folds of
-    equal size, and one model is trained per left-out fold (model ``j`` seeded
-    by ``(seed, 1 + j)``); the fold models train together in stacks of at
-    most ``MAX_STACK``.  Every pilot is scored by the model that did not
-    see it; a candidate label enters the set when the count of pilots scoring
-    at or above it reaches ``rank_threshold(n, alpha)``.
+    Pilots are put in calibration order and cut into ``k`` contiguous folds
+    of equal size; fold model ``j`` trains on every pilot outside fold ``j``,
+    so every pilot is scored by the model that did not see it.
     """
 
     def __init__(
@@ -245,69 +251,14 @@ class CrossValConformalPredictor(_SetPredictor):
         k: int | None = None,
         seed: int = 0,
     ):
-        self.alpha = _check_alpha(alpha)
         feats, y = _pilot_arrays(pilot_x, pilot_y)
+        order = _calibration_order(feats, y, seed)
         n = len(y)
-        if n < 2:
-            raise ValueError("need at least two pilots")
         k = n if k is None else int(k)
         if not 2 <= k <= n:
             raise ValueError(f"fold count must be in [2, {n}], got {k}")
         if n % k:
             raise ValueError(f"{n} pilots cannot be cut into {k} equal folds")
-        folds = _calibration_order(feats, y, seed).reshape(k, n // k)
-        self.folds = list(folds)
-        # Row j holds every pilot outside fold j, folds in order.
-        keep = np.array([np.delete(folds, j, axis=0).ravel() for j in range(k)])
-        self.n_labels = learner.arch.output_dim
-        self.models = []
-        for start in range(0, k, MAX_STACK):
-            block = keep[start : start + MAX_STACK]
-            rngs = [derive_rng(seed, 1 + j) for j in range(start, start + len(block))]
-            self.models += learner.fit(feats[block], y[block], rngs)
-        self.fold_scores = [
-            _true_label_scores(model, feats[fold], y[fold])
-            for model, fold in zip(self.models, self.folds)
-        ]
-        self.threshold_count = rank_threshold(n, alpha)
-
-    @property
-    def val_scores(self) -> np.ndarray:
-        """Held-out score of every pilot, in calibration order."""
-        return np.concatenate(self.fold_scores)
-
-    def predict_mask(self, x) -> np.ndarray:
-        feats = mlp.features(x)
-        counts = np.zeros((len(feats), self.n_labels), dtype=np.int64)
-        for model, held_out in zip(self.models, self.fold_scores):
-            scores = _score_matrix(model, feats)
-            counts += (scores[:, :, None] <= held_out[None, None, :]).sum(axis=2)
-        return counts >= self.threshold_count
-
-
-def vb_predict(
-    pilot_x,
-    pilot_y,
-    x: complex,
-    alpha: float,
-    learner,
-    split_ratio: float = 0.5,
-    seed: int = 0,
-) -> np.ndarray:
-    """Split-conformal prediction set for one sample."""
-    pred = SplitConformalPredictor(pilot_x, pilot_y, alpha, learner, split_ratio, seed)
-    return pred.predict_set(x)
-
-
-def cv_predict(pilot_x, pilot_y, x: complex, alpha: float, learner, seed: int = 0) -> np.ndarray:
-    """Leave-one-out cross-conformal prediction set for one sample."""
-    pred = CrossValConformalPredictor(pilot_x, pilot_y, alpha, learner, None, seed)
-    return pred.predict_set(x)
-
-
-def kcv_predict(
-    pilot_x, pilot_y, x: complex, alpha: float, k: int, learner, seed: int = 0
-) -> np.ndarray:
-    """Leave-fold-out cross-conformal prediction set for one sample."""
-    pred = CrossValConformalPredictor(pilot_x, pilot_y, alpha, learner, k, seed)
-    return pred.predict_set(x)
+        folds = order.reshape(k, n // k)
+        train = np.array([np.delete(folds, j, axis=0).ravel() for j in range(k)])
+        super().__init__(feats, y, alpha, learner, seed, train, folds)

@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ValueError("n_test and n_frames must be at least 1")
         if not self.n_pilots_grid or min(self.n_pilots_grid) < 1:
             raise ValueError("n_pilots_grid must hold positive pilot counts")
+        if min(self.n_pilots_grid) < 2 and set(self.methods) & {"vb", "cv", "kcv"}:
+            raise ValueError("vb, cv and kcv need at least 2 pilots per frame")
         if self.k_folds < 2:
             raise ValueError("k_folds must be at least 2")
         unknown = set(self.methods) - set(METHODS)
@@ -155,33 +157,35 @@ def tally(mask: np.ndarray, y_true: np.ndarray) -> tuple[int, np.ndarray]:
     return hits, sizes
 
 
-def evaluate_frame(
-    frame: Frame,
-    constellation: Constellation,
+def simulate_frame(
     method: str,
     learner: str,
+    n_pilots: int,
+    frame_index: int,
+    snr_db: float,
+    n_test: int,
     alpha: float,
     k: int,
-    seed: int,
-) -> tuple[int, np.ndarray]:
-    """Demodulate one frame's payload; returns (hits, per-point set sizes)."""
-    predictor = build_predictor(method, frame, constellation, learner, alpha, k, seed)
-    mask = predictor.predict_mask(frame.test_x)
-    return tally(mask, frame.test_y)
+    master_seed: int,
+    constellation: str,
+) -> tuple[Frame, np.ndarray]:
+    """One frame of a cell end to end: the simulated frame and the membership
+    mask of its payload.  A pure function of its arguments; the frame draws
+    its channel from ``(frame_seed, 0)`` and the predictor is seeded by
+    ``hash64(frame_seed, 1)``."""
+    const = make_constellation(constellation)
+    fseed = frame_seed(master_seed, method, learner, n_pilots, frame_index)
+    frame = generate_frame(
+        n_pilots, n_test, 10.0 ** (snr_db / 10.0), const, derive_rng(fseed, 0)
+    )
+    predictor = build_predictor(method, frame, const, learner, alpha, k, hash64(fseed, 1))
+    return frame, predictor.predict_mask(frame.test_x)
 
 
 def _frame_job(job: tuple) -> tuple[int, int, int]:
-    """One frame end to end; pure function of the job tuple."""
-    (method, learner, n_pilots, frame_index, snr_db, n_test, alpha, k, master_seed,
-     constellation_name) = job
-    constellation = make_constellation(constellation_name)
-    fseed = frame_seed(master_seed, method, learner, n_pilots, frame_index)
-    frame = generate_frame(
-        n_pilots, n_test, 10.0 ** (snr_db / 10.0), constellation, derive_rng(fseed, 0)
-    )
-    hits, sizes = evaluate_frame(
-        frame, constellation, method, learner, alpha, k, hash64(fseed, 1)
-    )
+    """One frame's (hits, set size sum, payload count); job is simulate_frame's arguments."""
+    frame, mask = simulate_frame(*job)
+    hits, sizes = tally(mask, frame.test_y)
     return hits, int(sizes.sum()), int(sizes.size)
 
 

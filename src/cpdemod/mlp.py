@@ -148,11 +148,6 @@ def forward_batch(w: Weights, X: np.ndarray) -> np.ndarray:
     return _softmax_rows(a @ w.ws[-1].T + w.bs[-1])
 
 
-def forward(w: Weights, x: complex) -> np.ndarray:
-    """Class probabilities for a single complex sample."""
-    return forward_batch(w, features(x))[0]
-
-
 def nll_loss(w: Weights, X, y) -> float:
     """Mean negative log probability of the true labels."""
     X, y = _canonical(X, y)
@@ -306,11 +301,6 @@ def predictive_batch(model: Weights | Ensemble, X: np.ndarray) -> np.ndarray:
     if isinstance(model, Ensemble):
         return np.mean([forward_batch(m, X) for m in model.members], axis=0)
     return forward_batch(model, X)
-
-
-def predictive(model: Weights | Ensemble, x: complex) -> np.ndarray:
-    """Predictive class probabilities for a single complex sample."""
-    return predictive_batch(model, features(x))[0]
 
 
 # Learners share one entry point, ``fit(X, y, rng)``.  One (n, d) dataset with

@@ -86,6 +86,21 @@ def test_frame_degenerate_cross_val_prints_full_sets(capsys):
     assert "mean set size 4.00" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--method", "kcv", "--n-pilots", "7", "--k", "5"],
+        ["--method", "kcv", "--n-pilots", "6", "--k", "0"],
+        ["--method", "vb", "--n-pilots", "1"],
+    ],
+)
+def test_frame_rejects_pilot_counts_the_method_cannot_use(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["frame", *argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_frame_output_is_deterministic(capsys):
     argv = ["frame", "--n-pilots", "6", "--n-test", "3", "--method", "naive"]
     main(argv)

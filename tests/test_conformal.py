@@ -14,18 +14,14 @@ from cpdemod.conformal import (
     CrossValConformalPredictor,
     NaiveSetPredictor,
     SplitConformalPredictor,
+    _score_matrix,
     cv_membership,
-    cv_predict,
     empirical_quantile,
-    kcv_predict,
-    naive_set,
-    naive_set_from_probs,
-    nc_score,
+    naive_mask,
     quantile_index,
     rank_threshold,
-    vb_predict,
 )
-from cpdemod.mlp import Ensemble, GDLearner, ModelArch
+from cpdemod.mlp import Ensemble, GDLearner, ModelArch, features, predictive_batch
 from helpers import certain_weights, zero_weights
 
 SNR_5DB = 10.0 ** 0.5
@@ -92,7 +88,7 @@ def test_alpha_domain_is_enforced(alpha):
     with pytest.raises(ValueError):
         empirical_quantile([1.0, 2.0], alpha)
     with pytest.raises(ValueError):
-        naive_set_from_probs([0.5, 0.5], alpha)
+        naive_mask([0.5, 0.5], alpha)
 
 
 def test_empirical_quantile_against_counting_oracle():
@@ -136,45 +132,47 @@ def test_quantile_and_rank_rules_agree(n, seed, alpha):
 
 
 def test_nc_score_uniform_model():
-    assert nc_score(0.2 + 0.1j, 3, zero_weights(ModelArch())) == pytest.approx(
-        LOG4, abs=1e-12
+    assert _score_matrix(zero_weights(ModelArch()), features(0.2 + 0.1j))[0, 3] == (
+        pytest.approx(LOG4, abs=1e-12)
     )
 
 
 def test_nc_score_certain_model():
     arch = ModelArch()
     sure = certain_weights(arch, 2)
-    assert nc_score(0.5 - 0.5j, 2, sure) == 0.0
+    scores = _score_matrix(sure, features(0.5 - 0.5j))[0]
+    assert scores[2] == 0.0
     # Wrong label under a certain model hits the probability floor.
-    assert nc_score(0.5 - 0.5j, 0, sure) == pytest.approx(27.631021115928547, abs=1e-9)
+    assert scores[0] == pytest.approx(27.631021115928547, abs=1e-9)
 
 
 # ---------------------------------------------------------------- naive sets
 
 
 def test_naive_set_takes_smallest_sufficient_head():
-    out = naive_set_from_probs([0.7, 0.2, 0.06, 0.04], alpha=0.1)
+    out = np.flatnonzero(naive_mask([0.7, 0.2, 0.06, 0.04], alpha=0.1))
     assert np.array_equal(out, [0, 1])
 
 
 def test_naive_set_uniform_needs_everything():
-    out = naive_set_from_probs([0.25, 0.25, 0.25, 0.25], alpha=0.1)
+    out = np.flatnonzero(naive_mask([0.25, 0.25, 0.25, 0.25], alpha=0.1))
     assert np.array_equal(out, ALL_LABELS)
 
 
 def test_naive_set_exact_boundary_mass_counts():
     # 0.7 must satisfy a 0.7 target despite float accumulation.
-    out = naive_set_from_probs([0.7, 0.2, 0.06, 0.04], alpha=0.3)
+    out = np.flatnonzero(naive_mask([0.7, 0.2, 0.06, 0.04], alpha=0.3))
     assert np.array_equal(out, [0])
 
 
 def test_naive_set_tie_prefers_smaller_label():
-    out = naive_set_from_probs([0.4, 0.4, 0.2], alpha=0.6)
+    out = np.flatnonzero(naive_mask([0.4, 0.4, 0.2], alpha=0.6))
     assert np.array_equal(out, [0])
 
 
 def test_naive_set_certain_model_is_singleton():
-    assert np.array_equal(naive_set(certain_weights(ModelArch(), 1), 1j, 0.1), [1])
+    probs = predictive_batch(certain_weights(ModelArch(), 1), features(1j))
+    assert np.array_equal(np.flatnonzero(naive_mask(probs, 0.1)[0]), [1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,9 +181,7 @@ def test_naive_set_shrinks_as_alpha_grows(seed):
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(4))
     lo, hi = np.sort(rng.uniform(0.01, 0.99, size=2))
-    assert set(naive_set_from_probs(probs, float(hi))) <= set(
-        naive_set_from_probs(probs, float(lo))
-    )
+    assert np.all(naive_mask(probs, float(lo)) | ~naive_mask(probs, float(hi)))
 
 
 def _naive_row_oracle(probs, alpha):
@@ -213,7 +209,7 @@ def test_naive_mask_matches_row_by_row_oracle(alpha):
         ]
     )
     expected = np.array([_naive_row_oracle(row, alpha) for row in probs])
-    assert np.array_equal(conformal.naive_mask(probs, alpha), expected)
+    assert np.array_equal(naive_mask(probs, alpha), expected)
 
 
 # ---------------------------------------------------------------- split CP
@@ -225,8 +221,9 @@ def test_split_small_calibration_set_gives_full_sets():
     pred = SplitConformalPredictor(
         frame.pilot_x, frame.pilot_y, 0.1, _quick_learner(), seed=3
     )
-    assert math.isinf(pred.threshold)
-    assert np.array_equal(pred.predict_set(0.3 + 0.3j), ALL_LABELS)
+    assert math.isinf(empirical_quantile(pred.val_scores, 0.1))
+    assert pred.threshold_count == 0
+    assert np.array_equal(np.flatnonzero(pred.predict_mask([0.3 + 0.3j])[0]), ALL_LABELS)
 
 
 def test_split_validation_points_cover_themselves():
@@ -236,10 +233,10 @@ def test_split_validation_points_cover_themselves():
     pred = SplitConformalPredictor(
         frame.pilot_x, frame.pilot_y, 0.1, _quick_learner(), seed=4
     )
-    assert pred.threshold == pred.val_scores.max()
-    for i in range(len(pred.val_labels)):
-        x = complex(pred.val_feats[i, 0], pred.val_feats[i, 1])
-        assert pred.val_labels[i] in pred.predict_set(x)
+    assert empirical_quantile(pred.val_scores, 0.1) == pred.val_scores.max()
+    held_out = pred.folds[0]
+    mask = pred.predict_mask(frame.pilot_x[held_out])
+    assert mask[np.arange(len(held_out)), frame.pilot_y[held_out]].all()
 
 
 def test_split_mask_matches_rank_rule():
@@ -251,10 +248,12 @@ def test_split_mask_matches_rank_rule():
     xs = rng.normal(size=5) + 1j * rng.normal(size=5)
     masks = pred.predict_mask(xs)
     n_val = pred.val_scores.size
-    for i, x in enumerate(xs):
-        row = np.array([nc_score(x, l, pred.model) for l in range(4)])
+    scores = _score_matrix(pred.models[0], features(xs))
+    for i, row in enumerate(scores):
         table = np.repeat(row[:, None], n_val, axis=1)
         assert np.array_equal(masks[i], cv_membership(table, pred.val_scores, 0.1))
+    # The reference form of the one-fold rule: compare with the quantile.
+    assert np.array_equal(masks, scores <= empirical_quantile(pred.val_scores, 0.1))
 
 
 @pytest.mark.parametrize("n,expected_val", [(10, 5), (11, 5), (18, 9)])
@@ -263,7 +262,8 @@ def test_split_partition_sizes(n, expected_val):
     pred = SplitConformalPredictor(
         frame.pilot_x, frame.pilot_y, 0.1, _quick_learner(), seed=9
     )
-    assert len(pred.val_labels) == expected_val
+    assert len(pred.models) == len(pred.folds) == 1
+    assert len(pred.folds[0]) == expected_val
     assert len(pred.val_scores) == expected_val
 
 
@@ -291,6 +291,39 @@ def test_cross_tiny_calibration_set_gives_full_sets():
     )
     assert pred.threshold_count == 0
     assert np.all(pred.predict_mask(np.array([0.1 + 0.1j, -1.0 - 1.0j])))
+
+
+class _DivergedLearner:
+    """Learner whose training always diverges: every weight is NaN."""
+
+    arch = ModelArch()
+
+    def _nan_model(self):
+        w = zero_weights(self.arch)
+        for a in w.ws + w.bs:
+            a.fill(np.nan)
+        return w
+
+    def fit(self, X, y, rng):
+        return self._nan_model() if np.ndim(X) == 2 else [self._nan_model() for _ in rng]
+
+
+@pytest.mark.parametrize(
+    "n,build",
+    [
+        (10, lambda x, y, l: SplitConformalPredictor(x, y, 0.1, l, seed=32)),
+        (5, lambda x, y, l: CrossValConformalPredictor(x, y, 0.1, l, None, 32)),
+    ],
+    ids=["vb", "cv"],
+)
+def test_vacuous_threshold_admits_every_label_even_from_a_diverged_model(n, build):
+    # A threshold count of 0 asks for no calibration score at all, so NaN
+    # scores from a diverged model must still yield the full alphabet.
+    frame = _pilot_frame(n, seed=33, n_test=7)
+    pred = build(frame.pilot_x, frame.pilot_y, _DivergedLearner())
+    assert pred.threshold_count == 0
+    assert np.isnan(pred.val_scores).all()
+    assert np.all(pred.predict_mask(frame.test_x))
 
 
 def test_cross_threshold_count_value():
@@ -393,37 +426,13 @@ def test_all_methods_nest_in_alpha():
         assert np.all(wide | ~narrow), f"{name} sets are not nested across alpha"
 
 
-def test_functional_wrappers_match_predictors():
-    frame = _pilot_frame(10, seed=26)
-    learner = _quick_learner()
-    x = 0.4 - 0.2j
-    assert np.array_equal(
-        vb_predict(frame.pilot_x, frame.pilot_y, x, 0.1, learner, seed=27),
-        SplitConformalPredictor(
-            frame.pilot_x, frame.pilot_y, 0.1, learner, seed=27
-        ).predict_set(x),
-    )
-    assert np.array_equal(
-        cv_predict(frame.pilot_x, frame.pilot_y, x, 0.1, learner, seed=27),
-        CrossValConformalPredictor(
-            frame.pilot_x, frame.pilot_y, 0.1, learner, None, 27
-        ).predict_set(x),
-    )
-    assert np.array_equal(
-        kcv_predict(frame.pilot_x, frame.pilot_y, x, 0.1, 5, learner, seed=27),
-        CrossValConformalPredictor(
-            frame.pilot_x, frame.pilot_y, 0.1, learner, 5, 27
-        ).predict_set(x),
-    )
-
-
 def test_naive_predictor_uses_one_model_on_all_pilots():
     frame = _pilot_frame(10, seed=28)
     learner = _quick_learner()
     pred = NaiveSetPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, seed=29)
     x = 0.2 + 0.2j
-    direct = naive_set(pred.model, x, 0.1)
-    assert np.array_equal(pred.predict_set(x), direct)
+    direct = naive_mask(predictive_batch(pred.model, features(x)), 0.1)
+    assert np.array_equal(pred.predict_mask([x]), direct)
     assert isinstance(pred.model, type(learner.fit(
         np.zeros((2, 2)), np.array([0, 1]), np.random.default_rng(0)
     )))

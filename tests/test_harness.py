@@ -6,25 +6,21 @@ import os
 import numpy as np
 import pytest
 
-from cpdemod.channel import generate_frame, make_qpsk
 from cpdemod.harness import (
     CSV_HEADER,
     LEARNERS,
     METHODS,
     ExperimentConfig,
     MetricsRecord,
-    evaluate_frame,
     experiment_cells,
     frame_seed,
     make_constellation,
     run_experiment,
+    simulate_frame,
     tally,
     write_csv,
     write_dat,
 )
-from cpdemod.seeding import derive_rng
-
-SNR_5DB = 10.0 ** 0.5
 
 
 def _small_config(**overrides):
@@ -59,10 +55,10 @@ def test_tally_counts_only_true_label_membership():
     assert np.array_equal(sizes, [1, 2])
 
 
-def test_evaluate_frame_degenerate_cross_val_covers_everything():
+def test_simulate_frame_degenerate_cross_val_covers_everything():
     # 5 pilots cannot exclude anything at alpha 0.1, so coverage is total.
-    frame = generate_frame(5, 12, SNR_5DB, make_qpsk(), derive_rng(99, 0))
-    hits, sizes = evaluate_frame(frame, make_qpsk(), "cv", "frequentist", 0.1, 5, 99)
+    frame, mask = simulate_frame("cv", "frequentist", 5, 0, 5.0, 12, 0.1, 5, 99, "qpsk")
+    hits, sizes = tally(mask, frame.test_y)
     assert hits == 12
     assert np.array_equal(sizes, np.full(12, 4))
 
@@ -217,8 +213,15 @@ def test_make_constellation():
         dict(learners=()),
         dict(learners=("frequentist", "map")),
         dict(constellation="psk1024"),
+        dict(n_pilots_grid=(1, 10), methods=("naive", "vb")),
+        dict(n_pilots_grid=(1,), methods=("cv",)),
+        dict(n_pilots_grid=(1,), methods=("kcv",)),
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
+
+
+def test_config_allows_one_pilot_for_naive_only():
+    assert ExperimentConfig(n_pilots_grid=(1, 10), methods=("naive",)).n_pilots_grid == (1, 10)

@@ -16,12 +16,10 @@ from cpdemod.mlp import (
     SGLDLearner,
     canonical_order,
     features,
-    forward,
     forward_batch,
     grad,
     init_weights,
     nll_loss,
-    predictive,
     predictive_batch,
     train_gd,
     train_sgld,
@@ -75,7 +73,7 @@ def test_init_weights_first_layer_variance():
 
 def test_forward_zero_weights_is_uniform():
     w = zero_weights(ModelArch())
-    assert np.array_equal(forward(w, 0.3 - 0.7j), np.full(4, 0.25))
+    assert np.array_equal(forward_batch(w, features(0.3 - 0.7j))[0], np.full(4, 0.25))
 
 
 @settings(max_examples=50, deadline=None)
@@ -94,10 +92,10 @@ def test_forward_rows_sum_to_one(seed):
 def test_forward_logit_shift_invariance():
     rng = np.random.default_rng(2)
     w = init_weights(ModelArch(), rng)
-    x = 0.5 + 0.25j
-    base = forward(w, x)
+    X = features(0.5 + 0.25j)
+    base = forward_batch(w, X)[0]
     w.bs[-1] += 17.5  # same constant on every logit
-    np.testing.assert_allclose(forward(w, x), base, atol=1e-12)
+    np.testing.assert_allclose(forward_batch(w, X)[0], base, atol=1e-12)
 
 
 def test_nll_zero_weights_is_log_label_count():
@@ -240,22 +238,25 @@ def test_trainers_stay_finite_at_working_scale():
 
 def test_predictive_single_member_matches_forward():
     w = init_weights(ModelArch(), np.random.default_rng(27))
-    x = -0.2 + 0.9j
-    assert np.array_equal(predictive(Ensemble([w]), x), forward(w, x))
+    X = features(-0.2 + 0.9j)
+    assert np.array_equal(predictive_batch(Ensemble([w]), X)[0], forward_batch(w, X)[0])
 
 
 def test_predictive_identical_members_average_to_member():
     w = init_weights(ModelArch(), np.random.default_rng(28))
-    x = 0.6 - 0.1j
+    X = features(0.6 - 0.1j)
     np.testing.assert_allclose(
-        predictive(Ensemble([w.copy(), w.copy(), w.copy()]), x), forward(w, x), atol=1e-15
+        predictive_batch(Ensemble([w.copy(), w.copy(), w.copy()]), X)[0],
+        forward_batch(w, X)[0],
+        atol=1e-15,
     )
 
 
 def test_predictive_averages_one_hot_members():
     arch = ModelArch()
     ens = Ensemble([certain_weights(arch, 0), certain_weights(arch, 1)])
-    assert np.array_equal(predictive(ens, 1.0 + 1.0j), np.array([0.5, 0.5, 0.0, 0.0]))
+    probs = predictive_batch(ens, features(1.0 + 1.0j))[0]
+    assert np.array_equal(probs, np.array([0.5, 0.5, 0.0, 0.0]))
 
 
 def test_ensemble_rejects_empty_member_list():
