@@ -97,6 +97,23 @@ def parse_args(argv=None) -> argparse.Namespace:
             args.seed = int(env_seed)
         except ValueError:
             parser.error(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
+    if args.command == "run":
+        try:
+            args.config = harness.ExperimentConfig(
+                snr_db=args.snr_db,
+                n_pilots_grid=tuple(args.n_pilots),
+                n_test=args.n_test,
+                n_frames=args.n_frames,
+                alpha=args.alpha,
+                methods=tuple(args.methods),
+                learners=tuple(args.learners),
+                k_folds=args.k,
+                master_seed=args.seed,
+                alpha_halving=args.alpha_halving,
+                constellation=args.constellation,
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.command == "frame":
         if args.method != "naive" and args.n_pilots < 2:
             parser.error(f"--method {args.method} needs at least 2 pilots")
@@ -106,20 +123,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = harness.ExperimentConfig(
-        snr_db=args.snr_db,
-        n_pilots_grid=tuple(args.n_pilots),
-        n_test=args.n_test,
-        n_frames=args.n_frames,
-        alpha=args.alpha,
-        methods=tuple(args.methods),
-        learners=tuple(args.learners),
-        k_folds=args.k,
-        master_seed=args.seed,
-        alpha_halving=args.alpha_halving,
-        constellation=args.constellation,
-    )
-    records = harness.run_experiment(config, workers=max(1, args.threads))
+    records = harness.run_experiment(args.config, workers=max(1, args.threads))
     if not records:
         print("nothing to run: every requested cell was skipped", file=sys.stderr)
         return 1

@@ -79,9 +79,11 @@ def empirical_quantile(scores, alpha: float) -> float:
     return float(np.sort(arr)[k - 1])
 
 
-def _score_matrix(model, feats: np.ndarray) -> np.ndarray:
-    """(n, labels) log loss of every label for every input row."""
-    p = mlp.predictive_batch(model, feats)
+def _scores(models, X) -> np.ndarray:
+    """``(n, K, labels)`` log loss of every label under each of K models;
+    ``X`` is ``(n, d)`` rows for every model or ``(n, K, d)`` rows per model,
+    as for ``mlp.predictive_stack``."""
+    p = mlp.predictive_stack(models, X)
     return -np.log(np.maximum(p, mlp.PROB_FLOOR))
 
 
@@ -104,10 +106,21 @@ def naive_mask(probs, alpha: float) -> np.ndarray:
     return mask
 
 
-def _rank_counts(scores: np.ndarray, held_out: np.ndarray) -> np.ndarray:
-    """How many held-out scores lie at or above each score, counted along
-    the last axis after broadcasting: ``(scores <= held_out).sum(-1)``."""
-    return (scores <= held_out).sum(-1)
+def _rank_counts(scores: np.ndarray, held_out) -> np.ndarray:
+    """How many held-out scores lie at or above each candidate score, summed
+    over models.
+
+    ``scores[..., k]`` are candidate scores under model ``k`` and
+    ``held_out[k]`` the held-out scores of model ``k``'s fold.  Each fold is
+    sorted once and counted with ``searchsorted``.  NaN never counts: a NaN
+    held-out score lies at or above nothing, and a NaN candidate score sorts
+    above every held-out score.
+    """
+    counts = np.zeros(scores.shape[:-1], dtype=np.int64)
+    for k, fold in enumerate(held_out):
+        ranked = np.sort(fold[~np.isnan(fold)])
+        counts += len(ranked) - np.searchsorted(ranked, scores[..., k])
+    return counts
 
 
 def cv_membership(candidate_scores, val_scores, alpha: float) -> np.ndarray:
@@ -123,7 +136,7 @@ def cv_membership(candidate_scores, val_scores, alpha: float) -> np.ndarray:
     val = np.asarray(val_scores, dtype=np.float64)
     if cand.ndim != 2 or cand.shape[1] != val.size:
         raise ValueError("expected (labels, n) candidate scores and n validation scores")
-    return _rank_counts(cand, val) >= rank_threshold(val.size, alpha)
+    return _rank_counts(cand, val[:, None]) >= rank_threshold(val.size, alpha)
 
 
 def _pilot_arrays(pilot_x, pilot_y) -> tuple[np.ndarray, np.ndarray]:
@@ -181,11 +194,13 @@ class _FoldPlanPredictor:
             block = train[start : start + MAX_STACK]
             rngs = [derive_rng(seed, 1 + j) for j in range(start, start + len(block))]
             self.models += learner.fit(feats[block], y[block], rngs)
-        self.fold_scores = [
-            _score_matrix(model, feats[fold])[np.arange(len(fold)), y[fold]]
-            for model, fold in zip(self.models, self.folds)
-        ]
-        self.threshold_count = rank_threshold(sum(map(len, self.folds)), self.alpha)
+        # Every fold has the same size, so the models score their folds as
+        # one stack: (fold size, K, d) rows.
+        held = np.array(self.folds)
+        scores = _scores(self.models, feats[held].transpose(1, 0, 2))
+        true = np.take_along_axis(scores, y[held].T[:, :, None], axis=-1)[..., 0]
+        self.fold_scores = list(true.T)
+        self.threshold_count = rank_threshold(held.size, self.alpha)
 
     @property
     def val_scores(self) -> np.ndarray:
@@ -193,12 +208,8 @@ class _FoldPlanPredictor:
         return np.concatenate(self.fold_scores)
 
     def predict_mask(self, x) -> np.ndarray:
-        feats = mlp.features(x)
-        counts = sum(
-            _rank_counts(_score_matrix(model, feats)[:, :, None], held_out)
-            for model, held_out in zip(self.models, self.fold_scores)
-        )
-        return counts >= self.threshold_count
+        scores = _scores(self.models, mlp.features(x))
+        return _rank_counts(scores.transpose(0, 2, 1), self.fold_scores) >= self.threshold_count
 
 
 class SplitConformalPredictor(_FoldPlanPredictor):

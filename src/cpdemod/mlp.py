@@ -3,10 +3,18 @@
 Training is deterministic given an explicit generator, and every data-dependent
 computation first puts the samples into a canonical order, so losses, gradients
 and trained weights are bit-identical under any permutation of the dataset.
+
+Networks run as stacks.  Stacked weights carry a leading network axis, and
+activations are laid out sample-major, ``(m, K, width)``: row ``i`` of network
+``k`` sits at ``[i, k]``.  One forward pass (``_forward``) serves training,
+calibration and payload scoring; a single network is a stack of one.  Each
+network's matrix products see exactly the rows a lone call would give it, so
+every output is bit-identical to running the networks one at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -16,6 +24,12 @@ import numpy as np
 #: Probabilities are clamped here before any log; the clamp only guards the
 #: log, the softmax output itself is never modified.
 PROB_FLOOR = 1e-12
+
+#: Most bytes of stacked weights and activations one scoring pass holds.
+#: Networks join a pass while their weights and their rows' activations fit;
+#: a network's rows are never split, so a payload wider than this runs one
+#: network per pass.
+MAX_PASS_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -83,10 +97,36 @@ class Ensemble:
         if not self.members:
             raise ValueError("ensemble needs at least one member")
 
+    @classmethod
+    def of_stack(cls, stacked: Weights) -> "Ensemble":
+        """Ensemble whose members are the networks of ``stacked`` (as views)."""
+        ensemble = cls(stacked.unstack())
+        ensemble.__dict__["stacked"] = stacked
+        return ensemble
+
+    @functools.cached_property
+    def stacked(self) -> Weights:
+        """The members as one stack, member axis first (built on first use;
+        members are not meant to change after that)."""
+        return _stack(self.members)
+
+
+def _networks(model: Weights | Ensemble) -> Weights:
+    """A model's networks as one stack: its members, or itself as a stack of one."""
+    if isinstance(model, Ensemble):
+        return model.stacked
+    return Weights([w[None] for w in model.ws], [b[None] for b in model.bs])
+
 
 def features(x) -> np.ndarray:
-    """Stack complex samples into an (n, 2) real matrix of (re, im) rows."""
+    """Stack complex samples into an (n, 2) real matrix of (re, im) rows.
+
+    Raises ``ValueError`` on a NaN or infinite sample: it would score NaN
+    against every label and silently decide set membership.
+    """
     arr = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+    if not np.isfinite(arr).all():
+        raise ValueError("received samples must be finite")
     return np.column_stack((arr.real, arr.imag))
 
 
@@ -129,23 +169,69 @@ def init_weights(arch: ModelArch, rng: np.random.Generator) -> Weights:
     return Weights(ws, bs)
 
 
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last (label) axis, in place.
 
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    The max and the sum run across label columns, one elementwise operation
+    per label, instead of along the short label axis.  The sum adds the
+    columns left to right, which is the order numpy's own last-axis sum takes
+    for fewer than 8 terms, so the result has the same bits.
+    """
+    labels = [logits[..., j] for j in range(logits.shape[-1])]
     # Max subtraction keeps exp in range for arbitrarily large logits.
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.subtract(logits, functools.reduce(np.maximum, labels)[..., None], out=logits)
+    np.exp(logits, out=logits)
+    return np.divide(logits, functools.reduce(np.add, labels)[..., None], out=logits)
+
+
+def _workspace(w: Weights, rows: int) -> list[np.ndarray]:
+    """One flat output buffer per layer, for passes of up to ``rows``
+    (sample, network) rows of the stack ``w``.
+
+    Training steps and scoring passes reuse these buffers: a fresh array
+    larger than the allocator's mmap threshold (128 KB) page-faults on every
+    page it is written to, and at K=20, m=59 that was ~40% of a training step.
+    """
+    return [np.empty(rows * b.shape[-1]) for b in w.bs]
+
+
+def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``a @ w.T + b`` for every network of a stack, sample-major in and out,
+    written into the front of the flat buffer ``buf``.
+
+    One matrix product per network, written straight into the sample-major
+    buffer, so the bias add runs over contiguous ``K * fan_out`` rows.
+    """
+    out = buf[: a.shape[0] * b.size].reshape(a.shape[0], *b.shape)
+    np.matmul(a.transpose(1, 0, 2), w.transpose(0, 2, 1), out=out.transpose(1, 0, 2))
+    out += b
+    return out
+
+
+def _forward(
+    w: Weights, X: np.ndarray, work: list[np.ndarray]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Sample-major forward pass of a stack of K networks.
+
+    ``w`` holds ``(K, fan_out, fan_in)`` weights and ``(K, fan_out)`` biases;
+    ``X`` is ``(m, K, d)`` with network ``k``'s rows at ``X[:, k]`` (a
+    zero-stride K axis feeds every network the same rows); ``work`` is a
+    ``_workspace`` of at least ``m * K`` rows.  Returns the input of every
+    layer (``X``, then each hidden ReLU output) and the ``(m, K, labels)``
+    class probabilities, all views into ``work``.
+    """
+    acts = [X]
+    for wi, bi, buf in zip(w.ws[:-1], w.bs[:-1], work):
+        z = _affine(acts[-1], wi, bi, buf)
+        acts.append(np.maximum(z, 0.0, out=z))
+    return acts, _softmax(_affine(acts[-1], w.ws[-1], w.bs[-1], work[-1]))
 
 
 def forward_batch(w: Weights, X: np.ndarray) -> np.ndarray:
     """Class probabilities, one row per input row; rows sum to 1."""
-    a = np.asarray(X, dtype=np.float64)
-    for wi, bi in zip(w.ws[:-1], w.bs[:-1]):
-        a = _relu(a @ wi.T + bi)
-    return _softmax_rows(a @ w.ws[-1].T + w.bs[-1])
+    X = np.asarray(X, dtype=np.float64)
+    net = _networks(w)
+    return _forward(net, X[:, None, :], _workspace(net, len(X)))[1][:, 0]
 
 
 def nll_loss(w: Weights, X, y) -> float:
@@ -155,27 +241,34 @@ def nll_loss(w: Weights, X, y) -> float:
     return float(np.mean(-np.log(np.maximum(p, PROB_FLOOR))))
 
 
-def _grad_canonical(w: Weights, X: np.ndarray, targets: np.ndarray) -> Weights:
-    # Backprop of the mean cross entropy of K models at once: stacked weights,
-    # (K, m, d) data and (K, m, labels) one-hot targets, each dataset in
-    # canonical order.  Every product is one matrix product per model, so
-    # model j's gradient is the same bits whatever else shares its stack.
+def _grad_canonical(
+    w: Weights, X: np.ndarray, targets: np.ndarray, work: list[np.ndarray]
+) -> Weights:
+    # Backprop of the mean cross entropy of K networks at once: stacked
+    # weights, sample-major (m, K, d) data and (m, K, labels) one-hot targets,
+    # each dataset in canonical order, and a ``_workspace`` of m * K rows.
+    # Every product is one matrix product per network, so network k's
+    # gradient is the same bits whatever else shares its stack.  The bias
+    # gradient sums over samples one row at a time, the order the
+    # single-network sum takes.  Each layer's backpropagated error overwrites
+    # that layer's input once its weight gradient and ReLU mask are taken.
     # Gradient of the unclamped loss (the clamp guards logs only, and binds
     # nowhere a gradient step is useful).
-    acts = [X]
-    for wi, bi in zip(w.ws[:-1], w.bs[:-1]):
-        acts.append(_relu(acts[-1] @ wi.transpose(0, 2, 1) + bi[:, None, :]))
-    probs = _softmax_rows(acts[-1] @ w.ws[-1].transpose(0, 2, 1) + w.bs[-1][:, None, :])
-    delta = (probs - targets) / X.shape[1]
+    acts, probs = _forward(w, X, work)
+    delta = np.subtract(probs, targets, out=probs)
+    delta /= X.shape[0]
     n_layers = len(w.ws)
     gws: list[np.ndarray] = [np.empty(0)] * n_layers
     gbs: list[np.ndarray] = [np.empty(0)] * n_layers
     for layer in reversed(range(n_layers)):
-        gws[layer] = delta.transpose(0, 2, 1) @ acts[layer]
-        gbs[layer] = delta.sum(axis=1)
+        a = acts[layer]
+        gws[layer] = np.matmul(delta.transpose(1, 2, 0), a.transpose(1, 0, 2))
+        gbs[layer] = delta.sum(axis=0)
         if layer:
             # ReLU passes gradient where its output is positive.
-            delta = (delta @ w.ws[layer]) * (acts[layer] > 0)
+            passes = a > 0
+            np.matmul(delta.transpose(1, 0, 2), w.ws[layer], out=a.transpose(1, 0, 2))
+            delta = np.multiply(a, passes, out=a)
     return Weights(gws, gbs)
 
 
@@ -184,18 +277,41 @@ def grad(w: Weights, X, y) -> Weights:
     X, y = _canonical(X, y)
     if X.ndim != 2:
         raise ValueError("expected one (n, d) dataset")
-    one = Weights([a[None] for a in w.ws], [b[None] for b in w.bs])
-    targets = _one_hot(y[None], w.bs[-1].size)
-    return _grad_canonical(one, X[None], targets).unstack()[0]
+    net = _networks(w)
+    targets = _one_hot(y[:, None], w.bs[-1].size)
+    return _grad_canonical(net, X[:, None, :], targets, _workspace(net, len(X))).unstack()[0]
 
 
 def _one_hot(y: np.ndarray, n_labels: int) -> np.ndarray:
     return np.eye(n_labels)[y]
 
 
+def _flat(w: Weights) -> np.ndarray:
+    """A stack's parameters as one ``(K, n_params)`` array, laid out weights
+    then biases, layer by layer: ``w0, b0, w1, b1, ...``."""
+    parts = [a for pair in zip(w.ws, w.bs) for a in pair]
+    return np.concatenate([a.reshape(len(a), -1) for a in parts], axis=1)
+
+
+def _unflat(params: np.ndarray, arch: ModelArch) -> Weights:
+    """Weights whose arrays are views into ``params`` (``..., n_params``, laid
+    out as ``_flat`` does), keeping its leading axes."""
+    lead = params.shape[:-1]
+    ws, bs, offset = [], [], 0
+    for fan_in, fan_out in arch.dims():
+        size = fan_out * fan_in
+        ws.append(params[..., offset : offset + size].reshape(*lead, fan_out, fan_in))
+        bs.append(params[..., offset + size : offset + size + fan_out])
+        offset += size + fan_out
+    return Weights(ws, bs)
+
+
 def _training_stack(X, y, arch: ModelArch, rng):
-    """Canonical (K, m, d) data, one-hot targets, generators, stacked initial
-    weights, and whether a single dataset (a stack of one) came in."""
+    """Canonical sample-major (m, K, d) data and (m, K, labels) one-hot
+    targets, generators, the initial parameters of the stack as one flat
+    ``(K, n_params)`` array, and whether a single dataset (a stack of one)
+    came in.  Updates run on the flat array, one elementwise operation per
+    step for all parameters."""
     X, y = _canonical(X, y)
     single = X.ndim == 2
     if single:
@@ -203,8 +319,9 @@ def _training_stack(X, y, arch: ModelArch, rng):
     rngs = list(rng)
     if len(rngs) != len(X):
         raise ValueError(f"a stack of {len(X)} datasets needs {len(X)} generators, got {len(rngs)}")
-    w = _stack([init_weights(arch, r) for r in rngs])
-    return X, _one_hot(y, arch.output_dim), rngs, w, single
+    params = _flat(_stack([init_weights(arch, r) for r in rngs]))
+    X = np.ascontiguousarray(X.transpose(1, 0, 2))
+    return X, _one_hot(y.T, arch.output_dim), rngs, params, single
 
 
 def train_gd(
@@ -221,12 +338,11 @@ def train_gd(
     One (n, d) dataset and one generator give one ``Weights``; a (K, n, d)
     stack and K generators give a list of K, trained together.
     """
-    X, targets, _, w, single = _training_stack(X, y, arch, rng)
+    X, targets, _, params, single = _training_stack(X, y, arch, rng)
+    w = _unflat(params, arch)
+    work = _workspace(w, X.shape[0] * X.shape[1])
     for _ in range(steps):
-        g = _grad_canonical(w, X, targets)
-        for i in range(len(w.ws)):
-            w.ws[i] -= lr * g.ws[i]
-            w.bs[i] -= lr * g.bs[i]
+        params -= lr * _flat(_grad_canonical(w, X, targets, work))
     models = w.unstack()
     return models[0] if single else models
 
@@ -266,41 +382,85 @@ def train_sgld(
     """
     if burn_in < 0 or ensemble_size < 1:
         raise ValueError("need burn_in >= 0 and ensemble_size >= 1")
-    X, targets, rngs, w, single = _training_stack(X, y, arch, rng)
-    n = X.shape[1]
+    X, targets, rngs, params, single = _training_stack(X, y, arch, rng)
+    w = _unflat(params, arch)
+    n = X.shape[0]
     eps = lr / n
     root_eps = math.sqrt(eps)
     # -eps/2 * (n * grad_mean) is taken as -lr/2 * grad_mean so the degenerate
     # noise-free, prior-free run reproduces the plain trainer bit for bit.
     half_lr = 0.5 * lr
     prior_pull = 0.0 if prior_sigma is None else 0.5 * eps / (prior_sigma * prior_sigma)
-    n_params = sum(a[0].size for a in w.ws) + sum(a[0].size for a in w.bs)
-    samples: list[Weights] = []
+    # Kept iterates, (K, ensemble_size, n_params): model j's members are one
+    # contiguous stack, ready for stacked scoring.
+    kept = np.empty((len(params), ensemble_size, params.shape[1]))
+    work = _workspace(w, X.shape[0] * X.shape[1])
     for step in range(burn_in + ensemble_size):
-        g = _grad_canonical(w, X, targets)
-        noise = noise_scale * np.stack([r.standard_normal(n_params) for r in rngs])
-        offset = 0
-        for i in range(len(w.ws)):
-            for cur, grad_mean in ((w.ws[i], g.ws[i]), (w.bs[i], g.bs[i])):
-                move = (-half_lr) * grad_mean
-                if prior_sigma is not None:
-                    move = move - prior_pull * cur
-                size = cur[0].size
-                chunk = noise[:, offset : offset + size].reshape(cur.shape)
-                offset += size
-                cur += move + root_eps * chunk
+        move = (-half_lr) * _flat(_grad_canonical(w, X, targets, work))
+        if prior_sigma is not None:
+            move = move - prior_pull * params
+        noise = noise_scale * np.stack([r.standard_normal(params.shape[1]) for r in rngs])
+        params += move + root_eps * noise
         if step >= burn_in:
-            samples.append(w.copy())
-    per_model = zip(*(s.unstack() for s in samples))
-    models = [Ensemble(list(members)) for members in per_model]
+            kept[:, step - burn_in] = params
+    models = [Ensemble.of_stack(_unflat(members, arch)) for members in kept]
     return models[0] if single else models
+
+
+def predictive_stack(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
+    """Predictive class probabilities of K models, ``(n, K, labels)``.
+
+    ``X`` is one ``(n, d)`` matrix that every model scores, or a sample-major
+    ``(n, K, d)`` stack in which model ``k`` scores ``X[:, k]``.  Ensembles
+    average their members' outputs, added in member order.  The networks of
+    all models (every member of every ensemble) run as stacked passes of at
+    most ``MAX_PASS_BYTES`` each, and every network sees all ``n`` of its rows
+    in one product, so each model's output has the bits it has when scored
+    alone.  The models need equal member counts.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    stacks = [_networks(m) for m in models]
+    size = len(stacks[0].ws[0])
+    if any(len(s.ws[0]) != size for s in stacks):
+        raise ValueError("models scored together need equal member counts")
+    shape = stacks[0]
+    n, n_nets, n_layers = len(X), size * len(stacks), len(shape.ws)
+    net_bytes = 8 * (
+        n * sum(b.shape[-1] for b in shape.bs) + sum(a[0].size for a in shape.ws + shape.bs)
+    )
+    per_pass = max(1, MAX_PASS_BYTES // net_bytes)
+    work = _workspace(shape, n * min(per_pass, n_nets))
+    total = np.zeros((n, len(stacks), shape.bs[-1].shape[-1]))
+    for start in range(0, n_nets, per_pass):
+        stop = min(start + per_pass, n_nets)
+        # Networks are numbered model by model: network u is member
+        # u % size of model u // size.
+        parts = [
+            (stacks[k], max(start - k * size, 0), min(stop - k * size, size))
+            for k in range(start // size, (stop - 1) // size + 1)
+        ]
+        w = Weights(
+            [np.concatenate([s.ws[i][lo:hi] for s, lo, hi in parts]) for i in range(n_layers)],
+            [np.concatenate([s.bs[i][lo:hi] for s, lo, hi in parts]) for i in range(n_layers)],
+        )
+        if X.ndim == 2:
+            rows = np.broadcast_to(X[:, None], (n, stop - start, X.shape[-1]))
+        else:
+            rows = X[:, np.arange(start, stop) // size]
+        probs = _forward(w, rows, work)[1]
+        # Add member e of every model in the pass before member e + 1.
+        for member in range(size):
+            pos = (member - start) % size
+            if pos < stop - start:
+                column = probs[:, pos::size]
+                model = (start + pos) // size
+                total[:, model : model + column.shape[1]] += column
+    return np.divide(total, size, out=total)
 
 
 def predictive_batch(model: Weights | Ensemble, X: np.ndarray) -> np.ndarray:
     """Predictive class probabilities; ensembles average member outputs."""
-    if isinstance(model, Ensemble):
-        return np.mean([forward_batch(m, X) for m in model.members], axis=0)
-    return forward_batch(model, X)
+    return predictive_stack([model], X)[:, 0]
 
 
 # Learners share one entry point, ``fit(X, y, rng)``.  One (n, d) dataset with

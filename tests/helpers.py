@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from cpdemod import mlp
-from cpdemod.mlp import ModelArch, Weights
+from cpdemod.mlp import Ensemble, ModelArch, Weights
 
 
 def zero_weights(arch: ModelArch) -> Weights:
@@ -55,7 +55,40 @@ def max_rel_grad_error(analytic: Weights, numeric: Weights) -> float:
 
 
 def weights_equal(a: Weights, b: Weights) -> bool:
-    """Bit-exact equality of two weight sets."""
-    return all(np.array_equal(x, y) for x, y in zip(a.ws, b.ws)) and all(
-        np.array_equal(x, y) for x, y in zip(a.bs, b.bs)
+    """Bit-exact equality of two weight sets (NaN equals NaN in the same place)."""
+    return all(
+        np.array_equal(x, y, equal_nan=True) for x, y in zip(a.ws + a.bs, b.ws + b.bs)
     )
+
+
+def reference_forward(w: Weights, X) -> tuple[list[np.ndarray], np.ndarray]:
+    """One network in plain 2-D numpy: the input of every layer and the
+    class probabilities (softmax with numpy's own max and sum)."""
+    acts = [np.asarray(X, dtype=np.float64)]
+    for wi, bi in zip(w.ws[:-1], w.bs[:-1]):
+        acts.append(np.maximum(acts[-1] @ wi.T + bi, 0.0))
+    logits = acts[-1] @ w.ws[-1].T + w.bs[-1]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return acts, e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_grad(w: Weights, X, targets) -> Weights:
+    """Mean cross-entropy backprop of one network in plain 2-D numpy, on
+    data already in canonical order with one-hot ``targets``."""
+    acts, probs = reference_forward(w, X)
+    delta = (probs - targets) / len(acts[0])
+    n_layers = len(w.ws)
+    gws, gbs = [None] * n_layers, [None] * n_layers
+    for layer in reversed(range(n_layers)):
+        gws[layer] = delta.T @ acts[layer]
+        gbs[layer] = delta.sum(axis=0)
+        if layer:
+            delta = (delta @ w.ws[layer]) * (acts[layer] > 0)
+    return Weights(gws, gbs)
+
+
+def reference_predictive(model, X) -> np.ndarray:
+    """Predictive of one model, one member network at a time."""
+    if isinstance(model, Ensemble):
+        return np.mean([reference_forward(m, X)[1] for m in model.members], axis=0)
+    return reference_forward(model, X)[1]

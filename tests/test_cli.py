@@ -101,6 +101,25 @@ def test_frame_rejects_pilot_counts_the_method_cannot_use(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--k", "1"],
+        ["--n-frames", "0"],
+        ["--n-pilots", "0"],
+        ["--n-pilots", "1", "--methods", "vb"],
+        ["--n-test", "0"],
+    ],
+)
+def test_run_rejects_grid_values_the_config_cannot_use(argv, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--n-frames", "1", *argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_frame_output_is_deterministic(capsys):
     argv = ["frame", "--n-pilots", "6", "--n-test", "3", "--method", "naive"]
     main(argv)

@@ -14,14 +14,14 @@ from cpdemod.conformal import (
     CrossValConformalPredictor,
     NaiveSetPredictor,
     SplitConformalPredictor,
-    _score_matrix,
+    _scores,
     cv_membership,
     empirical_quantile,
     naive_mask,
     quantile_index,
     rank_threshold,
 )
-from cpdemod.mlp import Ensemble, GDLearner, ModelArch, features, predictive_batch
+from cpdemod.mlp import Ensemble, GDLearner, ModelArch, Weights, features, predictive_batch
 from helpers import certain_weights, zero_weights
 
 SNR_5DB = 10.0 ** 0.5
@@ -132,7 +132,7 @@ def test_quantile_and_rank_rules_agree(n, seed, alpha):
 
 
 def test_nc_score_uniform_model():
-    assert _score_matrix(zero_weights(ModelArch()), features(0.2 + 0.1j))[0, 3] == (
+    assert _scores([zero_weights(ModelArch())], features(0.2 + 0.1j))[0, 0, 3] == (
         pytest.approx(LOG4, abs=1e-12)
     )
 
@@ -140,7 +140,7 @@ def test_nc_score_uniform_model():
 def test_nc_score_certain_model():
     arch = ModelArch()
     sure = certain_weights(arch, 2)
-    scores = _score_matrix(sure, features(0.5 - 0.5j))[0]
+    scores = _scores([sure], features(0.5 - 0.5j))[0, 0]
     assert scores[2] == 0.0
     # Wrong label under a certain model hits the probability floor.
     assert scores[0] == pytest.approx(27.631021115928547, abs=1e-9)
@@ -248,7 +248,7 @@ def test_split_mask_matches_rank_rule():
     xs = rng.normal(size=5) + 1j * rng.normal(size=5)
     masks = pred.predict_mask(xs)
     n_val = pred.val_scores.size
-    scores = _score_matrix(pred.models[0], features(xs))
+    scores = _scores([pred.models[0]], features(xs))[:, 0]
     for i, row in enumerate(scores):
         table = np.repeat(row[:, None], n_val, axis=1)
         assert np.array_equal(masks[i], cv_membership(table, pred.val_scores, 0.1))
@@ -350,11 +350,78 @@ def test_cv_membership_matches_direct_count():
             assert got[l] == (count >= need)
 
 
+def test_rank_counts_match_the_comparison_oracle_with_ties_and_nan():
+    # searchsorted over sorted folds must count exactly what comparing every
+    # pair counts: a NaN held-out score never counts, a NaN candidate gets 0.
+    rng = np.random.default_rng(44)
+    values = np.array([0.0, 1.0, 1.0, 2.5, np.inf, np.nan])
+    for _ in range(200):
+        k, f = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        held = rng.choice(values, size=(k, f))
+        scores = rng.choice(values, size=(3, 4, k))
+        want = sum((scores[..., j, None] <= held[j]).sum(-1) for j in range(k))
+        assert np.array_equal(conformal._rank_counts(scores, held), want)
+
+
 def test_cv_membership_validates_shapes():
     with pytest.raises(ValueError):
         cv_membership(np.zeros(4), np.zeros(4), 0.1)
     with pytest.raises(ValueError):
         cv_membership(np.zeros((2, 3)), np.zeros(4), 0.1)
+
+
+class _CentroidLearner:
+    """Cheap deterministic learner: nearest-centroid logits as a ReLU network.
+
+    The logit of label l is ``(2 c_l . x - |c_l|^2) / temperature``, the
+    negative squared distance to the label's training centroid ``c_l`` up to
+    a term shared by all labels.  The first hidden layer splits x into
+    positive and negative parts and the next two pass them through.
+    """
+
+    arch = ModelArch(hidden=(4, 4, 4))
+    temperature = 0.5
+
+    def _model(self, X, y) -> Weights:
+        centroids = np.array([X[y == l].mean(axis=0) if (y == l).any() else [0.0, 0.0]
+                              for l in range(4)])
+        split = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        out = 2.0 * centroids @ split.T / self.temperature
+        bias = -(centroids**2).sum(axis=1) / self.temperature
+        return Weights([split, np.eye(4), np.eye(4), out], [np.zeros(4)] * 3 + [bias])
+
+    def fit(self, X, y, rng):
+        if np.ndim(X) == 2:
+            return self._model(X, y)
+        return [self._model(a, b) for a, b in zip(X, y)]
+
+
+def _exchangeable_coverage(alpha, trials=300, n_pilots=19, n_test=10):
+    """Pooled coverage of leave-one-out cross-conformal sets over ``trials``
+    independent draws of i.i.d. pilots and payload from noisy QPSK."""
+    points = make_qpsk().points
+    rng = np.random.default_rng(2015)
+    hits = 0
+    for trial in range(trials):
+        labels = rng.integers(0, 4, size=n_pilots + n_test)
+        noise = rng.normal(scale=0.6, size=(n_pilots + n_test, 2))
+        x = points[labels] + noise[:, 0] + 1j * noise[:, 1]
+        pred = CrossValConformalPredictor(
+            x[:n_pilots], labels[:n_pilots], alpha, _CentroidLearner(), None, trial
+        )
+        mask = pred.predict_mask(x[n_pilots:])
+        hits += int(mask[np.arange(n_test), labels[n_pilots:]].sum())
+    return hits / (trials * n_test)
+
+
+def test_cross_conformal_coverage_bound_on_exchangeable_data():
+    # Leave-one-out cross-conformal sets cover at least 1 - 2 alpha (Vovk,
+    # "Cross-conformal predictors", 2015; Barber et al., jackknife+, 2021);
+    # --alpha-halving runs cv at alpha / 2, which restores 1 - alpha.  Each
+    # estimate pools 3000 payload points over 300 independent pilot draws.
+    alpha = 0.1
+    assert _exchangeable_coverage(alpha) >= 1 - 2 * alpha
+    assert _exchangeable_coverage(alpha / 2) >= 1 - alpha
 
 
 def test_kfold_equals_leave_one_out_when_k_is_n():
@@ -436,6 +503,29 @@ def test_naive_predictor_uses_one_model_on_all_pilots():
     assert isinstance(pred.model, type(learner.fit(
         np.zeros((2, 2)), np.array([0, 1]), np.random.default_rng(0)
     )))
+
+
+_BUILDERS = {
+    "naive": lambda x, y: NaiveSetPredictor(x, y, 0.1, _quick_learner(5), 41),
+    "vb": lambda x, y: SplitConformalPredictor(x, y, 0.1, _quick_learner(5), seed=41),
+    "cv": lambda x, y: CrossValConformalPredictor(x, y, 0.1, _quick_learner(5), None, 41),
+    "kcv": lambda x, y: CrossValConformalPredictor(x, y, 0.1, _quick_learner(5), 5, 41),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_BUILDERS))
+def test_non_finite_pilot_or_payload_samples_are_rejected(method):
+    # A NaN sample scores NaN against every label; it must fail loudly, not
+    # turn into a silently empty or full set.
+    frame = _pilot_frame(10, seed=40, n_test=3)
+    pilots = frame.pilot_x.copy()
+    pilots[4] = complex(np.nan, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        _BUILDERS[method](pilots, frame.pilot_y)
+    pred = _BUILDERS[method](frame.pilot_x, frame.pilot_y)
+    for bad in (complex(np.nan, 1.0), complex(1.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            pred.predict_mask(np.array([0.5 + 0.5j, bad]))
 
 
 def test_ensemble_learner_plugs_into_conformal():

@@ -270,6 +270,15 @@ def test_features_stacks_real_imag():
     assert np.array_equal(out, np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 1.0), complex(1.0, -np.inf)],
+)
+def test_features_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="finite"):
+        features(np.array([1.0 + 1.0j, bad]))
+
+
 def test_canonical_order_ignores_input_order():
     X, y = _toy_data(seed=29, n=10)
     perm = np.random.default_rng(30).permutation(10)

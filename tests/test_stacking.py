@@ -1,14 +1,20 @@
-"""Stacked training: K models fitted in one call equal K single fits, bit for bit."""
+"""Stacks of networks equal the same networks run one at a time, bit for bit.
+
+Training: K models fitted in one call equal K single fits.  Kernels: the
+sample-major stacked forward and backward equal a plain per-network numpy
+reference, also when weights hold inf or NaN.  Scoring: stacked calibration
+scores and sets equal per-model scoring.
+"""
 
 import numpy as np
 import pytest
 
-from cpdemod import conformal
+from cpdemod import conformal, mlp
 from cpdemod.channel import generate_frame, make_qpsk
-from cpdemod.conformal import CrossValConformalPredictor
-from cpdemod.mlp import Ensemble, GDLearner, ModelArch, SGLDLearner, features
+from cpdemod.conformal import CrossValConformalPredictor, SplitConformalPredictor
+from cpdemod.mlp import Ensemble, GDLearner, ModelArch, SGLDLearner, features, init_weights
 from cpdemod.seeding import derive_rng
-from helpers import weights_equal
+from helpers import reference_forward, reference_grad, reference_predictive, weights_equal
 
 SNR_5DB = 10.0 ** 0.5
 LEARNERS = {
@@ -89,3 +95,106 @@ def test_stack_needs_one_generator_per_model(learner, n_rngs):
     rows = _loo_rows(6)[:2]
     with pytest.raises(ValueError):
         LEARNERS[learner].fit(X[rows], y[rows], [derive_rng(0, j) for j in range(n_rngs)])
+
+
+# ------------------------------------------------------------------ kernels
+
+
+def _random_networks(rng, k, arch=ModelArch()):
+    """k random networks; some carry weights that overflow to inf or NaN,
+    the state a diverged Langevin run leaves behind."""
+    nets = [init_weights(arch, rng) for _ in range(k)]
+    for j, net in enumerate(nets):
+        for a in net.bs:
+            a += rng.normal(size=a.shape)
+        if j % 3 == 1:
+            net.ws[1] *= 1e200
+            net.ws[2] *= 1e200
+        if j % 4 == 2:
+            net.ws[2][3, 5] = np.inf
+            net.bs[3][1] = np.nan
+    return nets
+
+
+@pytest.mark.parametrize("k,m", [(1, 1), (1, 9), (5, 1), (6, 13), (20, 59)])
+def test_stacked_backprop_equals_per_network_reference(k, m):
+    rng = np.random.default_rng(100 + k * m)
+    nets = _random_networks(rng, k)
+    X, y = mlp._canonical(rng.normal(size=(k, m, 2)) * 2.0, rng.integers(0, 4, size=(k, m)))
+    targets = np.eye(4)[y]
+    stack = mlp._stack(nets)
+    sample_major = np.ascontiguousarray(X.transpose(1, 0, 2))
+    with np.errstate(all="ignore"):
+        _, probs = mlp._forward(stack, sample_major, mlp._workspace(stack, m * k))
+        g = mlp._grad_canonical(
+            stack,
+            sample_major,
+            np.ascontiguousarray(targets.transpose(1, 0, 2)),
+            mlp._workspace(stack, m * k),
+        )
+        for j, net in enumerate(nets):
+            assert np.array_equal(probs[:, j], reference_forward(net, X[j])[1], equal_nan=True)
+            assert weights_equal(g.unstack()[j], reference_grad(net, X[j], targets[j])), j
+    if k > 2:
+        assert np.isnan(probs).any() and not np.isnan(probs).all()
+
+
+@pytest.mark.parametrize("pass_bytes", [1, 20_000, 60_000, None])
+@pytest.mark.parametrize("members", [1, 3, 5])
+@pytest.mark.parametrize("per_model_rows", [False, True])
+def test_stacked_predictive_equals_per_model_reference(
+    pass_bytes, members, per_model_rows, monkeypatch
+):
+    # Pass budgets of one network, a few networks (pass boundaries falling
+    # inside a model's members) and everything at once.
+    if pass_bytes is not None:
+        monkeypatch.setattr(mlp, "MAX_PASS_BYTES", pass_bytes)
+    rng = np.random.default_rng(members)
+    k, n = 4, 5
+    nets = _random_networks(rng, k * members)
+    if members == 1:
+        models = nets
+    else:
+        models = [Ensemble(nets[j * members : (j + 1) * members]) for j in range(k)]
+    X = rng.normal(size=(n, k, 2)) if per_model_rows else rng.normal(size=(n, 2))
+    with np.errstate(all="ignore"):
+        got = mlp.predictive_stack(models, X)
+        for j, model in enumerate(models):
+            rows = X[:, j] if per_model_rows else X
+            assert np.array_equal(got[:, j], reference_predictive(model, rows), equal_nan=True)
+
+
+# ------------------------------------------------------------------ scoring
+
+
+def _reference_scores(model, feats):
+    return -np.log(np.maximum(reference_predictive(model, feats), mlp.PROB_FLOOR))
+
+
+_PLANS = {
+    "vb": lambda x, y, learner: SplitConformalPredictor(x, y, 0.2, learner, seed=8),
+    "loo": lambda x, y, learner: CrossValConformalPredictor(x, y, 0.2, learner, None, 8),
+    "kfold": lambda x, y, learner: CrossValConformalPredictor(x, y, 0.2, learner, 5, 8),
+}
+
+
+@pytest.mark.parametrize("learner", sorted(LEARNERS))
+@pytest.mark.parametrize("plan", sorted(_PLANS))
+@pytest.mark.parametrize("n_test", [7, 2600])
+def test_stacked_scoring_equals_per_model_scoring(learner, plan, n_test):
+    # 2600 payload rows need more than MAX_PASS_BYTES for one network alone,
+    # so every pass scores a single network on the whole payload.
+    frame = generate_frame(10, n_test, SNR_5DB, make_qpsk(), np.random.default_rng(9))
+    pred = _PLANS[plan](frame.pilot_x, frame.pilot_y, LEARNERS[learner])
+    feats = features(frame.pilot_x)
+    held_out = []
+    for model, fold, got in zip(pred.models, pred.folds, pred.fold_scores):
+        want = _reference_scores(model, feats[fold])[np.arange(len(fold)), frame.pilot_y[fold]]
+        assert np.array_equal(got, want)
+        held_out.append(want)
+    payload = features(frame.test_x)
+    counts = sum(
+        (_reference_scores(model, payload)[:, :, None] <= scores).sum(-1)
+        for model, scores in zip(pred.models, held_out)
+    )
+    assert np.array_equal(pred.predict_mask(frame.test_x), counts >= pred.threshold_count)
