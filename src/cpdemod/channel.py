@@ -106,28 +106,43 @@ def apply_iq_imbalance(y: complex, amp_imb: float, phase_imb: float) -> complex:
 
 
 def transmit(
-    y_label: int,
+    y_label: int | np.ndarray,
     constellation: Constellation,
     params: ChannelParams,
     snr_linear: float,
     rng: np.random.Generator,
-) -> complex:
-    """Send one symbol through the channel and return the received sample.
+) -> complex | np.ndarray:
+    """Send symbols through the channel and return the received samples.
 
-    The constellation point is I/Q-distorted, rotated by the frame's carrier
+    Each constellation point is I/Q-distorted, rotated by the frame's carrier
     phase, and hit by circular complex Gaussian noise of total power
     ``1 / snr_linear`` (variance ``1 / (2 * snr_linear)`` per component).
     ``snr_linear=inf`` yields a noiseless channel.
+
+    ``y_label`` is one label, which returns one complex sample, or an array
+    of labels, which returns a complex128 array of the same shape.  The noise
+    is one ``(n, 2)`` standard normal draw, (re, im) per symbol in label
+    order: the same stream, and so the same samples, as ``n`` one-symbol
+    calls.  The clean point of each label is computed once, in scalar
+    arithmetic, and the noise is added per real component, so every sample
+    has the bits a one-symbol call gives it.
     """
     if not snr_linear > 0.0:
         raise ValueError(f"snr_linear must be positive, got {snr_linear!r}")
-    distorted = apply_iq_imbalance(
-        complex(constellation.points[y_label]), params.amp_imb, params.phase_imb
+    labels = np.asarray(y_label)
+    rotation = cmath.exp(1j * params.phase)
+    clean = np.array(
+        [
+            rotation * apply_iq_imbalance(point, params.amp_imb, params.phase_imb)
+            for point in constellation.points.tolist()
+        ]
     )
-    clean = cmath.exp(1j * params.phase) * distorted
     scale = math.sqrt(1.0 / (2.0 * snr_linear))
-    noise = rng.standard_normal(2)
-    return complex(clean.real + scale * noise[0], clean.imag + scale * noise[1])
+    noise = rng.standard_normal((labels.size, 2)).reshape(*labels.shape, 2)
+    xs = np.empty(labels.shape, dtype=np.complex128)
+    xs.real = clean.real[labels] + scale * noise[..., 0]
+    xs.imag = clean.imag[labels] + scale * noise[..., 1]
+    return complex(xs) if xs.ndim == 0 else xs
 
 
 @dataclass(frozen=True)
@@ -169,9 +184,7 @@ def generate_frame(
         raise ValueError("n_pilots and n_test must both be at least 1")
     params = sample_channel_params(rng)
     labels = rng.integers(0, len(constellation), size=n_pilots + n_test)
-    xs = np.array(
-        [transmit(int(lab), constellation, params, snr_linear, rng) for lab in labels]
-    )
+    xs = transmit(labels, constellation, params, snr_linear, rng)
     return Frame(
         params,
         xs[:n_pilots],

@@ -79,11 +79,11 @@ def empirical_quantile(scores, alpha: float) -> float:
     return float(np.sort(arr)[k - 1])
 
 
-def _scores(models, X) -> np.ndarray:
+def _scores(models, X, workspace: mlp.Workspace | None = None) -> np.ndarray:
     """``(n, K, labels)`` log loss of every label under each of K models;
     ``X`` is ``(n, d)`` rows for every model or ``(n, K, d)`` rows per model,
     as for ``mlp.predictive_stack``."""
-    p = mlp.predictive_stack(models, X)
+    p = mlp.predictive_stack(models, X, workspace)
     return -np.log(np.maximum(p, mlp.PROB_FLOOR))
 
 
@@ -170,9 +170,11 @@ class NaiveSetPredictor:
         self.alpha = _check_alpha(alpha)
         feats, y = _pilot_arrays(pilot_x, pilot_y)
         self.model = learner.fit(feats, y, derive_rng(seed, 1))
+        self._workspace = mlp.Workspace()
 
     def predict_mask(self, x) -> np.ndarray:
-        return naive_mask(mlp.predictive_batch(self.model, mlp.features(x)), self.alpha)
+        probs = mlp.predictive_batch(self.model, mlp.features(x), self._workspace)
+        return naive_mask(probs, self.alpha)
 
 
 class _FoldPlanPredictor:
@@ -194,10 +196,11 @@ class _FoldPlanPredictor:
             block = train[start : start + MAX_STACK]
             rngs = [derive_rng(seed, 1 + j) for j in range(start, start + len(block))]
             self.models += learner.fit(feats[block], y[block], rngs)
+        self._workspace = mlp.Workspace()
         # Every fold has the same size, so the models score their folds as
         # one stack: (fold size, K, d) rows.
         held = np.array(self.folds)
-        scores = _scores(self.models, feats[held].transpose(1, 0, 2))
+        scores = _scores(self.models, feats[held].transpose(1, 0, 2), self._workspace)
         true = np.take_along_axis(scores, y[held].T[:, :, None], axis=-1)[..., 0]
         self.fold_scores = list(true.T)
         self.threshold_count = rank_threshold(held.size, self.alpha)
@@ -208,7 +211,7 @@ class _FoldPlanPredictor:
         return np.concatenate(self.fold_scores)
 
     def predict_mask(self, x) -> np.ndarray:
-        scores = _scores(self.models, mlp.features(x))
+        scores = _scores(self.models, mlp.features(x), self._workspace)
         return _rank_counts(scores.transpose(0, 2, 1), self.fold_scores) >= self.threshold_count
 
 

@@ -183,8 +183,15 @@ def simulate_frame(
 
 
 def _frame_job(job: tuple) -> tuple[int, int, int]:
-    """One frame's (hits, set size sum, payload count); job is simulate_frame's arguments."""
-    frame, mask = simulate_frame(*job)
+    """One frame's (hits, set size sum, payload count); job is simulate_frame's arguments.
+
+    A frame that raises fails the run with a ``RuntimeError`` that names its
+    job tuple, in a pool worker as in a serial run.
+    """
+    try:
+        frame, mask = simulate_frame(*job)
+    except Exception as exc:
+        raise RuntimeError(f"frame job {job!r} failed: {exc!r}") from exc
     hits, sizes = tally(mask, frame.test_y)
     return hits, int(sizes.sum()), int(sizes.size)
 

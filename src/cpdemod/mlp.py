@@ -195,6 +195,28 @@ def _workspace(w: Weights, rows: int) -> list[np.ndarray]:
     return [np.empty(rows * b.shape[-1]) for b in w.bs]
 
 
+class Workspace:
+    """Scoring buffers that one owner reuses across passes and calls.
+
+    A predictor keeps one for its lifetime, across calibration and every
+    ``predict_mask`` call.  The buffers grow when a pass needs more rows than
+    they hold and never shrink, so a pass that fits writes into memory that
+    is already mapped instead of page-faulting on fresh buffers.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: list[np.ndarray] = []
+
+    def take(self, w: Weights, rows: int) -> list[np.ndarray]:
+        """Buffers for passes of up to ``rows`` rows of the stack ``w``."""
+        need = [rows * b.shape[-1] for b in w.bs]
+        if len(need) != len(self._buffers) or any(
+            n > buf.size for n, buf in zip(need, self._buffers)
+        ):
+            self._buffers = _workspace(w, rows)
+        return self._buffers
+
+
 def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """``a @ w.T + b`` for every network of a stack, sample-major in and out,
     written into the front of the flat buffer ``buf``.
@@ -407,7 +429,9 @@ def train_sgld(
     return models[0] if single else models
 
 
-def predictive_stack(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
+def predictive_stack(
+    models: Sequence[Weights | Ensemble], X, workspace: Workspace | None = None
+) -> np.ndarray:
     """Predictive class probabilities of K models, ``(n, K, labels)``.
 
     ``X`` is one ``(n, d)`` matrix that every model scores, or a sample-major
@@ -416,7 +440,8 @@ def predictive_stack(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
     all models (every member of every ensemble) run as stacked passes of at
     most ``MAX_PASS_BYTES`` each, and every network sees all ``n`` of its rows
     in one product, so each model's output has the bits it has when scored
-    alone.  The models need equal member counts.
+    alone.  The models need equal member counts.  The passes run in the
+    buffers of ``workspace`` when one is given, in fresh ones otherwise.
     """
     X = np.asarray(X, dtype=np.float64)
     stacks = [_networks(m) for m in models]
@@ -429,7 +454,9 @@ def predictive_stack(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
         n * sum(b.shape[-1] for b in shape.bs) + sum(a[0].size for a in shape.ws + shape.bs)
     )
     per_pass = max(1, MAX_PASS_BYTES // net_bytes)
-    work = _workspace(shape, n * min(per_pass, n_nets))
+    if workspace is None:
+        workspace = Workspace()
+    work = workspace.take(shape, n * min(per_pass, n_nets))
     total = np.zeros((n, len(stacks), shape.bs[-1].shape[-1]))
     for start in range(0, n_nets, per_pass):
         stop = min(start + per_pass, n_nets)
@@ -458,9 +485,11 @@ def predictive_stack(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
     return np.divide(total, size, out=total)
 
 
-def predictive_batch(model: Weights | Ensemble, X: np.ndarray) -> np.ndarray:
+def predictive_batch(
+    model: Weights | Ensemble, X: np.ndarray, workspace: Workspace | None = None
+) -> np.ndarray:
     """Predictive class probabilities; ensembles average member outputs."""
-    return predictive_stack([model], X)[:, 0]
+    return predictive_stack([model], X, workspace)[:, 0]
 
 
 # Learners share one entry point, ``fit(X, y, rng)``.  One (n, d) dataset with

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from cpdemod import mlp
+from cpdemod.channel import (
+    ChannelParams,
+    Constellation,
+    Frame,
+    apply_iq_imbalance,
+    sample_channel_params,
+)
 from cpdemod.mlp import Ensemble, ModelArch, Weights
 
 
@@ -92,3 +102,46 @@ def reference_predictive(model, X) -> np.ndarray:
     if isinstance(model, Ensemble):
         return np.mean([reference_forward(m, X)[1] for m in model.members], axis=0)
     return reference_forward(model, X)[1]
+
+
+def reference_transmit(
+    y_label: int,
+    constellation: Constellation,
+    params: ChannelParams,
+    snr_linear: float,
+    rng: np.random.Generator,
+) -> complex:
+    """One symbol through the channel in scalar arithmetic, two noise draws."""
+    if not snr_linear > 0.0:
+        raise ValueError(f"snr_linear must be positive, got {snr_linear!r}")
+    distorted = apply_iq_imbalance(
+        complex(constellation.points[y_label]), params.amp_imb, params.phase_imb
+    )
+    clean = cmath.exp(1j * params.phase) * distorted
+    scale = math.sqrt(1.0 / (2.0 * snr_linear))
+    noise = rng.standard_normal(2)
+    return complex(clean.real + scale * noise[0], clean.imag + scale * noise[1])
+
+
+def reference_frame(
+    n_pilots: int,
+    n_test: int,
+    snr_linear: float,
+    constellation: Constellation,
+    rng: np.random.Generator,
+) -> Frame:
+    """A frame simulated one symbol at a time with ``reference_transmit``."""
+    if n_pilots < 1 or n_test < 1:
+        raise ValueError("n_pilots and n_test must both be at least 1")
+    params = sample_channel_params(rng)
+    labels = rng.integers(0, len(constellation), size=n_pilots + n_test)
+    xs = np.array(
+        [reference_transmit(int(lab), constellation, params, snr_linear, rng) for lab in labels]
+    )
+    return Frame(
+        params,
+        xs[:n_pilots],
+        labels[:n_pilots].astype(np.int64),
+        xs[n_pilots:],
+        labels[n_pilots:].astype(np.int64),
+    )

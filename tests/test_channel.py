@@ -19,9 +19,11 @@ from cpdemod.channel import (
     sample_channel_params,
     transmit,
 )
+from helpers import reference_frame
 
 SNR_5DB = 10.0 ** 0.5
 HALF_SQRT2 = 0.7071067811865476
+EIGHT_PSK = Constellation(np.exp(2j * np.pi * np.arange(8) / 8))
 
 
 def test_qpsk_points_and_energy():
@@ -133,7 +135,7 @@ def test_transmit_noise_variance_matches_snr():
     params = ChannelParams(0.0, 0.0, 0.0)
     rng = np.random.default_rng(42)
     clean = complex(const.points[0])
-    received = np.array([transmit(0, const, params, SNR_5DB, rng) for _ in range(400_000)])
+    received = transmit(np.zeros(400_000, dtype=np.int64), const, params, SNR_5DB, rng)
     noise = received - clean
     expected = 1.0 / (2.0 * SNR_5DB)  # per-component variance, ~0.15811
     # 1% of the target is ~4.5 standard errors of a sample variance over 4e5
@@ -142,6 +144,31 @@ def test_transmit_noise_variance_matches_snr():
     assert np.var(noise.imag) == pytest.approx(expected, rel=0.01)
     # Total complex noise power is the reciprocal SNR.
     assert np.mean(np.abs(noise) ** 2) == pytest.approx(1.0 / SNR_5DB, rel=0.01)
+
+
+def test_transmit_one_label_is_element_zero_of_an_array_of_one():
+    params = ChannelParams(1.0, 0.1, 0.002)
+    for label in range(len(EIGHT_PSK)):
+        one = transmit(label, EIGHT_PSK, params, SNR_5DB, np.random.default_rng(label))
+        arr = transmit(np.array([label]), EIGHT_PSK, params, SNR_5DB, np.random.default_rng(label))
+        assert isinstance(one, complex) and arr.shape == (1,)
+        assert np.array([one]).tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("const", [make_qpsk(), EIGHT_PSK], ids=["qpsk", "8psk"])
+@pytest.mark.parametrize("snr", [SNR_5DB, math.inf, 1e-3])
+def test_generate_frame_equals_per_symbol_reference(snr, const):
+    # 40 seeds per case, 240 in all; the first of each case has a 5000-symbol
+    # payload.  Byte equality, so signed zeros count too.
+    for seed in range(40):
+        n_pilots, n_test = 1 + seed % 60, 5000 if seed == 0 else 1 + 7 * seed
+        got = generate_frame(n_pilots, n_test, snr, const, np.random.default_rng(seed))
+        want = reference_frame(n_pilots, n_test, snr, const, np.random.default_rng(seed))
+        assert got.params == want.params
+        for name in ("pilot_x", "pilot_y", "test_x", "test_y"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), (seed, name)
 
 
 def test_generate_frame_shapes_and_label_range():

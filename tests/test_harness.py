@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from cpdemod import harness
 from cpdemod.harness import (
     CSV_HEADER,
     LEARNERS,
@@ -141,6 +142,25 @@ def test_run_experiment_is_deterministic_and_parallel_safe(tmp_path):
     write_csv(parallel, path_b)
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_frame_names_its_job(monkeypatch, workers):
+    simulate = harness.simulate_frame
+
+    def fail_frame_1(*job):
+        if job[3] == 1:  # frame_index
+            raise FloatingPointError("diverged")
+        return simulate(*job)
+
+    monkeypatch.setattr(harness, "simulate_frame", fail_frame_1)
+    config = _small_config(methods=("naive",), learners=("frequentist",), n_frames=3)
+    with pytest.raises(RuntimeError) as excinfo:
+        run_experiment(config, workers=workers)
+    job = ("naive", "frequentist", 10, 1, config.snr_db, config.n_test, config.alpha,
+           config.k_folds, config.master_seed, config.constellation)
+    assert repr(job) in str(excinfo.value)
+    assert "diverged" in str(excinfo.value)
 
 
 def test_alpha_halving_reaches_the_calibrated_methods():

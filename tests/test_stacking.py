@@ -197,4 +197,7 @@ def test_stacked_scoring_equals_per_model_scoring(learner, plan, n_test):
         (_reference_scores(model, payload)[:, :, None] <= scores).sum(-1)
         for model, scores in zip(pred.models, held_out)
     )
-    assert np.array_equal(pred.predict_mask(frame.test_x), counts >= pred.threshold_count)
+    want_mask = counts >= pred.threshold_count
+    assert np.array_equal(pred.predict_mask(frame.test_x), want_mask)
+    # Again on fewer rows, in the predictor's workspace sized for the payload.
+    assert np.array_equal(pred.predict_mask(frame.test_x[:3]), want_mask[:3])
