@@ -23,6 +23,13 @@ def _alpha_arg(text: str) -> float:
     return value
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snr-db", type=float, default=5.0, help="SNR in dB")
     parser.add_argument(
@@ -69,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="max parallel frame workers",
+        default=_usable_cpus(),
+        help="max parallel block workers (default: the CPUs this process may run on)",
     )
 
     frame = sub.add_parser("frame", help="inspect the prediction sets of one frame")

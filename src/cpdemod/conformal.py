@@ -11,6 +11,13 @@ which labels enter a set.
 * leave-one-out cross conformal: one model per left-out pilot;
 * leave-fold-out (k-fold) cross conformal: one model per left-out fold.
 
+Each predictor is three steps.  A plan (``FoldPlan``) says which pilots train
+each model and which pilots it scores; it is a pure function of the pilots
+and the seed, and the naive plan is one model with nothing held out.
+``fit_plans`` fits the models of any number of plans of equal training size
+in shared stacks, so the frames of one experiment cell can train together.
+``calibrate`` scores the held-out folds and returns the set predictor.
+
 The score of a candidate label is its log loss under the predictive, so lower
 means more conforming.  All randomness (splits, fold assignment, training
 initialisation) is derived from an explicit integer seed and the pilot
@@ -20,6 +27,7 @@ multiset; pilot arrival order never changes any output.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -31,8 +39,9 @@ from .seeding import derive_rng
 #: absorbs float rounding in sums like 0.7 + 0.2 vs 0.9.
 NAIVE_MASS_TOL = 1e-9
 
-#: Most fold models fitted in one stacked ``learner.fit`` call.  Larger stacks
-#: buy little speed and hold more training state in memory at once.
+#: Most models fitted in one stacked ``learner.fit`` call, from one plan or
+#: several.  Larger stacks buy little speed and hold more training state in
+#: memory at once.
 MAX_STACK = 20
 
 
@@ -163,45 +172,126 @@ def _calibration_order(feats: np.ndarray, y: np.ndarray, seed: int) -> np.ndarra
     return base[perm]
 
 
-class NaiveSetPredictor:
-    """Probability-mass sets from one model trained on all pilots."""
+@dataclass(frozen=True, eq=False)
+class FoldPlan:
+    """Which pilots train each model of a predictor, and which it scores.
 
-    def __init__(self, pilot_x, pilot_y, alpha: float, learner, seed: int = 0):
+    Model ``j`` trains on the pilot rows ``train[j]`` of ``feats`` and ``y``
+    from the generator ``derive_rng(seed, 1 + j)`` and scores the rows
+    ``folds[j]``, which it never saw.  A plan is a pure function of the
+    pilots and the seed.  The naive plan is one model on all pilots with an
+    empty fold: nothing is held out, and its sets follow the mass rule.
+    """
+
+    feats: np.ndarray
+    y: np.ndarray
+    train: np.ndarray
+    folds: np.ndarray
+    seed: int
+
+
+def naive_plan(pilot_x, pilot_y, seed: int = 0) -> FoldPlan:
+    """One model on all pilots, nothing held out."""
+    feats, y = _pilot_arrays(pilot_x, pilot_y)
+    return FoldPlan(feats, y, np.arange(len(y))[None], np.empty((1, 0), dtype=np.intp), seed)
+
+
+def split_plan(pilot_x, pilot_y, split_ratio: float = 0.5, seed: int = 0) -> FoldPlan:
+    """One model on the first ``ceil(split_ratio * n)`` pilots in calibration
+    order; the rest are its one held-out fold."""
+    feats, y = _pilot_arrays(pilot_x, pilot_y)
+    order = _calibration_order(feats, y, seed)
+    n = len(y)
+    n_train = math.ceil(split_ratio * n)
+    if not 1 <= n_train <= n - 1:
+        raise ValueError(f"split_ratio={split_ratio!r} leaves an empty partition for {n} pilots")
+    return FoldPlan(feats, y, order[None, :n_train], order[None, n_train:], seed)
+
+
+def cross_val_plan(pilot_x, pilot_y, k: int | None = None, seed: int = 0) -> FoldPlan:
+    """``k`` contiguous equal folds of the pilots in calibration order, one
+    model trained without each; ``k = n`` (the default) is leave-one-out."""
+    feats, y = _pilot_arrays(pilot_x, pilot_y)
+    order = _calibration_order(feats, y, seed)
+    n = len(y)
+    k = n if k is None else int(k)
+    if not 2 <= k <= n:
+        raise ValueError(f"fold count must be in [2, {n}], got {k}")
+    if n % k:
+        raise ValueError(f"{n} pilots cannot be cut into {k} equal folds")
+    folds = order.reshape(k, n // k)
+    train = np.array([np.delete(folds, j, axis=0).ravel() for j in range(k)])
+    return FoldPlan(feats, y, train, folds, seed)
+
+
+def fit_plans(learner, plans) -> list[list]:
+    """The models of every plan, in plan order.
+
+    All models of all plans train in stacks of at most ``MAX_STACK``, each
+    from its own generator, so every model is bit-identical to its lone fit.
+    Plans fitted together need equal training sizes.  ``learner.fit`` is the
+    only learner call made.
+    """
+    X = np.concatenate([p.feats[p.train] for p in plans])
+    y = np.concatenate([p.y[p.train] for p in plans])
+    rngs = [derive_rng(p.seed, 1 + j) for p in plans for j in range(len(p.train))]
+    models = []
+    for start in range(0, len(rngs), MAX_STACK):
+        stop = start + MAX_STACK
+        models += learner.fit(X[start:stop], y[start:stop], rngs[start:stop])
+    ends = np.cumsum([len(p.train) for p in plans])
+    return [models[end - len(p.train) : end] for p, end in zip(plans, ends)]
+
+
+def calibrate(plan: FoldPlan, models, alpha: float, workspace: mlp.Workspace | None = None):
+    """The set predictor of a plan's fitted models: the mass rule when the
+    plan holds nothing out, the rank-count rule otherwise.  Calibration and
+    every ``predict_mask`` score in ``workspace`` (a fresh one by default)."""
+    if plan.folds.size:
+        return _FoldPlanPredictor(plan, models, alpha, workspace)
+    return _MassPredictor(plan, models, alpha, workspace)
+
+
+class _MassPredictor:
+    """Probability-mass sets (``naive_mask``) from a plan's one model."""
+
+    def __init__(self, plan: FoldPlan, models, alpha: float, workspace=None):
         self.alpha = _check_alpha(alpha)
-        feats, y = _pilot_arrays(pilot_x, pilot_y)
-        self.model = learner.fit(feats, y, derive_rng(seed, 1))
-        self._workspace = mlp.Workspace()
+        (self.model,) = models
+        self._workspace = mlp.Workspace() if workspace is None else workspace
 
     def predict_mask(self, x) -> np.ndarray:
         probs = mlp.predictive_batch(self.model, mlp.features(x), self._workspace)
         return naive_mask(probs, self.alpha)
 
 
-class _FoldPlanPredictor:
-    """Conformal sets from a fold plan and the rank-count rule.
+class NaiveSetPredictor(_MassPredictor):
+    """Probability-mass sets from one model trained on all pilots."""
 
-    Model ``j`` trains on the pilots ``train[j]`` (seeded by ``(seed, 1 + j)``;
-    the models train together in stacks of at most ``MAX_STACK``) and scores
-    the pilots ``folds[j]``, which it never saw.  A candidate label enters the
+    def __init__(self, pilot_x, pilot_y, alpha: float, learner, seed: int = 0):
+        plan = naive_plan(pilot_x, pilot_y, seed)
+        super().__init__(plan, fit_plans(learner, [plan])[0], alpha)
+
+
+class _FoldPlanPredictor:
+    """Conformal sets from a fitted fold plan and the rank-count rule.
+
+    Each model scores its own held-out fold.  A candidate label enters the
     set when at least ``rank_threshold(n_cal, alpha)`` of the ``n_cal``
     held-out pilots score at or above it under their own model.  A threshold
     of 0 admits every label, whatever the scores are.
     """
 
-    def __init__(self, feats, y, alpha: float, learner, seed: int, train, folds):
+    def __init__(self, plan: FoldPlan, models, alpha: float, workspace=None):
         self.alpha = _check_alpha(alpha)
-        self.folds = list(folds)
-        self.models = []
-        for start in range(0, len(train), MAX_STACK):
-            block = train[start : start + MAX_STACK]
-            rngs = [derive_rng(seed, 1 + j) for j in range(start, start + len(block))]
-            self.models += learner.fit(feats[block], y[block], rngs)
-        self._workspace = mlp.Workspace()
+        self.folds = list(plan.folds)
+        self.models = list(models)
+        self._workspace = mlp.Workspace() if workspace is None else workspace
         # Every fold has the same size, so the models score their folds as
         # one stack: (fold size, K, d) rows.
-        held = np.array(self.folds)
-        scores = _scores(self.models, feats[held].transpose(1, 0, 2), self._workspace)
-        true = np.take_along_axis(scores, y[held].T[:, :, None], axis=-1)[..., 0]
+        held = plan.folds
+        scores = _scores(self.models, plan.feats[held].transpose(1, 0, 2), self._workspace)
+        true = np.take_along_axis(scores, plan.y[held].T[:, :, None], axis=-1)[..., 0]
         self.fold_scores = list(true.T)
         self.threshold_count = rank_threshold(held.size, self.alpha)
 
@@ -216,14 +306,13 @@ class _FoldPlanPredictor:
 
 
 class SplitConformalPredictor(_FoldPlanPredictor):
-    """Split conformal: the one-fold plan.
+    """Split conformal: the one-fold plan of ``split_plan``.
 
-    One model trains on the first ``ceil(split_ratio * n)`` pilots in
-    calibration order and the rest are held out.  The rank count over one
-    fold is the same decision as comparing a score with the calibrated
-    quantile ``empirical_quantile(val_scores, alpha)``.  With fewer than 9
-    held-out pilots at alpha = 0.1 the threshold count is 0 and every set is
-    the full alphabet; the guarantee is kept by refusing to rule anything out.
+    The rank count over one fold is the same decision as comparing a score
+    with the calibrated quantile ``empirical_quantile(val_scores, alpha)``.
+    With fewer than 9 held-out pilots at alpha = 0.1 the threshold count is 0
+    and every set is the full alphabet; the guarantee is kept by refusing to
+    rule anything out.
     """
 
     def __init__(
@@ -235,26 +324,14 @@ class SplitConformalPredictor(_FoldPlanPredictor):
         split_ratio: float = 0.5,
         seed: int = 0,
     ):
-        feats, y = _pilot_arrays(pilot_x, pilot_y)
-        order = _calibration_order(feats, y, seed)
-        n = len(y)
-        n_train = math.ceil(split_ratio * n)
-        if not 1 <= n_train <= n - 1:
-            raise ValueError(
-                f"split_ratio={split_ratio!r} leaves an empty partition for {n} pilots"
-            )
-        super().__init__(
-            feats, y, alpha, learner, seed, order[None, :n_train], [order[n_train:]]
-        )
+        plan = split_plan(pilot_x, pilot_y, split_ratio, seed)
+        super().__init__(plan, fit_plans(learner, [plan])[0], alpha)
 
 
 class CrossValConformalPredictor(_FoldPlanPredictor):
-    """Leave-fold-out conformal sets; ``k = n`` (the default) is leave-one-out.
-
-    Pilots are put in calibration order and cut into ``k`` contiguous folds
-    of equal size; fold model ``j`` trains on every pilot outside fold ``j``,
-    so every pilot is scored by the model that did not see it.
-    """
+    """Leave-fold-out conformal sets on the plan of ``cross_val_plan``; ``k =
+    n`` (the default) is leave-one-out, so every pilot is scored by the model
+    that did not see it."""
 
     def __init__(
         self,
@@ -265,14 +342,5 @@ class CrossValConformalPredictor(_FoldPlanPredictor):
         k: int | None = None,
         seed: int = 0,
     ):
-        feats, y = _pilot_arrays(pilot_x, pilot_y)
-        order = _calibration_order(feats, y, seed)
-        n = len(y)
-        k = n if k is None else int(k)
-        if not 2 <= k <= n:
-            raise ValueError(f"fold count must be in [2, {n}], got {k}")
-        if n % k:
-            raise ValueError(f"{n} pilots cannot be cut into {k} equal folds")
-        folds = order.reshape(k, n // k)
-        train = np.array([np.delete(folds, j, axis=0).ravel() for j in range(k)])
-        super().__init__(feats, y, alpha, learner, seed, train, folds)
+        plan = cross_val_plan(pilot_x, pilot_y, k, seed)
+        super().__init__(plan, fit_plans(learner, [plan])[0], alpha)

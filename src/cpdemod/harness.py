@@ -6,6 +6,10 @@ set predictor, and pools hits and set sizes over all frames.  Every frame owns
 a seed derived from (master seed, method, learner, n_pilots, frame index), so
 cells and frames can be computed in any order, serially or in parallel, with
 identical results.
+
+The unit of work is a block: up to ``MAX_STACK // models per frame`` frames
+of one cell, whose models all train in one stacked fit.  A pool runs the
+blocks longest first and the outcomes are put back in cell order.
 """
 
 from __future__ import annotations
@@ -13,18 +17,16 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import conformal
 from .channel import Constellation, Frame, generate_frame, make_qpsk
-from .conformal import (
-    CrossValConformalPredictor,
-    NaiveSetPredictor,
-    SplitConformalPredictor,
-)
-from .mlp import GDLearner, ModelArch, SGLDLearner
+from .mlp import GDLearner, ModelArch, SGLDLearner, Workspace
 from .seeding import derive_rng, hash64
 
 log = logging.getLogger(__name__)
@@ -118,31 +120,14 @@ def _make_learner(name: str, n_labels: int):
     raise ValueError(f"unknown learner {name!r}")
 
 
-def build_predictor(
-    method: str,
-    frame: Frame,
-    constellation: Constellation,
-    learner: str,
-    alpha: float,
-    k: int,
-    seed: int,
-):
-    """Fit the requested set predictor on a frame's pilots."""
-    learner_obj = _make_learner(learner, len(constellation))
+def _plan(method: str, pilot_x, pilot_y, k: int, seed: int) -> conformal.FoldPlan:
+    """The fold plan of a method on a frame's pilots."""
     if method == "naive":
-        return NaiveSetPredictor(frame.pilot_x, frame.pilot_y, alpha, learner_obj, seed)
+        return conformal.naive_plan(pilot_x, pilot_y, seed)
     if method == "vb":
-        return SplitConformalPredictor(
-            frame.pilot_x, frame.pilot_y, alpha, learner_obj, seed=seed
-        )
-    if method == "cv":
-        return CrossValConformalPredictor(
-            frame.pilot_x, frame.pilot_y, alpha, learner_obj, None, seed
-        )
-    if method == "kcv":
-        return CrossValConformalPredictor(
-            frame.pilot_x, frame.pilot_y, alpha, learner_obj, k, seed
-        )
+        return conformal.split_plan(pilot_x, pilot_y, seed=seed)
+    if method in ("cv", "kcv"):
+        return conformal.cross_val_plan(pilot_x, pilot_y, None if method == "cv" else k, seed)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -155,6 +140,49 @@ def tally(mask: np.ndarray, y_true: np.ndarray) -> tuple[int, np.ndarray]:
     hits = int(mask[np.arange(len(y_true)), y_true].sum())
     sizes = mask.sum(axis=1).astype(np.int64)
     return hits, sizes
+
+
+@contextmanager
+def _naming(jobs):
+    """Re-raise an error as a ``RuntimeError`` that names the frame jobs it hit."""
+    try:
+        yield
+    except Exception as exc:
+        names = ", ".join(repr(job) for job in jobs)
+        raise RuntimeError(f"frame job {names} failed: {exc!r}") from exc
+
+
+def _simulate_block(jobs) -> list[tuple[Frame, np.ndarray]]:
+    """Frames of one cell end to end, each job being ``simulate_frame``'s
+    arguments; the jobs differ only in their frame index.
+
+    Every frame is generated from its own seed and planned; then all models
+    of the block train together (``conformal.fit_plans``), and each frame is
+    calibrated and scored in one workspace shared across the block.  A frame
+    whose generation, plan, calibration or scoring raises fails with a
+    ``RuntimeError`` naming its job; a failed fit names every job of the block.
+    """
+    frames, plans = [], []
+    for job in jobs:
+        method, learner, n_pilots, frame_index, snr_db, n_test, _, k, master_seed, const = job
+        with _naming([job]):
+            fseed = frame_seed(master_seed, method, learner, n_pilots, frame_index)
+            frame = generate_frame(
+                n_pilots, n_test, 10.0 ** (snr_db / 10.0), make_constellation(const),
+                derive_rng(fseed, 0),
+            )
+            frames.append(frame)
+            plans.append(_plan(method, frame.pilot_x, frame.pilot_y, k, hash64(fseed, 1)))
+    with _naming(jobs):
+        learner = _make_learner(jobs[0][1], len(make_constellation(jobs[0][9])))
+        fitted = conformal.fit_plans(learner, plans)
+    workspace = Workspace()
+    masks = []
+    for job, frame, plan, models in zip(jobs, frames, plans, fitted):
+        with _naming([job]):
+            predictor = conformal.calibrate(plan, models, job[6], workspace)
+            masks.append(predictor.predict_mask(frame.test_x))
+    return list(zip(frames, masks))
 
 
 def simulate_frame(
@@ -171,29 +199,81 @@ def simulate_frame(
 ) -> tuple[Frame, np.ndarray]:
     """One frame of a cell end to end: the simulated frame and the membership
     mask of its payload.  A pure function of its arguments; the frame draws
-    its channel from ``(frame_seed, 0)`` and the predictor is seeded by
-    ``hash64(frame_seed, 1)``."""
-    const = make_constellation(constellation)
-    fseed = frame_seed(master_seed, method, learner, n_pilots, frame_index)
-    frame = generate_frame(
-        n_pilots, n_test, 10.0 ** (snr_db / 10.0), const, derive_rng(fseed, 0)
-    )
-    predictor = build_predictor(method, frame, const, learner, alpha, k, hash64(fseed, 1))
-    return frame, predictor.predict_mask(frame.test_x)
+    its channel from ``(frame_seed, 0)`` and its plan is seeded by
+    ``hash64(frame_seed, 1)``.  It is a block of one frame, so it gives the
+    same bits as the frame gets in any block of its cell."""
+    job = (method, learner, n_pilots, frame_index, snr_db, n_test, alpha, k,
+           master_seed, constellation)
+    return _simulate_block([job])[0]
 
 
-def _frame_job(job: tuple) -> tuple[int, int, int]:
-    """One frame's (hits, set size sum, payload count); job is simulate_frame's arguments.
+def _block_job(jobs) -> list[tuple[int, int, int]]:
+    """(hits, set size sum, payload count) of every frame of a block."""
+    outcomes = []
+    for frame, mask in _simulate_block(jobs):
+        hits, sizes = tally(mask, frame.test_y)
+        outcomes.append((hits, int(sizes.sum()), int(sizes.size)))
+    return outcomes
 
-    A frame that raises fails the run with a ``RuntimeError`` that names its
-    job tuple, in a pool worker as in a serial run.
+
+def _cell_blocks(config: ExperimentConfig) -> list[tuple[int, list[tuple]]]:
+    """Every cell's frame jobs cut into blocks, in output order, each with its
+    expected cost (the training rows of its plans).
+
+    A block holds up to ``MAX_STACK // models per frame`` frames (at least
+    one) of one cell, so the models of a block train as one stack where
+    they fit in one.
     """
-    try:
-        frame, mask = simulate_frame(*job)
-    except Exception as exc:
-        raise RuntimeError(f"frame job {job!r} failed: {exc!r}") from exc
-    hits, sizes = tally(mask, frame.test_y)
-    return hits, int(sizes.sum()), int(sizes.size)
+    blocks = []
+    for method, learner, n_pilots in experiment_cells(config):
+        eff_alpha = (
+            config.alpha / 2.0
+            if config.alpha_halving and method in ("cv", "kcv")
+            else config.alpha
+        )
+        jobs = [
+            (method, learner, n_pilots, frame_index, config.snr_db, config.n_test,
+             eff_alpha, config.k_folds, config.master_seed, config.constellation)
+            for frame_index in range(config.n_frames)
+        ]
+        # Plans of one cell all have the shape of a plan on placeholder pilots.
+        zeros = np.zeros(n_pilots, dtype=np.int64)
+        models, rows = _plan(method, zeros, zeros, config.k_folds, 0).train.shape
+        size = max(1, conformal.MAX_STACK // models)
+        for start in range(0, len(jobs), size):
+            block = jobs[start : start + size]
+            blocks.append((len(block) * models * rows, block))
+    return blocks
+
+
+def _describe(jobs) -> str:
+    return f"cell {jobs[0][:3]!r} frames {[job[3] for job in jobs]}"
+
+
+def _pool_outcomes(blocks, workers: int) -> list[list[tuple[int, int, int]]]:
+    """``_block_job`` of every block on a process pool, submitted longest
+    first and returned in block order.
+
+    A worker that dies outright breaks the pool; that fails the run with a
+    ``RuntimeError`` naming every block that had not finished.  On any
+    failure, blocks not yet started are cancelled.
+    """
+    outcomes = [None] * len(blocks)
+    longest_first = sorted(range(len(blocks)), key=lambda i: -blocks[i][0])
+    with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+        futures = {pool.submit(_block_job, blocks[i][1]): i for i in longest_first}
+        try:
+            for future in as_completed(futures):
+                outcomes[futures[future]] = future.result()
+        except BrokenProcessPool as exc:
+            lost = sorted(i for f, i in futures.items() if not f.done() or f.exception() is not None)
+            raise RuntimeError(
+                "a pool worker died before these blocks finished: "
+                + "; ".join(_describe(blocks[i][1]) for i in lost)
+            ) from exc
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return outcomes
 
 
 def experiment_cells(config: ExperimentConfig) -> list[tuple[str, str, int]]:
@@ -223,28 +303,17 @@ def experiment_cells(config: ExperimentConfig) -> list[tuple[str, str, int]]:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MetricsRecord]:
     """Run every cell of the grid and pool metrics per cell.
 
-    ``workers > 1`` distributes frames over processes; results are identical
-    to a serial run because each frame is a pure function of its seed.
+    ``workers > 1`` distributes blocks of frames over processes, longest
+    first; results are identical to a serial run because each frame is a
+    pure function of its seed, whatever block it runs in.
     """
     cells = experiment_cells(config)
-    jobs = []
-    for method, learner, n_pilots in cells:
-        eff_alpha = (
-            config.alpha / 2.0
-            if config.alpha_halving and method in ("cv", "kcv")
-            else config.alpha
-        )
-        for frame_index in range(config.n_frames):
-            jobs.append(
-                (method, learner, n_pilots, frame_index, config.snr_db, config.n_test,
-                 eff_alpha, config.k_folds, config.master_seed, config.constellation)
-            )
-    if workers > 1 and len(jobs) > 1:
-        chunk = max(1, len(jobs) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_frame_job, jobs, chunksize=chunk))
+    blocks = _cell_blocks(config)
+    if workers > 1 and len(blocks) > 1:
+        by_block = _pool_outcomes(blocks, workers)
     else:
-        outcomes = [_frame_job(job) for job in jobs]
+        by_block = [_block_job(jobs) for _, jobs in blocks]
+    outcomes = [frame for block in by_block for frame in block]
     records = []
     for idx, (method, learner, n_pilots) in enumerate(cells):
         chunk_out = outcomes[idx * config.n_frames : (idx + 1) * config.n_frames]

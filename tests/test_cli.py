@@ -1,6 +1,7 @@
 """Command line behaviour: parsing, the three subcommands, the selftest gate."""
 
 import math
+import os
 import re
 import subprocess
 import sys
@@ -35,6 +36,12 @@ def test_parse_empty_argv_is_full_default_run():
     assert args.out == "results.csv"
     assert args.threads >= 1
     assert not args.alpha_halving
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 2, 5}])
+def test_threads_default_follows_cpu_affinity(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert parse_args(["run"]).threads == len(cpus)
 
 
 def test_parse_overrides():

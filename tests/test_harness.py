@@ -2,11 +2,12 @@
 
 import logging
 import os
+import re
 
 import numpy as np
 import pytest
 
-from cpdemod import harness
+from cpdemod import conformal, harness
 from cpdemod.harness import (
     CSV_HEADER,
     LEARNERS,
@@ -144,23 +145,93 @@ def test_run_experiment_is_deterministic_and_parallel_safe(tmp_path):
         assert fa.read() == fb.read()
 
 
+def _job(config, method, learner, frame_index, n_pilots=10):
+    return (method, learner, n_pilots, frame_index, config.snr_db, config.n_test, config.alpha,
+            config.k_folds, config.master_seed, config.constellation)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failing_frame_names_its_job(monkeypatch, workers):
-    simulate = harness.simulate_frame
+    seed_of = harness.frame_seed
 
-    def fail_frame_1(*job):
-        if job[3] == 1:  # frame_index
+    def fail_frame_1(*args):
+        if args[2] == "frequentist" and args[4] == 1:  # learner, frame_index
             raise FloatingPointError("diverged")
-        return simulate(*job)
+        return seed_of(*args)
 
-    monkeypatch.setattr(harness, "simulate_frame", fail_frame_1)
-    config = _small_config(methods=("naive",), learners=("frequentist",), n_frames=3)
+    # Two cells, so that two blocks run and workers=2 takes the pool.
+    monkeypatch.setattr(harness, "frame_seed", fail_frame_1)
+    config = _small_config(methods=("naive",), n_frames=3)
     with pytest.raises(RuntimeError) as excinfo:
         run_experiment(config, workers=workers)
     job = ("naive", "frequentist", 10, 1, config.snr_db, config.n_test, config.alpha,
            config.k_folds, config.master_seed, config.constellation)
     assert repr(job) in str(excinfo.value)
     assert "diverged" in str(excinfo.value)
+
+
+def test_failing_stacked_fit_names_every_job_of_its_block(monkeypatch):
+    class Diverging:
+        def fit(self, X, y, rng):
+            raise FloatingPointError("diverged")
+
+    monkeypatch.setattr(harness, "_make_learner", lambda name, n_labels: Diverging())
+    config = _small_config(methods=("vb",), learners=("frequentist",), n_frames=3)
+    with pytest.raises(RuntimeError) as excinfo:
+        run_experiment(config)
+    for frame_index in range(3):
+        assert repr(_job(config, "vb", "frequentist", frame_index)) in str(excinfo.value)
+    assert "diverged" in str(excinfo.value)
+
+
+def test_dead_worker_names_its_unfinished_blocks(monkeypatch):
+    parent = os.getpid()
+    seed_of = harness.frame_seed
+
+    def exit_in_frame_1(*args):
+        if args[4] == 1:  # frame_index
+            if os.getpid() == parent:
+                raise AssertionError("frame 1 ran in the test process, not in a worker")
+            os._exit(3)
+        return seed_of(*args)
+
+    monkeypatch.setattr(harness, "frame_seed", exit_in_frame_1)
+    config = _small_config(methods=("naive",), n_frames=3)
+    with pytest.raises(RuntimeError, match="worker died") as excinfo:
+        run_experiment(config, workers=2)
+    named = re.findall(r"cell (\(.*?\)) frames \[([0-9, ]*)\]", str(excinfo.value))
+    assert ("('naive', 'frequentist', 10)", "0, 1, 2") in named
+
+
+@pytest.mark.parametrize("max_stack", [20, 8])
+def test_blocks_give_the_masks_of_single_frames(monkeypatch, max_stack):
+    # At the default cap, naive and vb run blocks of 3 frames, kcv (5 models
+    # a frame) 3, cv at 10 pilots 2 + 1 and cv at 20 pilots 1.  A cap of 8
+    # cuts cv and kcv frames into blocks of one and spreads a cv frame's
+    # models over two stacks.
+    monkeypatch.setattr(conformal, "MAX_STACK", max_stack)
+    config = _small_config(n_pilots_grid=(10, 20), n_frames=3)
+    blocks = harness._cell_blocks(config)
+    sizes = {}
+    for _, jobs in blocks:
+        sizes.setdefault((jobs[0][0], jobs[0][2]), []).append(len(jobs))
+    if max_stack == 20:  # each list: the frequentist cell's blocks, then the bayesian's
+        assert sizes == {("naive", 10): [3, 3], ("naive", 20): [3, 3], ("vb", 10): [3, 3],
+                         ("vb", 20): [3, 3], ("cv", 10): [2, 1, 2, 1], ("cv", 20): [1] * 6,
+                         ("kcv", 10): [3, 3], ("kcv", 20): [3, 3]}
+    block_masks = [mask for _, jobs in blocks for _, mask in harness._simulate_block(jobs)]
+    single_masks = [simulate_frame(*job)[1] for _, jobs in blocks for job in jobs]
+    assert len(block_masks) == len(single_masks) == 8 * 2 * 3
+    for got, want in zip(block_masks, single_masks):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_longest_first_pool_gives_the_serial_records():
+    config = _small_config(n_pilots_grid=(10, 20), n_frames=3)
+    blocks = harness._cell_blocks(config)
+    costs = [cost for cost, _ in blocks]
+    assert sorted(costs, reverse=True) != costs  # the pool order is not cell order
+    assert run_experiment(config, workers=1) == run_experiment(config, workers=2)
 
 
 def test_alpha_halving_reaches_the_calibrated_methods():
