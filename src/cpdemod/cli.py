@@ -1,26 +1,21 @@
-"""Command line front end: experiment grids, single-frame inspection, selftest."""
+"""Command line front end: experiment grids and single-frame inspection.
+
+Both subcommands are validated by building an ``ExperimentConfig``; a value
+it rejects is a usage error.
+"""
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from . import conformal, harness, mlp
+from . import harness
 
 #: Environment variable that overrides ``--seed`` when set.
 SEED_ENV_VAR = "CONFORMAL_DEMOD_SEED"
-
-
-def _alpha_arg(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {text}")
-    return value
 
 
 def _usable_cpus() -> int:
@@ -38,7 +33,7 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
         default="qpsk",
     )
     parser.add_argument("--n-test", type=int, default=100, help="payload symbols per frame")
-    parser.add_argument("--alpha", type=_alpha_arg, default=0.1, help="target miscoverage")
+    parser.add_argument("--alpha", type=float, default=0.1, help="target miscoverage")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
 
 
@@ -86,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     frame.add_argument("--method", choices=harness.METHODS, default="cv")
     frame.add_argument("--learner", choices=harness.LEARNERS, default="frequentist")
     frame.add_argument("--k", type=int, default=5, help="fold count for kcv")
-
-    sub.add_parser("selftest", help="run built-in numerical checks")
     return parser
 
 
@@ -99,33 +92,27 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None and hasattr(args, "seed"):
+    if env_seed is not None:
         try:
             args.seed = int(env_seed)
         except ValueError:
             parser.error(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
-    if args.command == "run":
-        try:
-            args.config = harness.ExperimentConfig(
-                snr_db=args.snr_db,
-                n_pilots_grid=tuple(args.n_pilots),
-                n_test=args.n_test,
-                n_frames=args.n_frames,
-                alpha=args.alpha,
-                methods=tuple(args.methods),
-                learners=tuple(args.learners),
-                k_folds=args.k,
-                master_seed=args.seed,
-                alpha_halving=args.alpha_halving,
-                constellation=args.constellation,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
     if args.command == "frame":
-        if args.method != "naive" and args.n_pilots < 2:
-            parser.error(f"--method {args.method} needs at least 2 pilots")
-        if args.method == "kcv" and (args.k < 2 or args.n_pilots % args.k):
-            parser.error(f"{args.n_pilots} pilots cannot be cut into {args.k} equal folds")
+        grid = dict(n_pilots_grid=(args.n_pilots,), n_frames=1,
+                    methods=(args.method,), learners=(args.learner,))
+    else:
+        grid = dict(n_pilots_grid=args.n_pilots, n_frames=args.n_frames, methods=args.methods,
+                    learners=args.learners, alpha_halving=args.alpha_halving)
+    try:
+        args.config = harness.ExperimentConfig(
+            snr_db=args.snr_db, n_test=args.n_test, alpha=args.alpha, k_folds=args.k,
+            master_seed=args.seed, constellation=args.constellation, **grid,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    # A grid skips a kcv cell whose pilots do not divide; one frame cannot.
+    if args.command == "frame" and args.method == "kcv" and args.n_pilots % args.k:
+        parser.error(f"{args.n_pilots} pilots cannot be cut into {args.k} equal folds")
     return args
 
 
@@ -173,102 +160,9 @@ def cmd_frame(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_gradient() -> bool:
-    """Analytic gradient against central finite differences, several seeds.
-
-    The seed list skips draws that park a rectifier input at exactly zero,
-    where a two-sided difference quotient straddles the kink and measures the
-    average of the one-sided slopes instead of the reported subgradient.
-    """
-    arch = mlp.ModelArch(input_dim=2, hidden=(5, 4, 3), output_dim=3)
-    h = 1e-5
-    for seed in (0, 1, 2, 3, 6):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(6, 2))
-        y = rng.integers(0, arch.output_dim, size=6)
-        w = mlp.init_weights(arch, rng)
-        g = mlp.grad(w, X, y)
-        for params, grads in ((w.ws, g.ws), (w.bs, g.bs)):
-            for arr, garr in zip(params, grads):
-                for idx in np.ndindex(arr.shape):
-                    orig = arr[idx]
-                    arr[idx] = orig + h
-                    up = mlp.nll_loss(w, X, y)
-                    arr[idx] = orig - h
-                    down = mlp.nll_loss(w, X, y)
-                    arr[idx] = orig
-                    fd = (up - down) / (2.0 * h)
-                    rel = abs(garr[idx] - fd) / (abs(garr[idx]) + 1e-8)
-                    if rel >= 1e-4:
-                        return False
-    return True
-
-
-def _check_quantile() -> bool:
-    """Calibrated quantile against a counting oracle on random score sets."""
-    rng = np.random.default_rng(20240901)
-    for _ in range(1000):
-        n = int(rng.integers(0, 40))
-        alpha = float(rng.uniform(0.01, 0.99))
-        if rng.integers(0, 2):
-            scores = rng.normal(size=n)
-        else:
-            scores = rng.integers(0, 5, size=n).astype(float)  # plenty of ties
-        # Oracle: smallest element q of scores + [inf] with at least
-        # (1 - alpha) * (n + 1) elements at or below it, compared exactly.
-        need = (1 - Fraction(alpha)) * (n + 1)
-        expected = math.inf
-        for q in sorted(scores):
-            if sum(1 for r in scores if r <= q) >= need:
-                expected = q
-                break
-        got = conformal.empirical_quantile(scores, alpha)
-        if not (got == expected or (math.isinf(got) and math.isinf(expected))):
-            return False
-    return True
-
-
-def _check_exchangeable_coverage() -> bool:
-    """Split-conformal coverage on i.i.d. scores stays in its exact band."""
-    rng = np.random.default_rng(77)
-    trials = 100_000
-    for n_val, alpha in ((9, 0.1), (19, 0.1), (19, 0.05)):
-        draws = rng.standard_normal((trials, n_val + 1))
-        val, test = draws[:, :n_val], draws[:, n_val]
-        k = conformal.quantile_index(n_val, alpha)
-        if k > n_val:
-            thresholds = np.full(trials, np.inf)
-        else:
-            thresholds = np.partition(val, k - 1, axis=1)[:, k - 1]
-        coverage = float(np.mean(test <= thresholds))
-        low = 1.0 - alpha
-        high = 1.0 - alpha + 1.0 / (n_val + 1)
-        if not (low - 0.005 <= coverage <= high + 0.005):
-            return False
-    return True
-
-
-def cmd_selftest(args: argparse.Namespace) -> int:
-    checks = (
-        ("gradient_finite_difference", _check_gradient),
-        ("empirical_quantile_oracle", _check_quantile),
-        ("exchangeable_coverage", _check_exchangeable_coverage),
-    )
-    failed = []
-    for name, check in checks:
-        ok = check()
-        print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failed.append(name)
-    if failed:
-        print(f"failed checks: {', '.join(failed)}")
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
-    handlers = {"run": cmd_run, "frame": cmd_frame, "selftest": cmd_selftest}
+    handlers = {"run": cmd_run, "frame": cmd_frame}
     return handlers[args.command](args)
 
 

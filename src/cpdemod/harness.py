@@ -15,6 +15,7 @@ blocks longest first and the outcomes are put back in cell order.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -71,6 +72,9 @@ class ExperimentConfig:
         object.__setattr__(self, "learners", tuple(self.learners))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        # +inf is the noiseless channel; NaN and -inf have no linear SNR.
+        if not self.snr_db > -math.inf:
+            raise ValueError(f"snr_db must be a number above -inf, got {self.snr_db!r}")
         if self.n_test < 1 or self.n_frames < 1:
             raise ValueError("n_test and n_frames must be at least 1")
         if not self.n_pilots_grid or min(self.n_pilots_grid) < 1:
@@ -85,6 +89,10 @@ class ExperimentConfig:
         unknown = set(self.learners) - set(LEARNERS)
         if not self.learners or unknown:
             raise ValueError(f"learners must be a non-empty subset of {LEARNERS}")
+        for name in ("n_pilots_grid", "methods", "learners"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a value: {values!r}")
         make_constellation(self.constellation)
 
 
@@ -307,19 +315,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MetricsRe
     first; results are identical to a serial run because each frame is a
     pure function of its seed, whatever block it runs in.
     """
-    cells = experiment_cells(config)
     blocks = _cell_blocks(config)
     if workers > 1 and len(blocks) > 1:
         by_block = _pool_outcomes(blocks, workers)
     else:
         by_block = [_block_job(jobs) for _, jobs in blocks]
-    outcomes = [frame for block in by_block for frame in block]
+    # Blocks come in cell order, so the pooled cells do too.
+    pooled: dict[tuple[str, str, int], list[tuple[int, int, int]]] = {}
+    for (_, jobs), outcomes in zip(blocks, by_block):
+        pooled.setdefault(jobs[0][:3], []).extend(outcomes)
     records = []
-    for idx, (method, learner, n_pilots) in enumerate(cells):
-        chunk_out = outcomes[idx * config.n_frames : (idx + 1) * config.n_frames]
-        hits = sum(h for h, _, _ in chunk_out)
-        size_sum = sum(s for _, s, _ in chunk_out)
-        total = sum(c for _, _, c in chunk_out)
+    for (method, learner, n_pilots), frames in pooled.items():
+        hits, size_sum, total = (sum(column) for column in zip(*frames))
         records.append(
             MetricsRecord(
                 method=method,
@@ -328,7 +335,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MetricsRe
                 alpha=config.alpha,
                 coverage=hits / total,
                 inefficiency=size_sum / total,
-                n_frames=config.n_frames,
+                n_frames=len(frames),
                 seed=config.master_seed,
             )
         )
@@ -349,32 +356,23 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _format_record(record: MetricsRecord) -> list[str]:
-    return [
-        record.method,
-        record.learner,
-        str(record.n_pilots),
-        f"{record.alpha:.6f}",
-        f"{record.coverage:.6f}",
-        f"{record.inefficiency:.6f}",
-        str(record.n_frames),
-        str(record.seed),
-    ]
+def _write_table(records: list[MetricsRecord], path: str, sep: str, header: str) -> None:
+    """Write a header line, then one ``sep``-joined line per record."""
+    if not records:
+        raise ValueError("no records to write")
+    lines = [header]
+    for r in records:
+        fields = [r.method, r.learner, str(r.n_pilots), f"{r.alpha:.6f}",
+                  f"{r.coverage:.6f}", f"{r.inefficiency:.6f}", str(r.n_frames), str(r.seed)]
+        lines.append(sep.join(fields))
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_csv(records: list[MetricsRecord], path: str) -> None:
     """Write records as CSV (LF line endings, floats to 6 decimal places)."""
-    if not records:
-        raise ValueError("no records to write")
-    lines = [CSV_HEADER]
-    lines.extend(",".join(_format_record(r)) for r in records)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(records, path, ",", CSV_HEADER)
 
 
 def write_dat(records: list[MetricsRecord], path: str) -> None:
     """Write records whitespace-separated for gnuplot, same column order."""
-    if not records:
-        raise ValueError("no records to write")
-    lines = ["# " + CSV_HEADER.replace(",", " ")]
-    lines.extend(" ".join(_format_record(r)) for r in records)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(records, path, " ", "# " + CSV_HEADER.replace(",", " "))

@@ -1,15 +1,13 @@
-"""Command line behaviour: parsing, the three subcommands, the selftest gate."""
+"""Command line behaviour: parsing, validation, and the run and frame subcommands."""
 
-import math
 import os
 import re
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from cpdemod import cli, conformal
+from cpdemod import cli
 from cpdemod.cli import SEED_ENV_VAR, main, parse_args
 
 SET_LINE = re.compile(r"set=\{([0-9,]*)\} covered=(yes|no)")
@@ -78,11 +76,6 @@ def test_env_seed_must_be_integer(monkeypatch):
         parse_args(["run"])
 
 
-def test_env_seed_ignored_without_seed_argument(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "123")
-    assert parse_args(["selftest"]).command == "selftest"
-
-
 def test_frame_degenerate_cross_val_prints_full_sets(capsys):
     rc = main(["frame", "--n-pilots", "5", "--n-test", "4", "--method", "cv"])
     out = capsys.readouterr().out
@@ -99,6 +92,12 @@ def test_frame_degenerate_cross_val_prints_full_sets(capsys):
         ["--method", "kcv", "--n-pilots", "7", "--k", "5"],
         ["--method", "kcv", "--n-pilots", "6", "--k", "0"],
         ["--method", "vb", "--n-pilots", "1"],
+        ["--n-test", "0"],
+        ["--method", "naive", "--n-pilots", "0"],
+        ["--snr-db", "nan"],
+        ["--snr-db=-inf"],
+        ["--method", "cv", "--k", "1"],
+        ["--alpha", "1.5"],
     ],
 )
 def test_frame_rejects_pilot_counts_the_method_cannot_use(argv, capsys):
@@ -116,6 +115,11 @@ def test_frame_rejects_pilot_counts_the_method_cannot_use(argv, capsys):
         ["--n-pilots", "0"],
         ["--n-pilots", "1", "--methods", "vb"],
         ["--n-test", "0"],
+        ["--snr-db", "nan"],
+        ["--snr-db=-inf"],
+        ["--methods", "naive", "naive"],
+        ["--n-pilots", "10", "10"],
+        ["--learners", "bayesian", "bayesian"],
     ],
 )
 def test_run_rejects_grid_values_the_config_cannot_use(argv, tmp_path, capsys):
@@ -172,33 +176,6 @@ def test_run_with_no_runnable_cells_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "every requested cell was skipped" in captured.err
-
-
-def test_selftest_passes(capsys):
-    rc = main(["selftest"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert out.count("PASS") == 3
-    assert "gradient_finite_difference: PASS" in out
-    assert "empirical_quantile_oracle: PASS" in out
-    assert "exchangeable_coverage: PASS" in out
-
-
-def test_selftest_catches_quantile_off_by_one(monkeypatch, capsys):
-    # Mutation check: a quantile that picks the next order statistic must trip
-    # the counting oracle.
-    def off_by_one(scores, alpha):
-        arr = np.sort(np.asarray(scores, dtype=np.float64))
-        k = conformal.quantile_index(arr.size, alpha) + 1
-        if k > arr.size:
-            return math.inf
-        return float(arr[k - 1])
-
-    monkeypatch.setattr(conformal, "empirical_quantile", off_by_one)
-    rc = main(["selftest"])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "empirical_quantile_oracle: FAIL" in out
 
 
 def test_module_entry_point_runs():

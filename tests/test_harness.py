@@ -103,6 +103,9 @@ def test_run_experiment_skips_everything_when_nothing_divides(caplog):
     with caplog.at_level(logging.WARNING):
         records = run_experiment(config)
     assert records == []
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping kcv at n_pilots=9: not divisible by k_folds=5"
+    ]
 
 
 def test_run_experiment_one_record_per_cell():
@@ -307,11 +310,20 @@ def test_make_constellation():
         dict(n_pilots_grid=(1, 10), methods=("naive", "vb")),
         dict(n_pilots_grid=(1,), methods=("cv",)),
         dict(n_pilots_grid=(1,), methods=("kcv",)),
+        dict(snr_db=float("nan")),
+        dict(snr_db=-float("inf")),
+        dict(n_pilots_grid=(10, 20, 10)),
+        dict(methods=("naive", "vb", "naive")),
+        dict(learners=("bayesian", "bayesian")),
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
+
+
+def test_config_allows_the_noiseless_channel():
+    assert ExperimentConfig(snr_db=float("inf")).snr_db == float("inf")
 
 
 def test_config_allows_one_pilot_for_naive_only():
