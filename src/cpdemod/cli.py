@@ -103,6 +103,12 @@ def parse_args(argv=None) -> argparse.Namespace:
     else:
         grid = dict(n_pilots_grid=args.n_pilots, n_frames=args.n_frames, methods=args.methods,
                     learners=args.learners, alpha_halving=args.alpha_halving)
+        if args.threads < 1:
+            parser.error(f"--threads must be at least 1, got {args.threads}")
+        # Fail now, not after the whole grid has run.
+        for path in (args.out, args.dat):
+            if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                parser.error(f"no directory to write {path!r} into")
     try:
         args.config = harness.ExperimentConfig(
             snr_db=args.snr_db, n_test=args.n_test, alpha=args.alpha, k_folds=args.k,
@@ -117,7 +123,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    records = harness.run_experiment(args.config, workers=max(1, args.threads))
+    records = harness.run_experiment(args.config, workers=args.threads)
     if not records:
         print("nothing to run: every requested cell was skipped", file=sys.stderr)
         return 1
@@ -134,10 +140,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_frame(args: argparse.Namespace) -> int:
-    frame, mask = harness.simulate_frame(
-        args.method, args.learner, args.n_pilots, 0, args.snr_db, args.n_test,
-        args.alpha, args.k, args.seed, args.constellation,
-    )
+    frame, mask = harness.simulate_frame(args.config, (args.method, args.learner, args.n_pilots), 0)
     hits, sizes = harness.tally(mask, frame.test_y)
     print(
         f"frame: method={args.method} learner={args.learner} "

@@ -72,9 +72,17 @@ class ExperimentConfig:
         object.__setattr__(self, "learners", tuple(self.learners))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
-        # +inf is the noiseless channel; NaN and -inf have no linear SNR.
-        if not self.snr_db > -math.inf:
-            raise ValueError(f"snr_db must be a number above -inf, got {self.snr_db!r}")
+        # +inf is the noiseless channel; any other SNR needs a positive finite
+        # noise variance 1 / (2 snr), which NaN, -inf and an SNR that over- or
+        # underflows a float do not give.
+        try:
+            snr = self.snr_linear
+        except OverflowError:
+            snr = math.nan
+        if snr != math.inf and not (snr > 0.0 and 0.0 < 1.0 / (2.0 * snr) < math.inf):
+            raise ValueError(f"snr_db must give a positive finite linear SNR, got {self.snr_db!r}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed!r}")
         if self.n_test < 1 or self.n_frames < 1:
             raise ValueError("n_test and n_frames must be at least 1")
         if not self.n_pilots_grid or min(self.n_pilots_grid) < 1:
@@ -94,6 +102,11 @@ class ExperimentConfig:
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} repeats a value: {values!r}")
         make_constellation(self.constellation)
+
+    @property
+    def snr_linear(self) -> float:
+        """The channel's linear SNR, ``10 ** (snr_db / 10)``."""
+        return 10.0 ** (self.snr_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -150,115 +163,100 @@ def tally(mask: np.ndarray, y_true: np.ndarray) -> tuple[int, np.ndarray]:
     return hits, sizes
 
 
+def _describe(cell, frame_indices) -> str:
+    return f"cell {cell!r} frames {frame_indices}"
+
+
 @contextmanager
-def _naming(jobs):
-    """Re-raise an error as a ``RuntimeError`` that names the frame jobs it hit."""
+def _naming(cell, frame_indices):
+    """Re-raise an error as a ``RuntimeError`` that names the frames it hit."""
     try:
         yield
     except Exception as exc:
-        names = ", ".join(repr(job) for job in jobs)
-        raise RuntimeError(f"frame job {names} failed: {exc!r}") from exc
+        raise RuntimeError(f"{_describe(cell, frame_indices)} failed: {exc!r}") from exc
 
 
-def _simulate_block(jobs) -> list[tuple[Frame, np.ndarray]]:
-    """Frames of one cell end to end, each job being ``simulate_frame``'s
-    arguments; the jobs differ only in their frame index.
+def _simulate_block(
+    config: ExperimentConfig, cell, frame_indices
+) -> list[tuple[Frame, np.ndarray]]:
+    """Frames ``frame_indices`` of one cell of ``config`` end to end.
 
     Every frame is generated from its own seed and planned; then all models
     of the block train together (``conformal.fit_plans``), and each frame is
     calibrated and scored in one workspace shared across the block.  A frame
     whose generation, plan, calibration or scoring raises fails with a
-    ``RuntimeError`` naming its job; a failed fit names every job of the block.
+    ``RuntimeError`` naming it; a failed fit names every frame of the block.
     """
+    method, learner, n_pilots = cell
+    constellation = make_constellation(config.constellation)
+    halved = config.alpha_halving and method in ("cv", "kcv")
+    alpha = config.alpha / 2.0 if halved else config.alpha
     frames, plans = [], []
-    for job in jobs:
-        method, learner, n_pilots, frame_index, snr_db, n_test, _, k, master_seed, const = job
-        with _naming([job]):
-            fseed = frame_seed(master_seed, method, learner, n_pilots, frame_index)
+    for frame_index in frame_indices:
+        with _naming(cell, [frame_index]):
+            fseed = frame_seed(config.master_seed, *cell, frame_index)
             frame = generate_frame(
-                n_pilots, n_test, 10.0 ** (snr_db / 10.0), make_constellation(const),
-                derive_rng(fseed, 0),
+                n_pilots, config.n_test, config.snr_linear, constellation, derive_rng(fseed, 0)
             )
             frames.append(frame)
-            plans.append(_plan(method, frame.pilot_x, frame.pilot_y, k, hash64(fseed, 1)))
-    with _naming(jobs):
-        learner = _make_learner(jobs[0][1], len(make_constellation(jobs[0][9])))
-        fitted = conformal.fit_plans(learner, plans)
+            plans.append(
+                _plan(method, frame.pilot_x, frame.pilot_y, config.k_folds, hash64(fseed, 1))
+            )
+    with _naming(cell, frame_indices):
+        fitted = conformal.fit_plans(_make_learner(learner, len(constellation)), plans)
     workspace = Workspace()
     masks = []
-    for job, frame, plan, models in zip(jobs, frames, plans, fitted):
-        with _naming([job]):
-            predictor = conformal.calibrate(plan, models, job[6], workspace)
+    for frame_index, frame, plan, models in zip(frame_indices, frames, plans, fitted):
+        with _naming(cell, [frame_index]):
+            predictor = conformal.calibrate(plan, models, alpha, workspace)
             masks.append(predictor.predict_mask(frame.test_x))
     return list(zip(frames, masks))
 
 
 def simulate_frame(
-    method: str,
-    learner: str,
-    n_pilots: int,
-    frame_index: int,
-    snr_db: float,
-    n_test: int,
-    alpha: float,
-    k: int,
-    master_seed: int,
-    constellation: str,
+    config: ExperimentConfig, cell: tuple[str, str, int], frame_index: int
 ) -> tuple[Frame, np.ndarray]:
     """One frame of a cell end to end: the simulated frame and the membership
     mask of its payload.  A pure function of its arguments; the frame draws
     its channel from ``(frame_seed, 0)`` and its plan is seeded by
     ``hash64(frame_seed, 1)``.  It is a block of one frame, so it gives the
     same bits as the frame gets in any block of its cell."""
-    job = (method, learner, n_pilots, frame_index, snr_db, n_test, alpha, k,
-           master_seed, constellation)
-    return _simulate_block([job])[0]
+    return _simulate_block(config, cell, [frame_index])[0]
 
 
-def _block_job(jobs) -> list[tuple[int, int, int]]:
+def _block_job(config: ExperimentConfig, cell, frame_indices) -> list[tuple[int, int, int]]:
     """(hits, set size sum, payload count) of every frame of a block."""
     outcomes = []
-    for frame, mask in _simulate_block(jobs):
+    for frame, mask in _simulate_block(config, cell, frame_indices):
         hits, sizes = tally(mask, frame.test_y)
         outcomes.append((hits, int(sizes.sum()), int(sizes.size)))
     return outcomes
 
 
-def _cell_blocks(config: ExperimentConfig) -> list[tuple[int, list[tuple]]]:
-    """Every cell's frame jobs cut into blocks, in output order, each with its
-    expected cost (the training rows of its plans).
+def _cell_blocks(config: ExperimentConfig) -> list[tuple[int, tuple[str, str, int], list[int]]]:
+    """Every cell's frames cut into ``(cost, cell, frame_indices)`` blocks, in
+    output order; the cost is the training rows of the block's plans.
 
     A block holds up to ``MAX_STACK // models per frame`` frames (at least
     one) of one cell, so the models of a block train as one stack where
     they fit in one.
     """
     blocks = []
-    for method, learner, n_pilots in experiment_cells(config):
-        eff_alpha = (
-            config.alpha / 2.0
-            if config.alpha_halving and method in ("cv", "kcv")
-            else config.alpha
-        )
-        jobs = [
-            (method, learner, n_pilots, frame_index, config.snr_db, config.n_test,
-             eff_alpha, config.k_folds, config.master_seed, config.constellation)
-            for frame_index in range(config.n_frames)
-        ]
+    for cell in experiment_cells(config):
+        method, _, n_pilots = cell
         # Plans of one cell all have the shape of a plan on placeholder pilots.
         zeros = np.zeros(n_pilots, dtype=np.int64)
         models, rows = _plan(method, zeros, zeros, config.k_folds, 0).train.shape
         size = max(1, conformal.MAX_STACK // models)
-        for start in range(0, len(jobs), size):
-            block = jobs[start : start + size]
-            blocks.append((len(block) * models * rows, block))
+        for start in range(0, config.n_frames, size):
+            frame_indices = list(range(start, min(start + size, config.n_frames)))
+            blocks.append((len(frame_indices) * models * rows, cell, frame_indices))
     return blocks
 
 
-def _describe(jobs) -> str:
-    return f"cell {jobs[0][:3]!r} frames {[job[3] for job in jobs]}"
-
-
-def _pool_outcomes(blocks, workers: int) -> list[list[tuple[int, int, int]]]:
+def _pool_outcomes(
+    config: ExperimentConfig, blocks, workers: int
+) -> list[list[tuple[int, int, int]]]:
     """``_block_job`` of every block on a process pool, submitted longest
     first and returned in block order.
 
@@ -269,7 +267,7 @@ def _pool_outcomes(blocks, workers: int) -> list[list[tuple[int, int, int]]]:
     outcomes = [None] * len(blocks)
     longest_first = sorted(range(len(blocks)), key=lambda i: -blocks[i][0])
     with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-        futures = {pool.submit(_block_job, blocks[i][1]): i for i in longest_first}
+        futures = {pool.submit(_block_job, config, *blocks[i][1:]): i for i in longest_first}
         try:
             for future in as_completed(futures):
                 outcomes[futures[future]] = future.result()
@@ -277,7 +275,7 @@ def _pool_outcomes(blocks, workers: int) -> list[list[tuple[int, int, int]]]:
             lost = sorted(i for f, i in futures.items() if not f.done() or f.exception() is not None)
             raise RuntimeError(
                 "a pool worker died before these blocks finished: "
-                + "; ".join(_describe(blocks[i][1]) for i in lost)
+                + "; ".join(_describe(*blocks[i][1:]) for i in lost)
             ) from exc
         finally:
             pool.shutdown(cancel_futures=True)
@@ -317,13 +315,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MetricsRe
     """
     blocks = _cell_blocks(config)
     if workers > 1 and len(blocks) > 1:
-        by_block = _pool_outcomes(blocks, workers)
+        by_block = _pool_outcomes(config, blocks, workers)
     else:
-        by_block = [_block_job(jobs) for _, jobs in blocks]
+        by_block = [_block_job(config, *block[1:]) for block in blocks]
     # Blocks come in cell order, so the pooled cells do too.
     pooled: dict[tuple[str, str, int], list[tuple[int, int, int]]] = {}
-    for (_, jobs), outcomes in zip(blocks, by_block):
-        pooled.setdefault(jobs[0][:3], []).extend(outcomes)
+    for (_, cell, _), outcomes in zip(blocks, by_block):
+        pooled.setdefault(cell, []).extend(outcomes)
     records = []
     for (method, learner, n_pilots), frames in pooled.items():
         hits, size_sum, total = (sum(column) for column in zip(*frames))

@@ -184,24 +184,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return np.divide(logits, functools.reduce(np.add, labels)[..., None], out=logits)
 
 
-def _workspace(w: Weights, rows: int) -> list[np.ndarray]:
-    """One flat output buffer per layer, for passes of up to ``rows``
-    (sample, network) rows of the stack ``w``.
-
-    Training steps and scoring passes reuse these buffers: a fresh array
-    larger than the allocator's mmap threshold (128 KB) page-faults on every
-    page it is written to, and at K=20, m=59 that was ~40% of a training step.
-    """
-    return [np.empty(rows * b.shape[-1]) for b in w.bs]
-
-
 class Workspace:
-    """Scoring buffers that one owner reuses across passes and calls.
+    """One flat output buffer per layer, reused by every pass of its owner.
 
-    A predictor keeps one for its lifetime, across calibration and every
-    ``predict_mask`` call.  The buffers grow when a pass needs more rows than
-    they hold and never shrink, so a pass that fits writes into memory that
-    is already mapped instead of page-faulting on fresh buffers.
+    A trainer keeps one for all its steps, a predictor for calibration and
+    every ``predict_mask`` call.  A fresh array larger than the allocator's
+    mmap threshold (128 KB) page-faults on every page it is written to (at
+    K=20, m=59 that was ~40% of a training step), so the buffers grow when a
+    pass needs more rows than they hold and never shrink.
     """
 
     def __init__(self) -> None:
@@ -213,7 +203,7 @@ class Workspace:
         if len(need) != len(self._buffers) or any(
             n > buf.size for n, buf in zip(need, self._buffers)
         ):
-            self._buffers = _workspace(w, rows)
+            self._buffers = [np.empty(n) for n in need]
         return self._buffers
 
 
@@ -237,10 +227,10 @@ def _forward(
 
     ``w`` holds ``(K, fan_out, fan_in)`` weights and ``(K, fan_out)`` biases;
     ``X`` is ``(m, K, d)`` with network ``k``'s rows at ``X[:, k]`` (a
-    zero-stride K axis feeds every network the same rows); ``work`` is a
-    ``_workspace`` of at least ``m * K`` rows.  Returns the input of every
-    layer (``X``, then each hidden ReLU output) and the ``(m, K, labels)``
-    class probabilities, all views into ``work``.
+    zero-stride K axis feeds every network the same rows); ``work`` is what
+    ``Workspace.take`` gives for at least ``m * K`` rows.  Returns the input
+    of every layer (``X``, then each hidden ReLU output) and the ``(m, K,
+    labels)`` class probabilities, all views into ``work``.
     """
     acts = [X]
     for wi, bi, buf in zip(w.ws[:-1], w.bs[:-1], work):
@@ -249,17 +239,10 @@ def _forward(
     return acts, _softmax(_affine(acts[-1], w.ws[-1], w.bs[-1], work[-1]))
 
 
-def forward_batch(w: Weights, X: np.ndarray) -> np.ndarray:
-    """Class probabilities, one row per input row; rows sum to 1."""
-    X = np.asarray(X, dtype=np.float64)
-    net = _networks(w)
-    return _forward(net, X[:, None, :], _workspace(net, len(X)))[1][:, 0]
-
-
 def nll_loss(w: Weights, X, y) -> float:
     """Mean negative log probability of the true labels."""
     X, y = _canonical(X, y)
-    p = forward_batch(w, X)[np.arange(len(y)), y]
+    p = predictive_batch(w, X)[np.arange(len(y)), y]
     return float(np.mean(-np.log(np.maximum(p, PROB_FLOOR))))
 
 
@@ -268,7 +251,7 @@ def _grad_canonical(
 ) -> Weights:
     # Backprop of the mean cross entropy of K networks at once: stacked
     # weights, sample-major (m, K, d) data and (m, K, labels) one-hot targets,
-    # each dataset in canonical order, and a ``_workspace`` of m * K rows.
+    # each dataset in canonical order, and workspace buffers of m * K rows.
     # Every product is one matrix product per network, so network k's
     # gradient is the same bits whatever else shares its stack.  The bias
     # gradient sums over samples one row at a time, the order the
@@ -301,7 +284,7 @@ def grad(w: Weights, X, y) -> Weights:
         raise ValueError("expected one (n, d) dataset")
     net = _networks(w)
     targets = _one_hot(y[:, None], w.bs[-1].size)
-    return _grad_canonical(net, X[:, None, :], targets, _workspace(net, len(X))).unstack()[0]
+    return _grad_canonical(net, X[:, None, :], targets, Workspace().take(net, len(X))).unstack()[0]
 
 
 def _one_hot(y: np.ndarray, n_labels: int) -> np.ndarray:
@@ -362,7 +345,7 @@ def train_gd(
     """
     X, targets, _, params, single = _training_stack(X, y, arch, rng)
     w = _unflat(params, arch)
-    work = _workspace(w, X.shape[0] * X.shape[1])
+    work = Workspace().take(w, X.shape[0] * X.shape[1])
     for _ in range(steps):
         params -= lr * _flat(_grad_canonical(w, X, targets, work))
     models = w.unstack()
@@ -416,7 +399,7 @@ def train_sgld(
     # Kept iterates, (K, ensemble_size, n_params): model j's members are one
     # contiguous stack, ready for stacked scoring.
     kept = np.empty((len(params), ensemble_size, params.shape[1]))
-    work = _workspace(w, X.shape[0] * X.shape[1])
+    work = Workspace().take(w, X.shape[0] * X.shape[1])
     for step in range(burn_in + ensemble_size):
         move = (-half_lr) * _flat(_grad_canonical(w, X, targets, work))
         if prior_sigma is not None:

@@ -76,6 +76,15 @@ def test_env_seed_must_be_integer(monkeypatch):
         parse_args(["run"])
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_env_seed_outside_the_seed_range_is_a_usage_error(monkeypatch, capsys, seed):
+    monkeypatch.setenv(SEED_ENV_VAR, seed)
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["frame"])
+    assert exc.value.code == 2
+    assert "master_seed" in capsys.readouterr().err
+
+
 def test_frame_degenerate_cross_val_prints_full_sets(capsys):
     rc = main(["frame", "--n-pilots", "5", "--n-test", "4", "--method", "cv"])
     out = capsys.readouterr().out
@@ -98,6 +107,12 @@ def test_frame_degenerate_cross_val_prints_full_sets(capsys):
         ["--snr-db=-inf"],
         ["--method", "cv", "--k", "1"],
         ["--alpha", "1.5"],
+        ["--snr-db=4000"],
+        ["--snr-db", "1e308"],
+        ["--snr-db=-4000"],
+        ["--snr-db=-3200"],
+        ["--seed", "18446744073709551616"],
+        ["--seed=-1"],
     ],
 )
 def test_frame_rejects_pilot_counts_the_method_cannot_use(argv, capsys):
@@ -120,12 +135,23 @@ def test_frame_rejects_pilot_counts_the_method_cannot_use(argv, capsys):
         ["--methods", "naive", "naive"],
         ["--n-pilots", "10", "10"],
         ["--learners", "bayesian", "bayesian"],
+        ["--snr-db=4000"],
+        ["--snr-db", "1e308"],
+        ["--snr-db=-4000"],
+        ["--snr-db=-3200"],
+        ["--seed", "18446744073709551616"],
+        ["--seed=-1"],
+        ["--threads", "0"],
+        ["--threads=-2"],
+        ["--out", "{tmp}/missing/x.csv"],
+        ["--dat", "{tmp}/missing/x.dat"],
     ],
 )
 def test_run_rejects_grid_values_the_config_cannot_use(argv, tmp_path, capsys):
     out = tmp_path / "never.csv"
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--n-frames", "1", *argv, "--out", str(out)])
+        main(["run", "--n-frames", "1", "--out", str(out), *argv])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()

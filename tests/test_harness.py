@@ -59,7 +59,9 @@ def test_tally_counts_only_true_label_membership():
 
 def test_simulate_frame_degenerate_cross_val_covers_everything():
     # 5 pilots cannot exclude anything at alpha 0.1, so coverage is total.
-    frame, mask = simulate_frame("cv", "frequentist", 5, 0, 5.0, 12, 0.1, 5, 99, "qpsk")
+    config = ExperimentConfig(n_pilots_grid=(5,), n_test=12, n_frames=1, methods=("cv",),
+                              learners=("frequentist",), master_seed=99)
+    frame, mask = simulate_frame(config, ("cv", "frequentist", 5), 0)
     hits, sizes = tally(mask, frame.test_y)
     assert hits == 12
     assert np.array_equal(sizes, np.full(12, 4))
@@ -148,11 +150,6 @@ def test_run_experiment_is_deterministic_and_parallel_safe(tmp_path):
         assert fa.read() == fb.read()
 
 
-def _job(config, method, learner, frame_index, n_pilots=10):
-    return (method, learner, n_pilots, frame_index, config.snr_db, config.n_test, config.alpha,
-            config.k_folds, config.master_seed, config.constellation)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failing_frame_names_its_job(monkeypatch, workers):
     seed_of = harness.frame_seed
@@ -167,9 +164,7 @@ def test_failing_frame_names_its_job(monkeypatch, workers):
     config = _small_config(methods=("naive",), n_frames=3)
     with pytest.raises(RuntimeError) as excinfo:
         run_experiment(config, workers=workers)
-    job = ("naive", "frequentist", 10, 1, config.snr_db, config.n_test, config.alpha,
-           config.k_folds, config.master_seed, config.constellation)
-    assert repr(job) in str(excinfo.value)
+    assert "cell ('naive', 'frequentist', 10) frames [1] failed" in str(excinfo.value)
     assert "diverged" in str(excinfo.value)
 
 
@@ -182,9 +177,26 @@ def test_failing_stacked_fit_names_every_job_of_its_block(monkeypatch):
     config = _small_config(methods=("vb",), learners=("frequentist",), n_frames=3)
     with pytest.raises(RuntimeError) as excinfo:
         run_experiment(config)
-    for frame_index in range(3):
-        assert repr(_job(config, "vb", "frequentist", frame_index)) in str(excinfo.value)
+    assert "cell ('vb', 'frequentist', 10) frames [0, 1, 2] failed" in str(excinfo.value)
     assert "diverged" in str(excinfo.value)
+
+
+def test_failing_calibration_names_its_frame(monkeypatch):
+    calibrate = conformal.calibrate
+    calls = []
+
+    def fail_second_frame(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise FloatingPointError("held-out scores are NaN")
+        return calibrate(*args)
+
+    monkeypatch.setattr(conformal, "calibrate", fail_second_frame)
+    config = _small_config(methods=("vb",), learners=("frequentist",), n_frames=3)
+    with pytest.raises(RuntimeError) as excinfo:
+        run_experiment(config)
+    assert "cell ('vb', 'frequentist', 10) frames [1] failed" in str(excinfo.value)
+    assert "held-out scores are NaN" in str(excinfo.value)
 
 
 def test_dead_worker_names_its_unfinished_blocks(monkeypatch):
@@ -216,14 +228,20 @@ def test_blocks_give_the_masks_of_single_frames(monkeypatch, max_stack):
     config = _small_config(n_pilots_grid=(10, 20), n_frames=3)
     blocks = harness._cell_blocks(config)
     sizes = {}
-    for _, jobs in blocks:
-        sizes.setdefault((jobs[0][0], jobs[0][2]), []).append(len(jobs))
+    for _, (method, _, n_pilots), frame_indices in blocks:
+        sizes.setdefault((method, n_pilots), []).append(len(frame_indices))
     if max_stack == 20:  # each list: the frequentist cell's blocks, then the bayesian's
         assert sizes == {("naive", 10): [3, 3], ("naive", 20): [3, 3], ("vb", 10): [3, 3],
                          ("vb", 20): [3, 3], ("cv", 10): [2, 1, 2, 1], ("cv", 20): [1] * 6,
                          ("kcv", 10): [3, 3], ("kcv", 20): [3, 3]}
-    block_masks = [mask for _, jobs in blocks for _, mask in harness._simulate_block(jobs)]
-    single_masks = [simulate_frame(*job)[1] for _, jobs in blocks for job in jobs]
+    block_masks = [
+        mask for _, cell, frame_indices in blocks
+        for _, mask in harness._simulate_block(config, cell, frame_indices)
+    ]
+    single_masks = [
+        simulate_frame(config, cell, i)[1]
+        for _, cell, frame_indices in blocks for i in frame_indices
+    ]
     assert len(block_masks) == len(single_masks) == 8 * 2 * 3
     for got, want in zip(block_masks, single_masks):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -232,7 +250,7 @@ def test_blocks_give_the_masks_of_single_frames(monkeypatch, max_stack):
 def test_longest_first_pool_gives_the_serial_records():
     config = _small_config(n_pilots_grid=(10, 20), n_frames=3)
     blocks = harness._cell_blocks(config)
-    costs = [cost for cost, _ in blocks]
+    costs = [cost for cost, _, _ in blocks]
     assert sorted(costs, reverse=True) != costs  # the pool order is not cell order
     assert run_experiment(config, workers=1) == run_experiment(config, workers=2)
 
@@ -315,6 +333,12 @@ def test_make_constellation():
         dict(n_pilots_grid=(10, 20, 10)),
         dict(methods=("naive", "vb", "naive")),
         dict(learners=("bayesian", "bayesian")),
+        dict(snr_db=4000.0),
+        dict(snr_db=1e308),
+        dict(snr_db=-4000.0),
+        dict(snr_db=-3200.0),
+        dict(master_seed=-1),
+        dict(master_seed=2**64),
     ],
 )
 def test_config_validation(kwargs):
@@ -323,7 +347,8 @@ def test_config_validation(kwargs):
 
 
 def test_config_allows_the_noiseless_channel():
-    assert ExperimentConfig(snr_db=float("inf")).snr_db == float("inf")
+    config = ExperimentConfig(snr_db=float("inf"))
+    assert config.snr_db == config.snr_linear == float("inf")
 
 
 def test_config_allows_one_pilot_for_naive_only():

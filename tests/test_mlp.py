@@ -16,7 +16,6 @@ from cpdemod.mlp import (
     SGLDLearner,
     canonical_order,
     features,
-    forward_batch,
     grad,
     init_weights,
     nll_loss,
@@ -28,6 +27,7 @@ from helpers import (
     certain_weights,
     finite_difference_grad,
     max_rel_grad_error,
+    reference_forward,
     weights_equal,
     zero_weights,
 )
@@ -73,7 +73,7 @@ def test_init_weights_first_layer_variance():
 
 def test_forward_zero_weights_is_uniform():
     w = zero_weights(ModelArch())
-    assert np.array_equal(forward_batch(w, features(0.3 - 0.7j))[0], np.full(4, 0.25))
+    assert np.array_equal(predictive_batch(w, features(0.3 - 0.7j))[0], np.full(4, 0.25))
 
 
 @settings(max_examples=50, deadline=None)
@@ -83,7 +83,7 @@ def test_forward_rows_sum_to_one(seed):
     w = init_weights(ModelArch(), rng)
     for layer in w.ws:
         layer *= rng.uniform(0.1, 5.0)
-    probs = forward_batch(w, rng.normal(size=(5, 2)))
+    probs = predictive_batch(w, rng.normal(size=(5, 2)))
     assert probs.shape == (5, 4)
     assert np.all(probs >= 0.0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -93,9 +93,9 @@ def test_forward_logit_shift_invariance():
     rng = np.random.default_rng(2)
     w = init_weights(ModelArch(), rng)
     X = features(0.5 + 0.25j)
-    base = forward_batch(w, X)[0]
+    base = predictive_batch(w, X)[0]
     w.bs[-1] += 17.5  # same constant on every logit
-    np.testing.assert_allclose(forward_batch(w, X)[0], base, atol=1e-12)
+    np.testing.assert_allclose(predictive_batch(w, X)[0], base, atol=1e-12)
 
 
 def test_nll_zero_weights_is_log_label_count():
@@ -189,7 +189,7 @@ def test_train_gd_fits_separable_clusters():
     y = np.array([0] * 10 + [1] * 10)
     arch = ModelArch(output_dim=2)
     w = train_gd(X, y, arch, rng=np.random.default_rng(16))
-    assert np.array_equal(forward_batch(w, X).argmax(axis=1), y)
+    assert np.array_equal(predictive_batch(w, X).argmax(axis=1), y)
 
 
 def test_train_sgld_member_count():
@@ -239,7 +239,7 @@ def test_trainers_stay_finite_at_working_scale():
 def test_predictive_single_member_matches_forward():
     w = init_weights(ModelArch(), np.random.default_rng(27))
     X = features(-0.2 + 0.9j)
-    assert np.array_equal(predictive_batch(Ensemble([w]), X)[0], forward_batch(w, X)[0])
+    assert np.array_equal(predictive_batch(Ensemble([w]), X)[0], reference_forward(w, X)[1][0])
 
 
 def test_predictive_identical_members_average_to_member():
@@ -247,7 +247,7 @@ def test_predictive_identical_members_average_to_member():
     X = features(0.6 - 0.1j)
     np.testing.assert_allclose(
         predictive_batch(Ensemble([w.copy(), w.copy(), w.copy()]), X)[0],
-        forward_batch(w, X)[0],
+        predictive_batch(w, X)[0],
         atol=1e-15,
     )
 

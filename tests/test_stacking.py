@@ -125,12 +125,12 @@ def test_stacked_backprop_equals_per_network_reference(k, m):
     stack = mlp._stack(nets)
     sample_major = np.ascontiguousarray(X.transpose(1, 0, 2))
     with np.errstate(all="ignore"):
-        _, probs = mlp._forward(stack, sample_major, mlp._workspace(stack, m * k))
+        _, probs = mlp._forward(stack, sample_major, mlp.Workspace().take(stack, m * k))
         g = mlp._grad_canonical(
             stack,
             sample_major,
             np.ascontiguousarray(targets.transpose(1, 0, 2)),
-            mlp._workspace(stack, m * k),
+            mlp.Workspace().take(stack, m * k),
         )
         for j, net in enumerate(nets):
             assert np.array_equal(probs[:, j], reference_forward(net, X[j])[1], equal_nan=True)
