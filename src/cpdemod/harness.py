@@ -18,8 +18,6 @@ import logging
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -186,6 +184,8 @@ def _simulate_block(
     calibrated and scored in one workspace shared across the block.  A frame
     whose generation, plan, calibration or scoring raises fails with a
     ``RuntimeError`` naming it; a failed fit names every frame of the block.
+    A frame whose models hold non-finite weights (a diverged fit) logs a
+    warning naming it and is scored as it is.
     """
     method, learner, n_pilots = cell
     constellation = make_constellation(config.constellation)
@@ -204,6 +204,15 @@ def _simulate_block(
             )
     with _naming(cell, frame_indices):
         fitted = conformal.fit_plans(_make_learner(learner, len(constellation)), plans)
+    for frame_index, models in zip(frame_indices, fitted):
+        diverged = sum(not model.all_finite() for model in models)
+        if diverged:
+            log.warning(
+                "%s: %d of %d models hold non-finite weights",
+                _describe(cell, [frame_index]),
+                diverged,
+                len(models),
+            )
     workspace = Workspace()
     masks = []
     for frame_index, frame, plan, models in zip(frame_indices, frames, plans, fitted):
@@ -264,6 +273,11 @@ def _pool_outcomes(
     ``RuntimeError`` naming every block that had not finished.  On any
     failure, blocks not yet started are cancelled.
     """
+    # Imported here: the pool module loads multiprocessing, which a serial
+    # run and every ``import cpdemod`` would otherwise pay for.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
     outcomes = [None] * len(blocks)
     longest_first = sorted(range(len(blocks)), key=lambda i: -blocks[i][0])
     with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:

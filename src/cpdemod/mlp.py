@@ -6,10 +6,12 @@ and trained weights are bit-identical under any permutation of the dataset.
 
 Networks run as stacks.  Stacked weights carry a leading network axis, and
 activations are laid out sample-major, ``(m, K, width)``: row ``i`` of network
-``k`` sits at ``[i, k]``.  One forward pass (``_forward``) serves training,
-calibration and payload scoring; a single network is a stack of one.  Each
-network's matrix products see exactly the rows a lone call would give it, so
-every output is bit-identical to running the networks one at a time.
+``k`` sits at ``[i, k]``.  One planned pass (``_Pass``) serves training,
+calibration, payload scoring and the public ``grad``: its views are built once
+per fit or scoring pass, and a training step runs its forward and backward
+calls in place.  A single network is a stack of one.  Each network's matrix
+products see exactly the rows a lone call would give it, so every output is
+bit-identical to running the networks one at a time.
 """
 
 from __future__ import annotations
@@ -104,6 +106,9 @@ class Ensemble:
         ensemble.__dict__["stacked"] = stacked
         return ensemble
 
+    def all_finite(self) -> bool:
+        return self.stacked.all_finite()
+
     @functools.cached_property
     def stacked(self) -> Weights:
         """The members as one stack, member axis first (built on first use;
@@ -169,21 +174,6 @@ def init_weights(arch: ModelArch, rng: np.random.Generator) -> Weights:
     return Weights(ws, bs)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last (label) axis, in place.
-
-    The max and the sum run across label columns, one elementwise operation
-    per label, instead of along the short label axis.  The sum adds the
-    columns left to right, which is the order numpy's own last-axis sum takes
-    for fewer than 8 terms, so the result has the same bits.
-    """
-    labels = [logits[..., j] for j in range(logits.shape[-1])]
-    # Max subtraction keeps exp in range for arbitrarily large logits.
-    np.subtract(logits, functools.reduce(np.maximum, labels)[..., None], out=logits)
-    np.exp(logits, out=logits)
-    return np.divide(logits, functools.reduce(np.add, labels)[..., None], out=logits)
-
-
 class Workspace:
     """One flat output buffer per layer, reused by every pass of its owner.
 
@@ -207,36 +197,104 @@ class Workspace:
         return self._buffers
 
 
-def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """``a @ w.T + b`` for every network of a stack, sample-major in and out,
-    written into the front of the flat buffer ``buf``.
-
-    One matrix product per network, written straight into the sample-major
-    buffer, so the bias add runs over contiguous ``K * fan_out`` rows.
-    """
-    out = buf[: a.shape[0] * b.size].reshape(a.shape[0], *b.shape)
-    np.matmul(a.transpose(1, 0, 2), w.transpose(0, 2, 1), out=out.transpose(1, 0, 2))
-    out += b
-    return out
+def _fold(op, columns: list[np.ndarray], out: np.ndarray) -> list[tuple]:
+    """Calls that fold the binary ufunc ``op`` over ``columns`` left to right
+    into ``out``: the order and bits of ``functools.reduce(op, columns)``."""
+    if len(columns) == 1:
+        return [(np.positive, (columns[0],), out)]
+    return [(op, tuple(columns[:2]), out)] + [(op, (out, c), out) for c in columns[2:]]
 
 
-def _forward(
-    w: Weights, X: np.ndarray, work: list[np.ndarray]
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Sample-major forward pass of a stack of K networks.
+class _Pass:
+    """The forward pass of a stack of K networks on fixed arrays and, given
+    one-hot targets, the backward pass of their mean cross entropy.
 
     ``w`` holds ``(K, fan_out, fan_in)`` weights and ``(K, fan_out)`` biases;
     ``X`` is ``(m, K, d)`` with network ``k``'s rows at ``X[:, k]`` (a
     zero-stride K axis feeds every network the same rows); ``work`` is what
-    ``Workspace.take`` gives for at least ``m * K`` rows.  Returns the input
-    of every layer (``X``, then each hidden ReLU output) and the ``(m, K,
-    labels)`` class probabilities, all views into ``work``.
+    ``Workspace.take`` gives for at least ``m * K`` rows; ``targets`` is
+    ``(m, K, labels)``, each dataset in canonical order.
+
+    Every view a pass uses is built here, once: the sample-major ``(m, K,
+    width)`` output of every layer at the front of its ``work`` buffer and its
+    ``(K, m, width)`` transpose, the transposed weights, the softmax's label
+    columns with their max and sum, and for the backward pass the ReLU masks
+    and the per-layer views of one flat ``(K, n_params)`` gradient ``grad``,
+    laid out like the trainers' parameters (``w0, b0, w1, b1, ...``).  Running
+    the pass is then a fixed list of numpy calls writing through ``out``: it
+    allocates nothing, and sees any in-place change to the weights or rows.
+
+    Each product is one matrix product per network, so network k's outputs
+    and gradient are the same bits whatever else shares its stack.  The
+    softmax's max and sum run across label columns, one elementwise
+    operation per label, the sum left to right: the order numpy's own
+    last-axis sum takes for fewer than 8 terms, so the bits are the same.
+    The bias gradient sums over samples one row at a time, the order the
+    single-network sum takes.  Each layer's backpropagated error overwrites
+    that layer's input once its weight gradient and ReLU mask are taken.  The
+    gradient is that of the unclamped loss (the clamp guards logs only, and
+    binds nowhere a gradient step is useful).
     """
-    acts = [X]
-    for wi, bi, buf in zip(w.ws[:-1], w.bs[:-1], work):
-        z = _affine(acts[-1], wi, bi, buf)
-        acts.append(np.maximum(z, 0.0, out=z))
-    return acts, _softmax(_affine(acts[-1], w.ws[-1], w.bs[-1], work[-1]))
+
+    def __init__(
+        self, w: Weights, X: np.ndarray, work: list[np.ndarray], targets: np.ndarray | None = None
+    ) -> None:
+        m, k = X.shape[:2]
+        self.rows = m
+        outs = [buf[: m * b.size].reshape(m, *b.shape) for b, buf in zip(w.bs, work)]
+        # The input of every layer: the rows, then each hidden ReLU output.
+        acts = [X, *outs[:-1]]
+        calls = []
+        for a, wi, bi, out in zip(acts, w.ws, w.bs, outs):
+            product = (a.transpose(1, 0, 2), wi.transpose(0, 2, 1))
+            calls.append((np.matmul, product, out.transpose(1, 0, 2)))
+            calls.append((np.add, (out, bi), out))
+            if out is not outs[-1]:
+                calls.append((np.maximum, (out, 0.0), out))
+        logits = outs[-1]
+        labels = [logits[..., j] for j in range(logits.shape[-1])]
+        top, total = np.empty((m, k)), np.empty((m, k))
+        # Max subtraction keeps exp in range for arbitrarily large logits.
+        calls += _fold(np.maximum, labels, top)
+        calls.append((np.subtract, (logits, top[..., None]), logits))
+        calls.append((np.exp, (logits,), logits))
+        calls += _fold(np.add, labels, total)
+        calls.append((np.divide, (logits, total[..., None]), logits))
+        self._forward_calls = calls
+        #: ``(m, K, labels)`` class probabilities after ``forward``.
+        self.probs = logits
+        if targets is None:
+            return
+        dims = [(wi.shape[-1], wi.shape[-2]) for wi in w.ws]
+        self.grad = np.empty((k, _n_params(dims)))
+        #: Weights-shaped views of ``grad``.
+        self.gradient = _unflat(self.grad, dims)
+        calls = [(np.subtract, (logits, targets), logits), (np.divide, (logits, m), logits)]
+        for layer in reversed(range(len(w.ws))):
+            a, delta = acts[layer], outs[layer]
+            gw, gb = self.gradient.ws[layer], self.gradient.bs[layer]
+            calls.append((np.matmul, (delta.transpose(1, 2, 0), a.transpose(1, 0, 2)), gw))
+            calls.append((np.add.reduce, (delta, 0), gb))
+            if layer:
+                # ReLU passes gradient where its output is positive.
+                passes = np.empty(a.shape, dtype=bool)
+                calls.append((np.greater, (a, 0.0), passes))
+                product = (delta.transpose(1, 0, 2), w.ws[layer])
+                calls.append((np.matmul, product, a.transpose(1, 0, 2)))
+                calls.append((np.multiply, (a, passes), a))
+        self._backward_calls = calls
+
+    def forward(self) -> np.ndarray:
+        """Run the forward pass; returns ``probs``."""
+        for call, args, out in self._forward_calls:
+            call(*args, out=out)
+        return self.probs
+
+    def backward(self) -> None:
+        """Backpropagate from the last ``forward`` into ``grad``, overwriting
+        ``probs`` and the hidden activations."""
+        for call, args, out in self._backward_calls:
+            call(*args, out=out)
 
 
 def nll_loss(w: Weights, X, y) -> float:
@@ -246,37 +304,6 @@ def nll_loss(w: Weights, X, y) -> float:
     return float(np.mean(-np.log(np.maximum(p, PROB_FLOOR))))
 
 
-def _grad_canonical(
-    w: Weights, X: np.ndarray, targets: np.ndarray, work: list[np.ndarray]
-) -> Weights:
-    # Backprop of the mean cross entropy of K networks at once: stacked
-    # weights, sample-major (m, K, d) data and (m, K, labels) one-hot targets,
-    # each dataset in canonical order, and workspace buffers of m * K rows.
-    # Every product is one matrix product per network, so network k's
-    # gradient is the same bits whatever else shares its stack.  The bias
-    # gradient sums over samples one row at a time, the order the
-    # single-network sum takes.  Each layer's backpropagated error overwrites
-    # that layer's input once its weight gradient and ReLU mask are taken.
-    # Gradient of the unclamped loss (the clamp guards logs only, and binds
-    # nowhere a gradient step is useful).
-    acts, probs = _forward(w, X, work)
-    delta = np.subtract(probs, targets, out=probs)
-    delta /= X.shape[0]
-    n_layers = len(w.ws)
-    gws: list[np.ndarray] = [np.empty(0)] * n_layers
-    gbs: list[np.ndarray] = [np.empty(0)] * n_layers
-    for layer in reversed(range(n_layers)):
-        a = acts[layer]
-        gws[layer] = np.matmul(delta.transpose(1, 2, 0), a.transpose(1, 0, 2))
-        gbs[layer] = delta.sum(axis=0)
-        if layer:
-            # ReLU passes gradient where its output is positive.
-            passes = a > 0
-            np.matmul(delta.transpose(1, 0, 2), w.ws[layer], out=a.transpose(1, 0, 2))
-            delta = np.multiply(a, passes, out=a)
-    return Weights(gws, gbs)
-
-
 def grad(w: Weights, X, y) -> Weights:
     """Weights-shaped gradient of ``nll_loss`` at ``w``."""
     X, y = _canonical(X, y)
@@ -284,26 +311,28 @@ def grad(w: Weights, X, y) -> Weights:
         raise ValueError("expected one (n, d) dataset")
     net = _networks(w)
     targets = _one_hot(y[:, None], w.bs[-1].size)
-    return _grad_canonical(net, X[:, None, :], targets, Workspace().take(net, len(X))).unstack()[0]
+    step = _Pass(net, X[:, None, :], Workspace().take(net, len(X)), targets)
+    step.forward()
+    step.backward()
+    return step.gradient.unstack()[0]
 
 
 def _one_hot(y: np.ndarray, n_labels: int) -> np.ndarray:
     return np.eye(n_labels)[y]
 
 
-def _flat(w: Weights) -> np.ndarray:
-    """A stack's parameters as one ``(K, n_params)`` array, laid out weights
-    then biases, layer by layer: ``w0, b0, w1, b1, ...``."""
-    parts = [a for pair in zip(w.ws, w.bs) for a in pair]
-    return np.concatenate([a.reshape(len(a), -1) for a in parts], axis=1)
+def _n_params(dims: list[tuple[int, int]]) -> int:
+    """Parameters of one network with layers of ``dims`` (fan_in, fan_out)."""
+    return sum(fan_out * fan_in + fan_out for fan_in, fan_out in dims)
 
 
-def _unflat(params: np.ndarray, arch: ModelArch) -> Weights:
+def _unflat(params: np.ndarray, dims: list[tuple[int, int]]) -> Weights:
     """Weights whose arrays are views into ``params`` (``..., n_params``, laid
-    out as ``_flat`` does), keeping its leading axes."""
+    out weights then biases, layer by layer: ``w0, b0, w1, b1, ...``),
+    keeping its leading axes; ``dims`` are the layers' (fan_in, fan_out)."""
     lead = params.shape[:-1]
     ws, bs, offset = [], [], 0
-    for fan_in, fan_out in arch.dims():
+    for fan_in, fan_out in dims:
         size = fan_out * fan_in
         ws.append(params[..., offset : offset + size].reshape(*lead, fan_out, fan_in))
         bs.append(params[..., offset + size : offset + size + fan_out])
@@ -312,11 +341,12 @@ def _unflat(params: np.ndarray, arch: ModelArch) -> Weights:
 
 
 def _training_stack(X, y, arch: ModelArch, rng):
-    """Canonical sample-major (m, K, d) data and (m, K, labels) one-hot
-    targets, generators, the initial parameters of the stack as one flat
-    ``(K, n_params)`` array, and whether a single dataset (a stack of one)
-    came in.  Updates run on the flat array, one elementwise operation per
-    step for all parameters."""
+    """The initial parameters of a training stack as one flat ``(K,
+    n_params)`` array, its weights as views into that array, the stack's
+    training pass over canonical sample-major ``(m, K, d)`` data, the
+    generators, and whether a single dataset (a stack of one) came in.
+    Updates run on the flat array, one elementwise operation per step for
+    all parameters."""
     X, y = _canonical(X, y)
     single = X.ndim == 2
     if single:
@@ -324,9 +354,16 @@ def _training_stack(X, y, arch: ModelArch, rng):
     rngs = list(rng)
     if len(rngs) != len(X):
         raise ValueError(f"a stack of {len(X)} datasets needs {len(X)} generators, got {len(rngs)}")
-    params = _flat(_stack([init_weights(arch, r) for r in rngs]))
+    dims = arch.dims()
+    params = np.empty((len(rngs), _n_params(dims)))
+    w = _unflat(params, dims)
+    for j, r in enumerate(rngs):
+        init = init_weights(arch, r)
+        for stacked, own in zip(w.ws + w.bs, init.ws + init.bs):
+            stacked[j] = own
     X = np.ascontiguousarray(X.transpose(1, 0, 2))
-    return X, _one_hot(y.T, arch.output_dim), rngs, params, single
+    work = Workspace().take(w, X.shape[0] * X.shape[1])
+    return params, w, _Pass(w, X, work, _one_hot(y.T, arch.output_dim)), rngs, single
 
 
 def train_gd(
@@ -343,11 +380,13 @@ def train_gd(
     One (n, d) dataset and one generator give one ``Weights``; a (K, n, d)
     stack and K generators give a list of K, trained together.
     """
-    X, targets, _, params, single = _training_stack(X, y, arch, rng)
-    w = _unflat(params, arch)
-    work = Workspace().take(w, X.shape[0] * X.shape[1])
+    params, w, step, _, single = _training_stack(X, y, arch, rng)
+    g = step.grad
     for _ in range(steps):
-        params -= lr * _flat(_grad_canonical(w, X, targets, work))
+        step.forward()
+        step.backward()
+        g *= lr
+        params -= g
     models = w.unstack()
     return models[0] if single else models
 
@@ -387,28 +426,33 @@ def train_sgld(
     """
     if burn_in < 0 or ensemble_size < 1:
         raise ValueError("need burn_in >= 0 and ensemble_size >= 1")
-    X, targets, rngs, params, single = _training_stack(X, y, arch, rng)
-    w = _unflat(params, arch)
-    n = X.shape[0]
-    eps = lr / n
+    params, _, step, rngs, single = _training_stack(X, y, arch, rng)
+    eps = lr / step.rows
     root_eps = math.sqrt(eps)
     # -eps/2 * (n * grad_mean) is taken as -lr/2 * grad_mean so the degenerate
     # noise-free, prior-free run reproduces the plain trainer bit for bit.
     half_lr = 0.5 * lr
     prior_pull = 0.0 if prior_sigma is None else 0.5 * eps / (prior_sigma * prior_sigma)
+    g, pull, noise = step.grad, np.empty_like(params), np.empty_like(params)
     # Kept iterates, (K, ensemble_size, n_params): model j's members are one
     # contiguous stack, ready for stacked scoring.
     kept = np.empty((len(params), ensemble_size, params.shape[1]))
-    work = Workspace().take(w, X.shape[0] * X.shape[1])
-    for step in range(burn_in + ensemble_size):
-        move = (-half_lr) * _flat(_grad_canonical(w, X, targets, work))
+    for i in range(burn_in + ensemble_size):
+        step.forward()
+        step.backward()
+        g *= -half_lr
         if prior_sigma is not None:
-            move = move - prior_pull * params
-        noise = noise_scale * np.stack([r.standard_normal(params.shape[1]) for r in rngs])
-        params += move + root_eps * noise
-        if step >= burn_in:
-            kept[:, step - burn_in] = params
-    models = [Ensemble.of_stack(_unflat(members, arch)) for members in kept]
+            np.multiply(params, prior_pull, out=pull)
+            g -= pull
+        for row, r in zip(noise, rngs):
+            r.standard_normal(out=row)
+        noise *= noise_scale
+        noise *= root_eps
+        g += noise
+        params += g
+        if i >= burn_in:
+            kept[:, i - burn_in] = params
+    models = [Ensemble.of_stack(_unflat(members, arch.dims())) for members in kept]
     return models[0] if single else models
 
 
@@ -457,7 +501,7 @@ def predictive_stack(
             rows = np.broadcast_to(X[:, None], (n, stop - start, X.shape[-1]))
         else:
             rows = X[:, np.arange(start, stop) // size]
-        probs = _forward(w, rows, work)[1]
+        probs = _Pass(w, rows, work).forward()
         # Add member e of every model in the pass before member e + 1.
         for member in range(size):
             pos = (member - start) % size

@@ -15,7 +15,7 @@ from cpdemod.channel import (
     apply_iq_imbalance,
     sample_channel_params,
 )
-from cpdemod.mlp import Ensemble, ModelArch, Weights
+from cpdemod.mlp import Ensemble, ModelArch, Weights, init_weights
 
 
 def zero_weights(arch: ModelArch) -> Weights:
@@ -95,6 +95,68 @@ def reference_grad(w: Weights, X, targets) -> Weights:
         if layer:
             delta = (delta @ w.ws[layer]) * (acts[layer] > 0)
     return Weights(gws, gbs)
+
+
+def _reference_data(X, y, arch: ModelArch):
+    """One dataset in canonical order and its one-hot targets."""
+    order = mlp.canonical_order(X, y)
+    return np.asarray(X, dtype=np.float64)[order], np.eye(arch.output_dim)[np.asarray(y)[order]]
+
+
+def _parameters(w: Weights) -> list[np.ndarray]:
+    """A network's parameter arrays in the order w0, b0, w1, b1, ..."""
+    return [a for pair in zip(w.ws, w.bs) for a in pair]
+
+
+def reference_train_gd(X, y, arch: ModelArch, steps: int, lr: float, rng) -> Weights:
+    """One network trained by full-batch gradient descent in plain numpy:
+    ``init_weights``, then per step ``reference_grad`` and ``p -= lr * g`` on
+    every parameter array."""
+    X, targets = _reference_data(X, y, arch)
+    w = init_weights(arch, rng)
+    for _ in range(steps):
+        g = reference_grad(w, X, targets)
+        for p, gp in zip(_parameters(w), _parameters(g)):
+            p -= lr * gp
+    return w
+
+
+def reference_train_sgld(
+    X,
+    y,
+    arch: ModelArch,
+    burn_in: int,
+    ensemble_size: int,
+    lr: float,
+    rng,
+    prior_sigma: float | None = 10.0,
+    noise_scale: float = 1.0,
+) -> Ensemble:
+    """One network sampled by Langevin dynamics in plain numpy: per step
+    ``reference_grad``, one ``standard_normal(n_params)`` draw consumed in the
+    order w0, b0, w1, b1, ..., and the drift, prior pull and noise added to
+    every parameter array; the last ``ensemble_size`` iterates are the
+    members."""
+    X, targets = _reference_data(X, y, arch)
+    w = init_weights(arch, rng)
+    eps = lr / len(X)
+    root_eps = math.sqrt(eps)
+    half_lr = 0.5 * lr
+    members = []
+    for step in range(burn_in + ensemble_size):
+        g = reference_grad(w, X, targets)
+        noise = rng.standard_normal(sum(p.size for p in _parameters(w)))
+        offset = 0
+        for p, gp in zip(_parameters(w), _parameters(g)):
+            move = (-half_lr) * gp
+            if prior_sigma is not None:
+                move = move - (0.5 * eps / (prior_sigma * prior_sigma)) * p
+            part = noise[offset : offset + p.size].reshape(p.shape)
+            offset += p.size
+            p += move + root_eps * (noise_scale * part)
+        if step >= burn_in:
+            members.append(w.copy())
+    return Ensemble(members)
 
 
 def reference_predictive(model, X) -> np.ndarray:

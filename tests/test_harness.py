@@ -3,10 +3,14 @@
 import logging
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpdemod
 from cpdemod import conformal, harness
 from cpdemod.harness import (
     CSV_HEADER,
@@ -23,6 +27,7 @@ from cpdemod.harness import (
     write_csv,
     write_dat,
 )
+from cpdemod.mlp import GDLearner, ModelArch, SGLDLearner
 
 
 def _small_config(**overrides):
@@ -179,6 +184,41 @@ def test_failing_stacked_fit_names_every_job_of_its_block(monkeypatch):
         run_experiment(config)
     assert "cell ('vb', 'frequentist', 10) frames [0, 1, 2] failed" in str(excinfo.value)
     assert "diverged" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("learner", LEARNERS)
+@pytest.mark.parametrize("method,models", [("naive", 1), ("vb", 1), ("cv", 10), ("kcv", 5)])
+def test_diverged_fit_logs_a_warning_naming_its_frame(monkeypatch, caplog, learner, method, models):
+    def diverging(name, n_labels):
+        arch = ModelArch(output_dim=n_labels)
+        if name == "frequentist":
+            return GDLearner(arch, steps=20, lr=1e100)
+        return SGLDLearner(arch, burn_in=5, ensemble_size=3, lr=1e100)
+
+    monkeypatch.setattr(harness, "_make_learner", diverging)
+    config = _small_config(methods=(method,), learners=(learner,))
+    with caplog.at_level(logging.WARNING), np.errstate(all="ignore"):
+        (record,) = run_experiment(config)
+    assert record.n_frames == 2
+    assert [r.getMessage() for r in caplog.records if "non-finite" in r.getMessage()] == [
+        f"cell ({method!r}, {learner!r}, 10) frames [{i}]: {models} of {models} models "
+        "hold non-finite weights"
+        for i in range(2)
+    ]
+
+
+def test_import_does_not_load_the_process_pool():
+    # The pool module loads multiprocessing; only a pooled run needs it.
+    code = (
+        "import sys, cpdemod\n"
+        "from cpdemod.harness import ExperimentConfig\n"
+        "ExperimentConfig()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cpdemod.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_failing_calibration_names_its_frame(monkeypatch):

@@ -98,6 +98,14 @@ def test_forward_logit_shift_invariance():
     np.testing.assert_allclose(predictive_batch(w, X)[0], base, atol=1e-12)
 
 
+def test_one_label_head_is_certain_and_has_zero_gradient():
+    arch = ModelArch(output_dim=1)
+    w = init_weights(arch, np.random.default_rng(6))
+    X, y = _toy_data(seed=6, n_labels=1)
+    assert np.array_equal(predictive_batch(w, X), np.ones((len(X), 1)))
+    assert weights_equal(grad(w, X, y), zero_weights(arch))
+
+
 def test_nll_zero_weights_is_log_label_count():
     X, y = _toy_data()
     assert nll_loss(zero_weights(ModelArch()), X, y) == pytest.approx(LOG4, abs=1e-12)

@@ -14,7 +14,14 @@ from cpdemod.channel import generate_frame, make_qpsk
 from cpdemod.conformal import CrossValConformalPredictor, SplitConformalPredictor
 from cpdemod.mlp import Ensemble, GDLearner, ModelArch, SGLDLearner, features, init_weights
 from cpdemod.seeding import derive_rng
-from helpers import reference_forward, reference_grad, reference_predictive, weights_equal
+from helpers import (
+    reference_forward,
+    reference_grad,
+    reference_predictive,
+    reference_train_gd,
+    reference_train_sgld,
+    weights_equal,
+)
 
 SNR_5DB = 10.0 ** 0.5
 LEARNERS = {
@@ -97,6 +104,39 @@ def test_stack_needs_one_generator_per_model(learner, n_rngs):
         LEARNERS[learner].fit(X[rows], y[rows], [derive_rng(0, j) for j in range(n_rngs)])
 
 
+_TRAINER_CASES = {
+    "gd": dict(lr=0.2),
+    "gd-diverging": dict(lr=1e100),
+    "sgld": dict(lr=0.2),
+    "sgld-no-prior": dict(lr=0.2, prior_sigma=None),
+    "sgld-no-noise": dict(lr=0.2, noise_scale=0.0),
+    "sgld-diverging": dict(lr=1e100),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRAINER_CASES))
+@pytest.mark.parametrize("k,m", [(k, m) for k in (1, 5, 20) for m in (1, 9, 59)])
+def test_trainers_equal_per_network_reference(case, k, m):
+    # Each model of a stack equals one network trained by the plain numpy
+    # reference, update arithmetic included; the diverging learning rate
+    # drives the weights to inf and NaN.
+    rng = np.random.default_rng(200 + k * m)
+    X, y = rng.normal(size=(k, m, 2)) * 2.0, rng.integers(0, 4, size=(k, m))
+    arch, kwargs = ModelArch(), _TRAINER_CASES[case]
+    if case.startswith("gd"):
+        train, reference, steps = mlp.train_gd, reference_train_gd, (12,)
+    else:
+        train, reference, steps = mlp.train_sgld, reference_train_sgld, (8, 4)
+    with np.errstate(all="ignore"):
+        got = train(X, y, arch, *steps, rng=[derive_rng(9, j) for j in range(k)], **kwargs)
+        want = [reference(X[j], y[j], arch, *steps, rng=derive_rng(9, j), **kwargs)
+                for j in range(k)]
+    for j, (model, ref) in enumerate(zip(got, want)):
+        assert _same_model(model, ref), f"model {j}"
+    finite = [model.all_finite() for model in got]
+    assert not any(finite) if case.endswith("diverging") else all(finite)
+
+
 # ------------------------------------------------------------------ kernels
 
 
@@ -124,14 +164,18 @@ def test_stacked_backprop_equals_per_network_reference(k, m):
     targets = np.eye(4)[y]
     stack = mlp._stack(nets)
     sample_major = np.ascontiguousarray(X.transpose(1, 0, 2))
+    step = mlp._Pass(
+        stack,
+        sample_major,
+        mlp.Workspace().take(stack, m * k),
+        np.ascontiguousarray(targets.transpose(1, 0, 2)),
+    )
     with np.errstate(all="ignore"):
-        _, probs = mlp._forward(stack, sample_major, mlp.Workspace().take(stack, m * k))
-        g = mlp._grad_canonical(
-            stack,
-            sample_major,
-            np.ascontiguousarray(targets.transpose(1, 0, 2)),
-            mlp.Workspace().take(stack, m * k),
-        )
+        probs = step.forward().copy()
+        step.backward()
+        g = step.gradient
+        # The pass runs again from the weights, not from its overwritten buffers.
+        assert np.array_equal(step.forward(), probs, equal_nan=True)
         for j, net in enumerate(nets):
             assert np.array_equal(probs[:, j], reference_forward(net, X[j])[1], equal_nan=True)
             assert weights_equal(g.unstack()[j], reference_grad(net, X[j], targets[j])), j
