@@ -261,7 +261,7 @@ class _MassPredictor:
         self._workspace = mlp.Workspace() if workspace is None else workspace
 
     def predict_mask(self, x) -> np.ndarray:
-        probs = mlp.predictive_batch(self.model, mlp.features(x), self._workspace)
+        probs = mlp.predictive_stack([self.model], mlp.features(x), self._workspace)[:, 0]
         return naive_mask(probs, self.alpha)
 
 

@@ -16,7 +16,6 @@ bit-identical to running the networks one at a time.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -66,54 +65,25 @@ class Weights:
     ws: list[np.ndarray]
     bs: list[np.ndarray]
 
-    def copy(self) -> "Weights":
-        return Weights([w.copy() for w in self.ws], [b.copy() for b in self.bs])
-
     def all_finite(self) -> bool:
         return all(np.isfinite(a).all() for a in self.ws) and all(
             np.isfinite(a).all() for a in self.bs
         )
 
-    def unstack(self) -> list["Weights"]:
-        """One model per index of the leading axis (views, not copies)."""
-        return [
-            Weights([w[j] for w in self.ws], [b[j] for b in self.bs])
-            for j in range(len(self.ws[0]))
-        ]
 
-
-def _stack(models: list[Weights]) -> Weights:
-    return Weights(
-        [np.stack(ws) for ws in zip(*(m.ws for m in models))],
-        [np.stack(bs) for bs in zip(*(m.bs for m in models))],
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class Ensemble:
-    """Bag of sampled weight vectors sharing one architecture."""
+    """Sampled networks of one architecture as one stack, member axis first;
+    the predictive averages the members' outputs."""
 
-    members: list[Weights]
+    stacked: Weights
 
     def __post_init__(self) -> None:
-        if not self.members:
+        if not len(self.stacked.ws[0]):
             raise ValueError("ensemble needs at least one member")
-
-    @classmethod
-    def of_stack(cls, stacked: Weights) -> "Ensemble":
-        """Ensemble whose members are the networks of ``stacked`` (as views)."""
-        ensemble = cls(stacked.unstack())
-        ensemble.__dict__["stacked"] = stacked
-        return ensemble
 
     def all_finite(self) -> bool:
         return self.stacked.all_finite()
-
-    @functools.cached_property
-    def stacked(self) -> Weights:
-        """The members as one stack, member axis first (built on first use;
-        members are not meant to change after that)."""
-        return _stack(self.members)
 
 
 def _networks(model: Weights | Ensemble) -> Weights:
@@ -177,11 +147,12 @@ def init_weights(arch: ModelArch, rng: np.random.Generator) -> Weights:
 class Workspace:
     """One flat output buffer per layer, reused by every pass of its owner.
 
-    A trainer keeps one for all its steps, a predictor for calibration and
-    every ``predict_mask`` call.  A fresh array larger than the allocator's
-    mmap threshold (128 KB) page-faults on every page it is written to (at
-    K=20, m=59 that was ~40% of a training step), so the buffers grow when a
-    pass needs more rows than they hold and never shrink.
+    A trainer keeps one for all its steps; a block of frames shares one for
+    the calibration and every ``predict_mask`` call of all its frames.  A
+    fresh array larger than the allocator's mmap threshold (128 KB)
+    page-faults on every page it is written to (at K=20, m=59 that was ~40%
+    of a training step), so the buffers grow when a pass needs more rows than
+    they hold and never shrink.
     """
 
     def __init__(self) -> None:
@@ -297,24 +268,30 @@ class _Pass:
             call(*args, out=out)
 
 
+def _one_dataset(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``_canonical`` for exactly one (n, d) dataset."""
+    X, y = _canonical(X, y)
+    if X.ndim != 2:
+        raise ValueError("expected one (n, d) dataset")
+    return X, y
+
+
 def nll_loss(w: Weights, X, y) -> float:
     """Mean negative log probability of the true labels."""
-    X, y = _canonical(X, y)
-    p = predictive_batch(w, X)[np.arange(len(y)), y]
+    X, y = _one_dataset(X, y)
+    p = predictive_stack([w], X)[np.arange(len(y)), 0, y]
     return float(np.mean(-np.log(np.maximum(p, PROB_FLOOR))))
 
 
 def grad(w: Weights, X, y) -> Weights:
     """Weights-shaped gradient of ``nll_loss`` at ``w``."""
-    X, y = _canonical(X, y)
-    if X.ndim != 2:
-        raise ValueError("expected one (n, d) dataset")
+    X, y = _one_dataset(X, y)
     net = _networks(w)
     targets = _one_hot(y[:, None], w.bs[-1].size)
     step = _Pass(net, X[:, None, :], Workspace().take(net, len(X)), targets)
     step.forward()
     step.backward()
-    return step.gradient.unstack()[0]
+    return _unflat(step.grad[0], [(a.shape[-1], a.shape[-2]) for a in w.ws])
 
 
 def _one_hot(y: np.ndarray, n_labels: int) -> np.ndarray:
@@ -342,11 +319,10 @@ def _unflat(params: np.ndarray, dims: list[tuple[int, int]]) -> Weights:
 
 def _training_stack(X, y, arch: ModelArch, rng):
     """The initial parameters of a training stack as one flat ``(K,
-    n_params)`` array, its weights as views into that array, the stack's
-    training pass over canonical sample-major ``(m, K, d)`` data, the
-    generators, and whether a single dataset (a stack of one) came in.
-    Updates run on the flat array, one elementwise operation per step for
-    all parameters."""
+    n_params)`` array, the stack's training pass over canonical sample-major
+    ``(m, K, d)`` data, the generators, and whether a single dataset (a stack
+    of one) came in.  Updates run on the flat array, one elementwise
+    operation per step for all parameters; fitted models are views of it."""
     X, y = _canonical(X, y)
     single = X.ndim == 2
     if single:
@@ -363,7 +339,7 @@ def _training_stack(X, y, arch: ModelArch, rng):
             stacked[j] = own
     X = np.ascontiguousarray(X.transpose(1, 0, 2))
     work = Workspace().take(w, X.shape[0] * X.shape[1])
-    return params, w, _Pass(w, X, work, _one_hot(y.T, arch.output_dim)), rngs, single
+    return params, _Pass(w, X, work, _one_hot(y.T, arch.output_dim)), rngs, single
 
 
 def train_gd(
@@ -380,14 +356,14 @@ def train_gd(
     One (n, d) dataset and one generator give one ``Weights``; a (K, n, d)
     stack and K generators give a list of K, trained together.
     """
-    params, w, step, _, single = _training_stack(X, y, arch, rng)
+    params, step, _, single = _training_stack(X, y, arch, rng)
     g = step.grad
     for _ in range(steps):
         step.forward()
         step.backward()
         g *= lr
         params -= g
-    models = w.unstack()
+    models = [_unflat(p, arch.dims()) for p in params]
     return models[0] if single else models
 
 
@@ -426,7 +402,7 @@ def train_sgld(
     """
     if burn_in < 0 or ensemble_size < 1:
         raise ValueError("need burn_in >= 0 and ensemble_size >= 1")
-    params, _, step, rngs, single = _training_stack(X, y, arch, rng)
+    params, step, rngs, single = _training_stack(X, y, arch, rng)
     eps = lr / step.rows
     root_eps = math.sqrt(eps)
     # -eps/2 * (n * grad_mean) is taken as -lr/2 * grad_mean so the degenerate
@@ -452,7 +428,7 @@ def train_sgld(
         params += g
         if i >= burn_in:
             kept[:, i - burn_in] = params
-    models = [Ensemble.of_stack(_unflat(members, arch.dims())) for members in kept]
+    models = [Ensemble(_unflat(members, arch.dims())) for members in kept]
     return models[0] if single else models
 
 
@@ -510,13 +486,6 @@ def predictive_stack(
                 model = (start + pos) // size
                 total[:, model : model + column.shape[1]] += column
     return np.divide(total, size, out=total)
-
-
-def predictive_batch(
-    model: Weights | Ensemble, X: np.ndarray, workspace: Workspace | None = None
-) -> np.ndarray:
-    """Predictive class probabilities; ensembles average member outputs."""
-    return predictive_stack([model], X, workspace)[:, 0]
 
 
 # Learners share one entry point, ``fit(X, y, rng)``.  One (n, d) dataset with

@@ -64,6 +64,27 @@ def max_rel_grad_error(analytic: Weights, numeric: Weights) -> float:
     return worst
 
 
+def copy_weights(w: Weights) -> Weights:
+    """A copy of every weight and bias array."""
+    return Weights([a.copy() for a in w.ws], [b.copy() for b in w.bs])
+
+
+def stack(nets: list[Weights]) -> Weights:
+    """Networks as one stack (copies), network axis first."""
+    return Weights(
+        [np.stack(ws) for ws in zip(*(net.ws for net in nets))],
+        [np.stack(bs) for bs in zip(*(net.bs for net in nets))],
+    )
+
+
+def networks(stacked: Weights) -> list[Weights]:
+    """One network per index of a stack's leading axis (views)."""
+    return [
+        Weights([w[j] for w in stacked.ws], [b[j] for b in stacked.bs])
+        for j in range(len(stacked.ws[0]))
+    ]
+
+
 def weights_equal(a: Weights, b: Weights) -> bool:
     """Bit-exact equality of two weight sets (NaN equals NaN in the same place)."""
     return all(
@@ -155,14 +176,14 @@ def reference_train_sgld(
             offset += p.size
             p += move + root_eps * (noise_scale * part)
         if step >= burn_in:
-            members.append(w.copy())
-    return Ensemble(members)
+            members.append(copy_weights(w))
+    return Ensemble(stack(members))
 
 
 def reference_predictive(model, X) -> np.ndarray:
     """Predictive of one model, one member network at a time."""
     if isinstance(model, Ensemble):
-        return np.mean([reference_forward(m, X)[1] for m in model.members], axis=0)
+        return np.mean([reference_forward(m, X)[1] for m in networks(model.stacked)], axis=0)
     return reference_forward(model, X)[1]
 
 

@@ -21,7 +21,7 @@ from cpdemod.conformal import (
     quantile_index,
     rank_threshold,
 )
-from cpdemod.mlp import Ensemble, GDLearner, ModelArch, Weights, features, predictive_batch
+from cpdemod.mlp import Ensemble, GDLearner, ModelArch, Weights, features, predictive_stack
 from helpers import certain_weights, zero_weights
 
 SNR_5DB = 10.0 ** 0.5
@@ -171,7 +171,7 @@ def test_naive_set_tie_prefers_smaller_label():
 
 
 def test_naive_set_certain_model_is_singleton():
-    probs = predictive_batch(certain_weights(ModelArch(), 1), features(1j))
+    probs = predictive_stack([certain_weights(ModelArch(), 1)], features(1j))[:, 0]
     assert np.array_equal(np.flatnonzero(naive_mask(probs, 0.1)[0]), [1])
 
 
@@ -498,7 +498,7 @@ def test_naive_predictor_uses_one_model_on_all_pilots():
     learner = _quick_learner()
     pred = NaiveSetPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, seed=29)
     x = 0.2 + 0.2j
-    direct = naive_mask(predictive_batch(pred.model, features(x)), 0.1)
+    direct = naive_mask(predictive_stack([pred.model], features(x))[:, 0], 0.1)
     assert np.array_equal(pred.predict_mask([x]), direct)
     assert isinstance(pred.model, type(learner.fit(
         np.zeros((2, 2)), np.array([0, 1]), np.random.default_rng(0)

@@ -14,20 +14,24 @@ from cpdemod.mlp import (
     GDLearner,
     ModelArch,
     SGLDLearner,
+    Weights,
     canonical_order,
     features,
     grad,
     init_weights,
     nll_loss,
-    predictive_batch,
+    predictive_stack,
     train_gd,
     train_sgld,
 )
 from helpers import (
     certain_weights,
+    copy_weights,
     finite_difference_grad,
     max_rel_grad_error,
+    networks,
     reference_forward,
+    stack,
     weights_equal,
     zero_weights,
 )
@@ -73,7 +77,7 @@ def test_init_weights_first_layer_variance():
 
 def test_forward_zero_weights_is_uniform():
     w = zero_weights(ModelArch())
-    assert np.array_equal(predictive_batch(w, features(0.3 - 0.7j))[0], np.full(4, 0.25))
+    assert np.array_equal(predictive_stack([w], features(0.3 - 0.7j))[0, 0], np.full(4, 0.25))
 
 
 @settings(max_examples=50, deadline=None)
@@ -83,7 +87,7 @@ def test_forward_rows_sum_to_one(seed):
     w = init_weights(ModelArch(), rng)
     for layer in w.ws:
         layer *= rng.uniform(0.1, 5.0)
-    probs = predictive_batch(w, rng.normal(size=(5, 2)))
+    probs = predictive_stack([w], rng.normal(size=(5, 2)))[:, 0]
     assert probs.shape == (5, 4)
     assert np.all(probs >= 0.0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -93,16 +97,16 @@ def test_forward_logit_shift_invariance():
     rng = np.random.default_rng(2)
     w = init_weights(ModelArch(), rng)
     X = features(0.5 + 0.25j)
-    base = predictive_batch(w, X)[0]
+    base = predictive_stack([w], X)[0, 0]
     w.bs[-1] += 17.5  # same constant on every logit
-    np.testing.assert_allclose(predictive_batch(w, X)[0], base, atol=1e-12)
+    np.testing.assert_allclose(predictive_stack([w], X)[0, 0], base, atol=1e-12)
 
 
 def test_one_label_head_is_certain_and_has_zero_gradient():
     arch = ModelArch(output_dim=1)
     w = init_weights(arch, np.random.default_rng(6))
     X, y = _toy_data(seed=6, n_labels=1)
-    assert np.array_equal(predictive_batch(w, X), np.ones((len(X), 1)))
+    assert np.array_equal(predictive_stack([w], X)[:, 0], np.ones((len(X), 1)))
     assert weights_equal(grad(w, X, y), zero_weights(arch))
 
 
@@ -116,6 +120,15 @@ def test_nll_single_point_even_odds():
     arch = ModelArch(output_dim=2)
     loss = nll_loss(zero_weights(arch), np.array([[0.4, -1.2]]), np.array([1]))
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 2), (2, 5, 2)])
+@pytest.mark.parametrize("fn", [nll_loss, grad], ids=["nll_loss", "grad"])
+def test_loss_and_grad_reject_a_stack_of_datasets(fn, shape):
+    rng = np.random.default_rng(34)
+    X, y = rng.normal(size=shape), rng.integers(0, 4, size=shape[:-1])
+    with pytest.raises(ValueError, match=r"one \(n, d\) dataset"):
+        fn(zero_weights(ModelArch()), X, y)
 
 
 def test_nll_permutation_bit_identical():
@@ -162,7 +175,7 @@ def test_grad_vanishes_after_convergence_on_one_point():
         )
         if norm < 1e-6:
             break
-        trial = w.copy()
+        trial = copy_weights(w)
         for i in range(len(trial.ws)):
             trial.ws[i] -= lr * g.ws[i]
             trial.bs[i] -= lr * g.bs[i]
@@ -197,15 +210,15 @@ def test_train_gd_fits_separable_clusters():
     y = np.array([0] * 10 + [1] * 10)
     arch = ModelArch(output_dim=2)
     w = train_gd(X, y, arch, rng=np.random.default_rng(16))
-    assert np.array_equal(predictive_batch(w, X).argmax(axis=1), y)
+    assert np.array_equal(predictive_stack([w], X)[:, 0].argmax(axis=1), y)
 
 
 def test_train_sgld_member_count():
     X, y = _toy_data(seed=17)
     ens = train_sgld(X, y, ModelArch(), rng=np.random.default_rng(18))
-    assert len(ens.members) == 20
+    assert len(networks(ens.stacked)) == 20
     ens = train_sgld(X, y, ModelArch(), burn_in=3, ensemble_size=7, rng=np.random.default_rng(18))
-    assert len(ens.members) == 7
+    assert len(networks(ens.stacked)) == 7
 
 
 def test_train_sgld_permutation_bit_identical():
@@ -213,7 +226,9 @@ def test_train_sgld_permutation_bit_identical():
     perm = np.random.default_rng(20).permutation(9)
     a = train_sgld(X, y, ModelArch(), burn_in=5, ensemble_size=3, rng=np.random.default_rng(21))
     b = train_sgld(X[perm], y[perm], ModelArch(), burn_in=5, ensemble_size=3, rng=np.random.default_rng(21))
-    assert all(weights_equal(ma, mb) for ma, mb in zip(a.members, b.members))
+    assert all(
+        weights_equal(ma, mb) for ma, mb in zip(networks(a.stacked), networks(b.stacked))
+    )
 
 
 def test_train_sgld_degenerate_is_half_rate_gd():
@@ -225,7 +240,7 @@ def test_train_sgld_degenerate_is_half_rate_gd():
         X, y, arch, burn_in=0, ensemble_size=6, lr=0.4,
         rng=np.random.default_rng(23), prior_sigma=None, noise_scale=0.0,
     )
-    for step, member in enumerate(ens.members, start=1):
+    for step, member in enumerate(networks(ens.stacked), start=1):
         ref = train_gd(X, y, arch, steps=step, lr=0.2, rng=np.random.default_rng(23))
         assert weights_equal(member, ref), f"diverged at step {step}"
 
@@ -236,10 +251,10 @@ def test_trainers_stay_finite_at_working_scale():
     w = train_gd(X, frame.pilot_y, ModelArch(), rng=np.random.default_rng(25))
     assert w.all_finite()
     ens = train_sgld(X, frame.pilot_y, ModelArch(), rng=np.random.default_rng(26))
-    assert all(m.all_finite() for m in ens.members)
+    assert all(m.all_finite() for m in networks(ens.stacked))
     # Langevin iterates should hover at a moderate scale, not blow up.
     largest = max(
-        float(np.abs(a).max()) for m in ens.members for a in list(m.ws) + list(m.bs)
+        float(np.abs(a).max()) for m in networks(ens.stacked) for a in list(m.ws) + list(m.bs)
     )
     assert largest < 50.0
 
@@ -247,29 +262,39 @@ def test_trainers_stay_finite_at_working_scale():
 def test_predictive_single_member_matches_forward():
     w = init_weights(ModelArch(), np.random.default_rng(27))
     X = features(-0.2 + 0.9j)
-    assert np.array_equal(predictive_batch(Ensemble([w]), X)[0], reference_forward(w, X)[1][0])
+    probs = predictive_stack([Ensemble(stack([w]))], X)[0, 0]
+    assert np.array_equal(probs, reference_forward(w, X)[1][0])
 
 
 def test_predictive_identical_members_average_to_member():
     w = init_weights(ModelArch(), np.random.default_rng(28))
     X = features(0.6 - 0.1j)
     np.testing.assert_allclose(
-        predictive_batch(Ensemble([w.copy(), w.copy(), w.copy()]), X)[0],
-        predictive_batch(w, X)[0],
+        predictive_stack([Ensemble(stack([w, w, w]))], X)[0, 0],
+        predictive_stack([w], X)[0, 0],
         atol=1e-15,
     )
 
 
 def test_predictive_averages_one_hot_members():
     arch = ModelArch()
-    ens = Ensemble([certain_weights(arch, 0), certain_weights(arch, 1)])
-    probs = predictive_batch(ens, features(1.0 + 1.0j))[0]
+    ens = Ensemble(stack([certain_weights(arch, 0), certain_weights(arch, 1)]))
+    probs = predictive_stack([ens], features(1.0 + 1.0j))[0, 0]
     assert np.array_equal(probs, np.array([0.5, 0.5, 0.0, 0.0]))
 
 
 def test_ensemble_rejects_empty_member_list():
+    one = stack([zero_weights(ModelArch())])
     with pytest.raises(ValueError):
-        Ensemble([])
+        Ensemble(Weights([a[:0] for a in one.ws], [b[:0] for b in one.bs]))
+
+
+def test_predictive_stack_rejects_unequal_member_counts():
+    # A GD model is one network; an SGLD ensemble here holds three.
+    arch = ModelArch()
+    ens = Ensemble(stack([zero_weights(arch)] * 3))
+    with pytest.raises(ValueError, match="models scored together need equal member counts"):
+        predictive_stack([zero_weights(arch), ens], features(0.5j))
 
 
 def test_features_stacks_real_imag():
@@ -303,4 +328,6 @@ def test_learners_wrap_trainers():
     assert weights_equal(w, train_gd(X, y, arch, rng=np.random.default_rng(32)))
     ens = SGLDLearner(arch, burn_in=2, ensemble_size=3).fit(X, y, np.random.default_rng(33))
     ref = train_sgld(X, y, arch, burn_in=2, ensemble_size=3, rng=np.random.default_rng(33))
-    assert all(weights_equal(a, b) for a, b in zip(ens.members, ref.members))
+    assert all(
+        weights_equal(a, b) for a, b in zip(networks(ens.stacked), networks(ref.stacked))
+    )

@@ -15,11 +15,13 @@ from cpdemod.conformal import CrossValConformalPredictor, SplitConformalPredicto
 from cpdemod.mlp import Ensemble, GDLearner, ModelArch, SGLDLearner, features, init_weights
 from cpdemod.seeding import derive_rng
 from helpers import (
+    networks,
     reference_forward,
     reference_grad,
     reference_predictive,
     reference_train_gd,
     reference_train_sgld,
+    stack,
     weights_equal,
 )
 
@@ -37,9 +39,8 @@ def _pilots(n, seed):
 
 def _same_model(a, b) -> bool:
     if isinstance(a, Ensemble):
-        return len(a.members) == len(b.members) and all(
-            weights_equal(x, y) for x, y in zip(a.members, b.members)
-        )
+        a, b = networks(a.stacked), networks(b.stacked)
+        return len(a) == len(b) and all(weights_equal(x, y) for x, y in zip(a, b))
     return weights_equal(a, b)
 
 
@@ -162,12 +163,12 @@ def test_stacked_backprop_equals_per_network_reference(k, m):
     nets = _random_networks(rng, k)
     X, y = mlp._canonical(rng.normal(size=(k, m, 2)) * 2.0, rng.integers(0, 4, size=(k, m)))
     targets = np.eye(4)[y]
-    stack = mlp._stack(nets)
+    stacked = stack(nets)
     sample_major = np.ascontiguousarray(X.transpose(1, 0, 2))
     step = mlp._Pass(
-        stack,
+        stacked,
         sample_major,
-        mlp.Workspace().take(stack, m * k),
+        mlp.Workspace().take(stacked, m * k),
         np.ascontiguousarray(targets.transpose(1, 0, 2)),
     )
     with np.errstate(all="ignore"):
@@ -178,7 +179,7 @@ def test_stacked_backprop_equals_per_network_reference(k, m):
         assert np.array_equal(step.forward(), probs, equal_nan=True)
         for j, net in enumerate(nets):
             assert np.array_equal(probs[:, j], reference_forward(net, X[j])[1], equal_nan=True)
-            assert weights_equal(g.unstack()[j], reference_grad(net, X[j], targets[j])), j
+            assert weights_equal(networks(g)[j], reference_grad(net, X[j], targets[j])), j
     if k > 2:
         assert np.isnan(probs).any() and not np.isnan(probs).all()
 
@@ -199,7 +200,7 @@ def test_stacked_predictive_equals_per_model_reference(
     if members == 1:
         models = nets
     else:
-        models = [Ensemble(nets[j * members : (j + 1) * members]) for j in range(k)]
+        models = [Ensemble(stack(nets[j * members : (j + 1) * members])) for j in range(k)]
     X = rng.normal(size=(n, k, 2)) if per_model_rows else rng.normal(size=(n, 2))
     with np.errstate(all="ignore"):
         got = mlp.predictive_stack(models, X)
