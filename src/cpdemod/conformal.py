@@ -88,11 +88,11 @@ def empirical_quantile(scores, alpha: float) -> float:
     return float(np.sort(arr)[k - 1])
 
 
-def _scores(models, X, workspace: mlp.Workspace | None = None) -> np.ndarray:
+def _scores(models, X) -> np.ndarray:
     """``(n, K, labels)`` log loss of every label under each of K models;
     ``X`` is ``(n, d)`` rows for every model or ``(n, K, d)`` rows per model,
     as for ``mlp.predictive_stack``."""
-    p = mlp.predictive_stack(models, X, workspace)
+    p = mlp.predictive_stack(models, X)
     return -np.log(np.maximum(p, mlp.PROB_FLOOR))
 
 
@@ -243,25 +243,24 @@ def fit_plans(learner, plans) -> list[list]:
     return [models[end - len(p.train) : end] for p, end in zip(plans, ends)]
 
 
-def calibrate(plan: FoldPlan, models, alpha: float, workspace: mlp.Workspace | None = None):
+def calibrate(plan: FoldPlan, models, alpha: float):
     """The set predictor of a plan's fitted models: the mass rule when the
-    plan holds nothing out, the rank-count rule otherwise.  Calibration and
-    every ``predict_mask`` score in ``workspace`` (a fresh one by default)."""
+    plan holds nothing out, the rank-count rule otherwise.  The rank-count
+    predictor scores its held-out folds here, once."""
     if plan.folds.size:
-        return _FoldPlanPredictor(plan, models, alpha, workspace)
-    return _MassPredictor(plan, models, alpha, workspace)
+        return _FoldPlanPredictor(plan, models, alpha)
+    return _MassPredictor(plan, models, alpha)
 
 
 class _MassPredictor:
     """Probability-mass sets (``naive_mask``) from a plan's one model."""
 
-    def __init__(self, plan: FoldPlan, models, alpha: float, workspace=None):
+    def __init__(self, plan: FoldPlan, models, alpha: float):
         self.alpha = _check_alpha(alpha)
         (self.model,) = models
-        self._workspace = mlp.Workspace() if workspace is None else workspace
 
     def predict_mask(self, x) -> np.ndarray:
-        probs = mlp.predictive_stack([self.model], mlp.features(x), self._workspace)[:, 0]
+        probs = mlp.predictive_stack([self.model], mlp.features(x))[:, 0]
         return naive_mask(probs, self.alpha)
 
 
@@ -282,15 +281,14 @@ class _FoldPlanPredictor:
     of 0 admits every label, whatever the scores are.
     """
 
-    def __init__(self, plan: FoldPlan, models, alpha: float, workspace=None):
+    def __init__(self, plan: FoldPlan, models, alpha: float):
         self.alpha = _check_alpha(alpha)
         self.folds = list(plan.folds)
         self.models = list(models)
-        self._workspace = mlp.Workspace() if workspace is None else workspace
         # Every fold has the same size, so the models score their folds as
         # one stack: (fold size, K, d) rows.
         held = plan.folds
-        scores = _scores(self.models, plan.feats[held].transpose(1, 0, 2), self._workspace)
+        scores = _scores(self.models, plan.feats[held].transpose(1, 0, 2))
         true = np.take_along_axis(scores, plan.y[held].T[:, :, None], axis=-1)[..., 0]
         self.fold_scores = list(true.T)
         self.threshold_count = rank_threshold(held.size, self.alpha)
@@ -301,7 +299,7 @@ class _FoldPlanPredictor:
         return np.concatenate(self.fold_scores)
 
     def predict_mask(self, x) -> np.ndarray:
-        scores = _scores(self.models, mlp.features(x), self._workspace)
+        scores = _scores(self.models, mlp.features(x))
         return _rank_counts(scores.transpose(0, 2, 1), self.fold_scores) >= self.threshold_count
 
 

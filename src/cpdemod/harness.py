@@ -25,7 +25,7 @@ import numpy as np
 
 from . import conformal
 from .channel import Constellation, Frame, generate_frame, make_qpsk
-from .mlp import GDLearner, ModelArch, SGLDLearner, Workspace
+from .mlp import GDLearner, ModelArch, SGLDLearner
 from .seeding import derive_rng, hash64
 
 log = logging.getLogger(__name__)
@@ -181,11 +181,11 @@ def _simulate_block(
 
     Every frame is generated from its own seed and planned; then all models
     of the block train together (``conformal.fit_plans``), and each frame is
-    calibrated and scored in one workspace shared across the block.  A frame
-    whose generation, plan, calibration or scoring raises fails with a
-    ``RuntimeError`` naming it; a failed fit names every frame of the block.
-    A frame whose models hold non-finite weights (a diverged fit) logs a
-    warning naming it and is scored as it is.
+    calibrated and scored on its own.  A frame whose generation, plan,
+    calibration or scoring raises fails with a ``RuntimeError`` naming it; a
+    failed fit names every frame of the block.  A frame whose models hold
+    non-finite weights (a diverged fit) logs a warning naming it and is
+    scored as it is.
     """
     method, learner, n_pilots = cell
     constellation = make_constellation(config.constellation)
@@ -213,11 +213,10 @@ def _simulate_block(
                 diverged,
                 len(models),
             )
-    workspace = Workspace()
     masks = []
     for frame_index, frame, plan, models in zip(frame_indices, frames, plans, fitted):
         with _naming(cell, [frame_index]):
-            predictor = conformal.calibrate(plan, models, alpha, workspace)
+            predictor = conformal.calibrate(plan, models, alpha)
             masks.append(predictor.predict_mask(frame.test_x))
     return list(zip(frames, masks))
 

@@ -7,11 +7,11 @@ and trained weights are bit-identical under any permutation of the dataset.
 Networks run as stacks.  Stacked weights carry a leading network axis, and
 activations are laid out sample-major, ``(m, K, width)``: row ``i`` of network
 ``k`` sits at ``[i, k]``.  One planned pass (``_Pass``) serves training,
-calibration, payload scoring and the public ``grad``: its views are built once
-per fit or scoring pass, and a training step runs its forward and backward
-calls in place.  A single network is a stack of one.  Each network's matrix
-products see exactly the rows a lone call would give it, so every output is
-bit-identical to running the networks one at a time.
+calibration, payload scoring and the public ``grad``: each fit or scoring pass
+allocates its own buffers and builds its views once, and a training step runs
+its forward and backward calls in place.  A single network is a stack of one.
+Each network's matrix products see exactly the rows a lone call would give it,
+so every output is bit-identical to running the networks one at a time.
 """
 
 from __future__ import annotations
@@ -144,30 +144,6 @@ def init_weights(arch: ModelArch, rng: np.random.Generator) -> Weights:
     return Weights(ws, bs)
 
 
-class Workspace:
-    """One flat output buffer per layer, reused by every pass of its owner.
-
-    A trainer keeps one for all its steps; a block of frames shares one for
-    the calibration and every ``predict_mask`` call of all its frames.  A
-    fresh array larger than the allocator's mmap threshold (128 KB)
-    page-faults on every page it is written to (at K=20, m=59 that was ~40%
-    of a training step), so the buffers grow when a pass needs more rows than
-    they hold and never shrink.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: list[np.ndarray] = []
-
-    def take(self, w: Weights, rows: int) -> list[np.ndarray]:
-        """Buffers for passes of up to ``rows`` rows of the stack ``w``."""
-        need = [rows * b.shape[-1] for b in w.bs]
-        if len(need) != len(self._buffers) or any(
-            n > buf.size for n, buf in zip(need, self._buffers)
-        ):
-            self._buffers = [np.empty(n) for n in need]
-        return self._buffers
-
-
 def _fold(op, columns: list[np.ndarray], out: np.ndarray) -> list[tuple]:
     """Calls that fold the binary ufunc ``op`` over ``columns`` left to right
     into ``out``: the order and bits of ``functools.reduce(op, columns)``."""
@@ -182,13 +158,12 @@ class _Pass:
 
     ``w`` holds ``(K, fan_out, fan_in)`` weights and ``(K, fan_out)`` biases;
     ``X`` is ``(m, K, d)`` with network ``k``'s rows at ``X[:, k]`` (a
-    zero-stride K axis feeds every network the same rows); ``work`` is what
-    ``Workspace.take`` gives for at least ``m * K`` rows; ``targets`` is
+    zero-stride K axis feeds every network the same rows); ``targets`` is
     ``(m, K, labels)``, each dataset in canonical order.
 
-    Every view a pass uses is built here, once: the sample-major ``(m, K,
-    width)`` output of every layer at the front of its ``work`` buffer and its
-    ``(K, m, width)`` transpose, the transposed weights, the softmax's label
+    Every buffer and view a pass uses is built here, once: the sample-major
+    ``(m, K, width)`` output of every layer, a fresh array the pass owns, and
+    its ``(K, m, width)`` transpose, the transposed weights, the softmax's label
     columns with their max and sum, and for the backward pass the ReLU masks
     and the per-layer views of one flat ``(K, n_params)`` gradient ``grad``,
     laid out like the trainers' parameters (``w0, b0, w1, b1, ...``).  Running
@@ -207,12 +182,10 @@ class _Pass:
     binds nowhere a gradient step is useful).
     """
 
-    def __init__(
-        self, w: Weights, X: np.ndarray, work: list[np.ndarray], targets: np.ndarray | None = None
-    ) -> None:
+    def __init__(self, w: Weights, X: np.ndarray, targets: np.ndarray | None = None) -> None:
         m, k = X.shape[:2]
         self.rows = m
-        outs = [buf[: m * b.size].reshape(m, *b.shape) for b, buf in zip(w.bs, work)]
+        outs = [np.empty((m, *b.shape)) for b in w.bs]
         # The input of every layer: the rows, then each hidden ReLU output.
         acts = [X, *outs[:-1]]
         calls = []
@@ -288,7 +261,7 @@ def grad(w: Weights, X, y) -> Weights:
     X, y = _one_dataset(X, y)
     net = _networks(w)
     targets = _one_hot(y[:, None], w.bs[-1].size)
-    step = _Pass(net, X[:, None, :], Workspace().take(net, len(X)), targets)
+    step = _Pass(net, X[:, None, :], targets)
     step.forward()
     step.backward()
     return _unflat(step.grad[0], [(a.shape[-1], a.shape[-2]) for a in w.ws])
@@ -338,8 +311,7 @@ def _training_stack(X, y, arch: ModelArch, rng):
         for stacked, own in zip(w.ws + w.bs, init.ws + init.bs):
             stacked[j] = own
     X = np.ascontiguousarray(X.transpose(1, 0, 2))
-    work = Workspace().take(w, X.shape[0] * X.shape[1])
-    return params, _Pass(w, X, work, _one_hot(y.T, arch.output_dim)), rngs, single
+    return params, _Pass(w, X, _one_hot(y.T, arch.output_dim)), rngs, single
 
 
 def train_gd(
@@ -432,9 +404,7 @@ def train_sgld(
     return models[0] if single else models
 
 
-def predictive_stack(
-    models: Sequence[Weights | Ensemble], X, workspace: Workspace | None = None
-) -> np.ndarray:
+def predictive_stack(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
     """Predictive class probabilities of K models, ``(n, K, labels)``.
 
     ``X`` is one ``(n, d)`` matrix that every model scores, or a sample-major
@@ -443,11 +413,15 @@ def predictive_stack(
     all models (every member of every ensemble) run as stacked passes of at
     most ``MAX_PASS_BYTES`` each, and every network sees all ``n`` of its rows
     in one product, so each model's output has the bits it has when scored
-    alone.  The models need equal member counts.  The passes run in the
-    buffers of ``workspace`` when one is given, in fresh ones otherwise.
+    alone.  The models need equal member counts.
     """
     X = np.asarray(X, dtype=np.float64)
     stacks = [_networks(m) for m in models]
+    if X.ndim == 3 and X.shape[1] != len(stacks):
+        raise ValueError(
+            f"per-model rows (n, K, d) need one column per model, "
+            f"got {X.shape[1]} for {len(stacks)} models"
+        )
     size = len(stacks[0].ws[0])
     if any(len(s.ws[0]) != size for s in stacks):
         raise ValueError("models scored together need equal member counts")
@@ -457,9 +431,6 @@ def predictive_stack(
         n * sum(b.shape[-1] for b in shape.bs) + sum(a[0].size for a in shape.ws + shape.bs)
     )
     per_pass = max(1, MAX_PASS_BYTES // net_bytes)
-    if workspace is None:
-        workspace = Workspace()
-    work = workspace.take(shape, n * min(per_pass, n_nets))
     total = np.zeros((n, len(stacks), shape.bs[-1].shape[-1]))
     for start in range(0, n_nets, per_pass):
         stop = min(start + per_pass, n_nets)
@@ -477,7 +448,7 @@ def predictive_stack(
             rows = np.broadcast_to(X[:, None], (n, stop - start, X.shape[-1]))
         else:
             rows = X[:, np.arange(start, stop) // size]
-        probs = _Pass(w, rows, work).forward()
+        probs = _Pass(w, rows).forward()
         # Add member e of every model in the pass before member e + 1.
         for member in range(size):
             pos = (member - start) % size

@@ -297,6 +297,14 @@ def test_predictive_stack_rejects_unequal_member_counts():
         predictive_stack([zero_weights(arch), ens], features(0.5j))
 
 
+@pytest.mark.parametrize("columns", [1, 3])
+def test_predictive_stack_needs_one_row_column_per_model(columns):
+    arch = ModelArch()
+    rows = np.zeros((5, columns, arch.input_dim))
+    with pytest.raises(ValueError, match=f"one column per model, got {columns} for 2 models"):
+        predictive_stack([zero_weights(arch)] * 2, rows)
+
+
 def test_features_stacks_real_imag():
     assert np.array_equal(features(3.0 - 2.0j), np.array([[3.0, -2.0]]))
     out = features(np.array([1j, 2.0 + 0j]))

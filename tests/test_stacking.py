@@ -3,7 +3,8 @@
 Training: K models fitted in one call equal K single fits.  Kernels: the
 sample-major stacked forward and backward equal a plain per-network numpy
 reference, also when weights hold inf or NaN.  Scoring: stacked calibration
-scores and sets equal per-model scoring.
+scores and sets equal per-model scoring, and a predictor's sets do not depend
+on what it scored before.
 """
 
 import numpy as np
@@ -165,12 +166,7 @@ def test_stacked_backprop_equals_per_network_reference(k, m):
     targets = np.eye(4)[y]
     stacked = stack(nets)
     sample_major = np.ascontiguousarray(X.transpose(1, 0, 2))
-    step = mlp._Pass(
-        stacked,
-        sample_major,
-        mlp.Workspace().take(stacked, m * k),
-        np.ascontiguousarray(targets.transpose(1, 0, 2)),
-    )
+    step = mlp._Pass(stacked, sample_major, np.ascontiguousarray(targets.transpose(1, 0, 2)))
     with np.errstate(all="ignore"):
         probs = step.forward().copy()
         step.backward()
@@ -244,5 +240,24 @@ def test_stacked_scoring_equals_per_model_scoring(learner, plan, n_test):
     )
     want_mask = counts >= pred.threshold_count
     assert np.array_equal(pred.predict_mask(frame.test_x), want_mask)
-    # Again on fewer rows, in the predictor's workspace sized for the payload.
+    # Again on fewer rows.
     assert np.array_equal(pred.predict_mask(frame.test_x[:3]), want_mask[:3])
+
+
+@pytest.mark.parametrize("learner", sorted(LEARNERS))
+@pytest.mark.parametrize("plan", ["naive", *sorted(_PLANS)])
+def test_one_predictor_scores_payloads_of_any_size_in_turn(learner, plan):
+    # 2600 rows run one network per pass, 7 rows one pass for every network.
+    frame = generate_frame(10, 2600, SNR_5DB, make_qpsk(), np.random.default_rng(4))
+    payloads = [frame.test_x[:7], frame.test_x, frame.test_x[7:14]]
+
+    def predictor():
+        if plan == "naive":
+            return conformal.NaiveSetPredictor(
+                frame.pilot_x, frame.pilot_y, 0.2, LEARNERS[learner], seed=8
+            )
+        return _PLANS[plan](frame.pilot_x, frame.pilot_y, LEARNERS[learner])
+
+    pred = predictor()
+    for x in payloads:
+        assert np.array_equal(pred.predict_mask(x), predictor().predict_mask(x))
