@@ -36,8 +36,6 @@ from .mlp import (
     grad,
     init_weights,
     nll_loss,
-    train_gd,
-    train_sgld,
 )
 
 __version__ = "0.1.0"

@@ -18,10 +18,11 @@ and the seed, and the naive plan is one model with nothing held out.
 in shared stacks, so the frames of one experiment cell can train together.
 ``calibrate`` scores the held-out folds and returns the set predictor.
 
-The score of a candidate label is its log loss under the predictive, so lower
-means more conforming.  All randomness (splits, fold assignment, training
-initialisation) is derived from an explicit integer seed and the pilot
-multiset; pilot arrival order never changes any output.
+The score of a candidate label is its log loss under the predictive
+(``mlp.log_losses``), so lower means more conforming.  All randomness
+(splits, fold assignment, training initialisation) is derived from an
+explicit integer seed and the pilot multiset; pilot arrival order never
+changes any output.
 """
 
 from __future__ import annotations
@@ -86,14 +87,6 @@ def empirical_quantile(scores, alpha: float) -> float:
     if k > arr.size:
         return math.inf
     return float(np.sort(arr)[k - 1])
-
-
-def _scores(models, X) -> np.ndarray:
-    """``(n, K, labels)`` log loss of every label under each of K models;
-    ``X`` is ``(n, d)`` rows for every model or ``(n, K, d)`` rows per model,
-    as for ``mlp.predictive_stack``."""
-    p = mlp.predictive_stack(models, X)
-    return -np.log(np.maximum(p, mlp.PROB_FLOOR))
 
 
 def naive_mask(probs, alpha: float) -> np.ndarray:
@@ -288,7 +281,7 @@ class _FoldPlanPredictor:
         # Every fold has the same size, so the models score their folds as
         # one stack: (fold size, K, d) rows.
         held = plan.folds
-        scores = _scores(self.models, plan.feats[held].transpose(1, 0, 2))
+        scores = mlp.log_losses(self.models, plan.feats[held].transpose(1, 0, 2))
         true = np.take_along_axis(scores, plan.y[held].T[:, :, None], axis=-1)[..., 0]
         self.fold_scores = list(true.T)
         self.threshold_count = rank_threshold(held.size, self.alpha)
@@ -299,7 +292,7 @@ class _FoldPlanPredictor:
         return np.concatenate(self.fold_scores)
 
     def predict_mask(self, x) -> np.ndarray:
-        scores = _scores(self.models, mlp.features(x))
+        scores = mlp.log_losses(self.models, mlp.features(x))
         return _rank_counts(scores.transpose(0, 2, 1), self.fold_scores) >= self.threshold_count
 
 

@@ -358,6 +358,11 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        # mkstemp creates the file 0600; give it the mode any new file gets
+        # under the process umask, which can only be read by setting it.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp_path, path)

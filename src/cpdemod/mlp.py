@@ -4,6 +4,10 @@ Training is deterministic given an explicit generator, and every data-dependent
 computation first puts the samples into a canonical order, so losses, gradients
 and trained weights are bit-identical under any permutation of the dataset.
 
+Training has one API, the learners' ``fit``: ``GDLearner`` (gradient descent,
+one network) and ``SGLDLearner`` (Langevin dynamics, an ensemble of sampled
+networks).  Scoring has one conformity score, ``log_losses``.
+
 Networks run as stacks.  Stacked weights carry a leading network axis, and
 activations are laid out sample-major, ``(m, K, width)``: row ``i`` of network
 ``k`` sits at ``[i, k]``.  One planned pass (``_Pass``) serves training,
@@ -166,7 +170,7 @@ class _Pass:
     its ``(K, m, width)`` transpose, the transposed weights, the softmax's label
     columns with their max and sum, and for the backward pass the ReLU masks
     and the per-layer views of one flat ``(K, n_params)`` gradient ``grad``,
-    laid out like the trainers' parameters (``w0, b0, w1, b1, ...``).  Running
+    laid out like the learners' parameters (``w0, b0, w1, b1, ...``).  Running
     the pass is then a fixed list of numpy calls writing through ``out``: it
     allocates nothing, and sees any in-place change to the weights or rows.
 
@@ -252,8 +256,7 @@ def _one_dataset(X, y) -> tuple[np.ndarray, np.ndarray]:
 def nll_loss(w: Weights, X, y) -> float:
     """Mean negative log probability of the true labels."""
     X, y = _one_dataset(X, y)
-    p = predictive_stack([w], X)[np.arange(len(y)), 0, y]
-    return float(np.mean(-np.log(np.maximum(p, PROB_FLOOR))))
+    return float(np.mean(log_losses([w], X)[np.arange(len(y)), 0, y]))
 
 
 def grad(w: Weights, X, y) -> Weights:
@@ -314,96 +317,6 @@ def _training_stack(X, y, arch: ModelArch, rng):
     return params, _Pass(w, X, _one_hot(y.T, arch.output_dim)), rngs, single
 
 
-def train_gd(
-    X,
-    y,
-    arch: ModelArch,
-    steps: int = 120,
-    lr: float = 0.2,
-    *,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> Weights | list[Weights]:
-    """Full-batch gradient descent on the mean cross entropy.
-
-    One (n, d) dataset and one generator give one ``Weights``; a (K, n, d)
-    stack and K generators give a list of K, trained together.
-    """
-    params, step, _, single = _training_stack(X, y, arch, rng)
-    g = step.grad
-    for _ in range(steps):
-        step.forward()
-        step.backward()
-        g *= lr
-        params -= g
-    models = [_unflat(p, arch.dims()) for p in params]
-    return models[0] if single else models
-
-
-def train_sgld(
-    X,
-    y,
-    arch: ModelArch,
-    burn_in: int = 100,
-    ensemble_size: int = 20,
-    lr: float = 0.2,
-    *,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    prior_sigma: float | None = 10.0,
-    noise_scale: float = 1.0,
-) -> Ensemble | list[Ensemble]:
-    """Langevin dynamics over the weights; keeps the last iterates as members.
-
-    The target is the unnormalised posterior energy ``U(w) = n * mean loss +
-    |w|^2 / (2 * prior_sigma^2)``.  Each step moves ``-eps/2`` along the
-    gradient of ``U`` and injects ``sqrt(eps)`` Gaussian noise, with the
-    Langevin step size ``eps = lr / n``; dividing by the dataset size makes
-    the drift advance the mean loss at ``lr / 2`` regardless of ``n``, the
-    same scale the gradient-descent trainer moves at, and keeps the dynamics
-    stable at the default learning rate.
-
-    The injected noise stream depends only on ``rng``, never on the data: one
-    flat vector is drawn per step and consumed per parameter array (weights
-    then biases, layer by layer), even when ``noise_scale`` is zero, so
-    streams stay aligned.  ``prior_sigma=None`` disables the prior and
-    ``noise_scale=0.0`` silences the noise, which reduces a step to plain
-    gradient descent on the mean loss at half the learning rate (test hooks).
-
-    One (n, d) dataset and one generator give one ``Ensemble``; a (K, n, d)
-    stack and K generators give a list of K, sampled together, each model
-    drawing its noise from its own generator.
-    """
-    if burn_in < 0 or ensemble_size < 1:
-        raise ValueError("need burn_in >= 0 and ensemble_size >= 1")
-    params, step, rngs, single = _training_stack(X, y, arch, rng)
-    eps = lr / step.rows
-    root_eps = math.sqrt(eps)
-    # -eps/2 * (n * grad_mean) is taken as -lr/2 * grad_mean so the degenerate
-    # noise-free, prior-free run reproduces the plain trainer bit for bit.
-    half_lr = 0.5 * lr
-    prior_pull = 0.0 if prior_sigma is None else 0.5 * eps / (prior_sigma * prior_sigma)
-    g, pull, noise = step.grad, np.empty_like(params), np.empty_like(params)
-    # Kept iterates, (K, ensemble_size, n_params): model j's members are one
-    # contiguous stack, ready for stacked scoring.
-    kept = np.empty((len(params), ensemble_size, params.shape[1]))
-    for i in range(burn_in + ensemble_size):
-        step.forward()
-        step.backward()
-        g *= -half_lr
-        if prior_sigma is not None:
-            np.multiply(params, prior_pull, out=pull)
-            g -= pull
-        for row, r in zip(noise, rngs):
-            r.standard_normal(out=row)
-        noise *= noise_scale
-        noise *= root_eps
-        g += noise
-        params += g
-        if i >= burn_in:
-            kept[:, i - burn_in] = params
-    models = [Ensemble(_unflat(members, arch.dims())) for members in kept]
-    return models[0] if single else models
-
-
 def predictive_stack(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
     """Predictive class probabilities of K models, ``(n, K, labels)``.
 
@@ -459,6 +372,15 @@ def predictive_stack(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
     return np.divide(total, size, out=total)
 
 
+def log_losses(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
+    """``(n, K, labels)`` log loss of every label under each of K models,
+    ``-log(max(p, PROB_FLOOR))`` of the predictive; ``X`` as for
+    ``predictive_stack``.  It is the conformity score of the conformal sets
+    and, at the true labels, the training loss."""
+    p = predictive_stack(models, X)
+    return -np.log(np.maximum(p, PROB_FLOOR))
+
+
 # Learners share one entry point, ``fit(X, y, rng)``.  One (n, d) dataset with
 # n labels and one generator returns one model.  A (K, n, d) stack of
 # equal-size datasets with (K, n) labels and a sequence of K generators
@@ -469,19 +391,42 @@ def predictive_stack(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GDLearner:
-    """Point-estimate learner: gradient descent, one weight vector out."""
+    """Point-estimate learner: full-batch gradient descent on the mean cross
+    entropy, one weight vector out."""
 
     arch: ModelArch
     steps: int = 120
     lr: float = 0.2
 
     def fit(self, X, y, rng) -> Weights | list[Weights]:
-        return train_gd(X, y, self.arch, self.steps, self.lr, rng=rng)
+        params, step, _, single = _training_stack(X, y, self.arch, rng)
+        g = step.grad
+        for _ in range(self.steps):
+            step.forward()
+            step.backward()
+            g *= self.lr
+            params -= g
+        models = [_unflat(p, self.arch.dims()) for p in params]
+        return models[0] if single else models
 
 
 @dataclass(frozen=True)
 class SGLDLearner:
-    """Bayesian learner: Langevin sampling, an ensemble of weight vectors out."""
+    """Bayesian learner: Langevin dynamics over the weights, an ensemble of
+    the last ``ensemble_size`` iterates out.
+
+    The target is the unnormalised posterior energy ``U(w) = n * mean loss +
+    |w|^2 / (2 * prior_sigma^2)``.  Each step moves ``-eps/2`` along the
+    gradient of ``U`` and injects ``sqrt(eps)`` Gaussian noise, with the
+    Langevin step size ``eps = lr / n``; dividing by the dataset size makes
+    the drift advance the mean loss at ``lr / 2`` regardless of ``n``, the
+    same scale the gradient-descent learner moves at, and keeps the dynamics
+    stable at the default learning rate.
+
+    The injected noise stream depends only on the generator, never on the
+    data: one flat vector is drawn per step and consumed per parameter array
+    (weights then biases, layer by layer).
+    """
 
     arch: ModelArch
     burn_in: int = 100
@@ -490,13 +435,30 @@ class SGLDLearner:
     prior_sigma: float = 10.0
 
     def fit(self, X, y, rng) -> Ensemble | list[Ensemble]:
-        return train_sgld(
-            X,
-            y,
-            self.arch,
-            self.burn_in,
-            self.ensemble_size,
-            self.lr,
-            rng=rng,
-            prior_sigma=self.prior_sigma,
-        )
+        if self.burn_in < 0 or self.ensemble_size < 1:
+            raise ValueError("need burn_in >= 0 and ensemble_size >= 1")
+        params, step, rngs, single = _training_stack(X, y, self.arch, rng)
+        eps = self.lr / step.rows
+        root_eps = math.sqrt(eps)
+        # -eps/2 * (n * grad_mean) is taken as -lr/2 * grad_mean.
+        half_lr = 0.5 * self.lr
+        prior_pull = 0.5 * eps / (self.prior_sigma * self.prior_sigma)
+        g, pull, noise = step.grad, np.empty_like(params), np.empty_like(params)
+        # Kept iterates, (K, ensemble_size, n_params): model j's members are
+        # one contiguous stack, ready for stacked scoring.
+        kept = np.empty((len(params), self.ensemble_size, params.shape[1]))
+        for i in range(self.burn_in + self.ensemble_size):
+            step.forward()
+            step.backward()
+            g *= -half_lr
+            np.multiply(params, prior_pull, out=pull)
+            g -= pull
+            for row, r in zip(noise, rngs):
+                r.standard_normal(out=row)
+            noise *= root_eps
+            g += noise
+            params += g
+            if i >= self.burn_in:
+                kept[:, i - self.burn_in] = params
+        models = [Ensemble(_unflat(members, self.arch.dims())) for members in kept]
+        return models[0] if single else models

@@ -150,8 +150,7 @@ def reference_train_sgld(
     ensemble_size: int,
     lr: float,
     rng,
-    prior_sigma: float | None = 10.0,
-    noise_scale: float = 1.0,
+    prior_sigma: float = 10.0,
 ) -> Ensemble:
     """One network sampled by Langevin dynamics in plain numpy: per step
     ``reference_grad``, one ``standard_normal(n_params)`` draw consumed in the
@@ -169,12 +168,10 @@ def reference_train_sgld(
         noise = rng.standard_normal(sum(p.size for p in _parameters(w)))
         offset = 0
         for p, gp in zip(_parameters(w), _parameters(g)):
-            move = (-half_lr) * gp
-            if prior_sigma is not None:
-                move = move - (0.5 * eps / (prior_sigma * prior_sigma)) * p
+            move = (-half_lr) * gp - (0.5 * eps / (prior_sigma * prior_sigma)) * p
             part = noise[offset : offset + p.size].reshape(p.shape)
             offset += p.size
-            p += move + root_eps * (noise_scale * part)
+            p += move + root_eps * part
         if step >= burn_in:
             members.append(copy_weights(w))
     return Ensemble(stack(members))

@@ -14,14 +14,21 @@ from cpdemod.conformal import (
     CrossValConformalPredictor,
     NaiveSetPredictor,
     SplitConformalPredictor,
-    _scores,
     cv_membership,
     empirical_quantile,
     naive_mask,
     quantile_index,
     rank_threshold,
 )
-from cpdemod.mlp import Ensemble, GDLearner, ModelArch, Weights, features, predictive_stack
+from cpdemod.mlp import (
+    Ensemble,
+    GDLearner,
+    ModelArch,
+    Weights,
+    features,
+    log_losses,
+    predictive_stack,
+)
 from helpers import certain_weights, zero_weights
 
 SNR_5DB = 10.0 ** 0.5
@@ -132,7 +139,7 @@ def test_quantile_and_rank_rules_agree(n, seed, alpha):
 
 
 def test_nc_score_uniform_model():
-    assert _scores([zero_weights(ModelArch())], features(0.2 + 0.1j))[0, 0, 3] == (
+    assert log_losses([zero_weights(ModelArch())], features(0.2 + 0.1j))[0, 0, 3] == (
         pytest.approx(LOG4, abs=1e-12)
     )
 
@@ -140,7 +147,7 @@ def test_nc_score_uniform_model():
 def test_nc_score_certain_model():
     arch = ModelArch()
     sure = certain_weights(arch, 2)
-    scores = _scores([sure], features(0.5 - 0.5j))[0, 0]
+    scores = log_losses([sure], features(0.5 - 0.5j))[0, 0]
     assert scores[2] == 0.0
     # Wrong label under a certain model hits the probability floor.
     assert scores[0] == pytest.approx(27.631021115928547, abs=1e-9)
@@ -248,7 +255,7 @@ def test_split_mask_matches_rank_rule():
     xs = rng.normal(size=5) + 1j * rng.normal(size=5)
     masks = pred.predict_mask(xs)
     n_val = pred.val_scores.size
-    scores = _scores([pred.models[0]], features(xs))[:, 0]
+    scores = log_losses([pred.models[0]], features(xs))[:, 0]
     for i, row in enumerate(scores):
         table = np.repeat(row[:, None], n_val, axis=1)
         assert np.array_equal(masks[i], cv_membership(table, pred.val_scores, 0.1))

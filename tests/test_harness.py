@@ -3,6 +3,7 @@
 import logging
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -335,6 +336,18 @@ def test_write_dat_format(tmp_path):
         lines = handle.read().splitlines()
     assert lines[0] == "# " + CSV_HEADER.replace(",", " ")
     assert lines[1] == "naive frequentist 20 0.100000 0.500000 2.250000 5 1"
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_dat], ids=["csv", "dat"])
+def test_written_file_has_the_mode_of_a_new_file(tmp_path, writer):
+    records = [MetricsRecord("naive", "frequentist", 20, 0.1, 0.5, 2.25, 5, 1)]
+    path = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        writer(records, str(path))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 def test_writers_reject_empty_record_lists(tmp_path):

@@ -1,4 +1,4 @@
-"""Classifier internals: init, forward, loss, gradient, both trainers."""
+"""Classifier internals: init, forward, loss, gradient, both learners."""
 
 import math
 
@@ -21,8 +21,6 @@ from cpdemod.mlp import (
     init_weights,
     nll_loss,
     predictive_stack,
-    train_gd,
-    train_sgld,
 )
 from helpers import (
     certain_weights,
@@ -190,15 +188,15 @@ def test_grad_vanishes_after_convergence_on_one_point():
 def test_train_gd_does_not_increase_loss():
     X, y = _toy_data(seed=10, n=20)
     w0 = init_weights(ModelArch(), np.random.default_rng(11))
-    trained = train_gd(X, y, ModelArch(), rng=np.random.default_rng(11))
+    trained = GDLearner(ModelArch()).fit(X, y, np.random.default_rng(11))
     assert nll_loss(trained, X, y) <= nll_loss(w0, X, y)
 
 
 def test_train_gd_permutation_bit_identical():
     X, y = _toy_data(seed=12, n=15)
     perm = np.random.default_rng(13).permutation(15)
-    a = train_gd(X, y, ModelArch(), rng=np.random.default_rng(14))
-    b = train_gd(X[perm], y[perm], ModelArch(), rng=np.random.default_rng(14))
+    a = GDLearner(ModelArch()).fit(X, y, np.random.default_rng(14))
+    b = GDLearner(ModelArch()).fit(X[perm], y[perm], np.random.default_rng(14))
     assert weights_equal(a, b)
 
 
@@ -209,48 +207,36 @@ def test_train_gd_fits_separable_clusters():
     X = np.vstack([left, right])
     y = np.array([0] * 10 + [1] * 10)
     arch = ModelArch(output_dim=2)
-    w = train_gd(X, y, arch, rng=np.random.default_rng(16))
+    w = GDLearner(arch).fit(X, y, np.random.default_rng(16))
     assert np.array_equal(predictive_stack([w], X)[:, 0].argmax(axis=1), y)
 
 
 def test_train_sgld_member_count():
     X, y = _toy_data(seed=17)
-    ens = train_sgld(X, y, ModelArch(), rng=np.random.default_rng(18))
+    ens = SGLDLearner(ModelArch()).fit(X, y, np.random.default_rng(18))
     assert len(networks(ens.stacked)) == 20
-    ens = train_sgld(X, y, ModelArch(), burn_in=3, ensemble_size=7, rng=np.random.default_rng(18))
+    ens = SGLDLearner(ModelArch(), burn_in=3, ensemble_size=7).fit(X, y, np.random.default_rng(18))
     assert len(networks(ens.stacked)) == 7
 
 
 def test_train_sgld_permutation_bit_identical():
     X, y = _toy_data(seed=19, n=9)
     perm = np.random.default_rng(20).permutation(9)
-    a = train_sgld(X, y, ModelArch(), burn_in=5, ensemble_size=3, rng=np.random.default_rng(21))
-    b = train_sgld(X[perm], y[perm], ModelArch(), burn_in=5, ensemble_size=3, rng=np.random.default_rng(21))
+    a = SGLDLearner(ModelArch(), burn_in=5, ensemble_size=3).fit(X, y, np.random.default_rng(21))
+    b = SGLDLearner(ModelArch(), burn_in=5, ensemble_size=3).fit(
+        X[perm], y[perm], np.random.default_rng(21)
+    )
     assert all(
         weights_equal(ma, mb) for ma, mb in zip(networks(a.stacked), networks(b.stacked))
     )
 
 
-def test_train_sgld_degenerate_is_half_rate_gd():
-    # Zero noise and no prior turn a Langevin step into a gradient step on the
-    # mean loss at lr/2; every member must then match the GD trajectory.
-    X, y = _toy_data(seed=22, n=11)
-    arch = ModelArch()
-    ens = train_sgld(
-        X, y, arch, burn_in=0, ensemble_size=6, lr=0.4,
-        rng=np.random.default_rng(23), prior_sigma=None, noise_scale=0.0,
-    )
-    for step, member in enumerate(networks(ens.stacked), start=1):
-        ref = train_gd(X, y, arch, steps=step, lr=0.2, rng=np.random.default_rng(23))
-        assert weights_equal(member, ref), f"diverged at step {step}"
-
-
 def test_trainers_stay_finite_at_working_scale():
     frame = generate_frame(100, 1, SNR_5DB, make_qpsk(), np.random.default_rng(24))
     X = features(frame.pilot_x)
-    w = train_gd(X, frame.pilot_y, ModelArch(), rng=np.random.default_rng(25))
+    w = GDLearner(ModelArch()).fit(X, frame.pilot_y, np.random.default_rng(25))
     assert w.all_finite()
-    ens = train_sgld(X, frame.pilot_y, ModelArch(), rng=np.random.default_rng(26))
+    ens = SGLDLearner(ModelArch()).fit(X, frame.pilot_y, np.random.default_rng(26))
     assert all(m.all_finite() for m in networks(ens.stacked))
     # Langevin iterates should hover at a moderate scale, not blow up.
     largest = max(
@@ -327,15 +313,3 @@ def test_canonical_order_ignores_input_order():
     shuffled = canonical_order(X[perm], y[perm])
     assert np.array_equal(X[base], X[perm][shuffled])
     assert np.array_equal(y[base], y[perm][shuffled])
-
-
-def test_learners_wrap_trainers():
-    X, y = _toy_data(seed=31, n=10)
-    arch = ModelArch()
-    w = GDLearner(arch).fit(X, y, np.random.default_rng(32))
-    assert weights_equal(w, train_gd(X, y, arch, rng=np.random.default_rng(32)))
-    ens = SGLDLearner(arch, burn_in=2, ensemble_size=3).fit(X, y, np.random.default_rng(33))
-    ref = train_sgld(X, y, arch, burn_in=2, ensemble_size=3, rng=np.random.default_rng(33))
-    assert all(
-        weights_equal(a, b) for a, b in zip(networks(ens.stacked), networks(ref.stacked))
-    )

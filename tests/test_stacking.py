@@ -110,8 +110,6 @@ _TRAINER_CASES = {
     "gd": dict(lr=0.2),
     "gd-diverging": dict(lr=1e100),
     "sgld": dict(lr=0.2),
-    "sgld-no-prior": dict(lr=0.2, prior_sigma=None),
-    "sgld-no-noise": dict(lr=0.2, noise_scale=0.0),
     "sgld-diverging": dict(lr=1e100),
 }
 
@@ -126,11 +124,11 @@ def test_trainers_equal_per_network_reference(case, k, m):
     X, y = rng.normal(size=(k, m, 2)) * 2.0, rng.integers(0, 4, size=(k, m))
     arch, kwargs = ModelArch(), _TRAINER_CASES[case]
     if case.startswith("gd"):
-        train, reference, steps = mlp.train_gd, reference_train_gd, (12,)
+        learner, reference, steps = GDLearner, reference_train_gd, (12,)
     else:
-        train, reference, steps = mlp.train_sgld, reference_train_sgld, (8, 4)
+        learner, reference, steps = SGLDLearner, reference_train_sgld, (8, 4)
     with np.errstate(all="ignore"):
-        got = train(X, y, arch, *steps, rng=[derive_rng(9, j) for j in range(k)], **kwargs)
+        got = learner(arch, *steps, **kwargs).fit(X, y, [derive_rng(9, j) for j in range(k)])
         want = [reference(X[j], y[j], arch, *steps, rng=derive_rng(9, j), **kwargs)
                 for j in range(k)]
     for j, (model, ref) in enumerate(zip(got, want)):
