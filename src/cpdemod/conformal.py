@@ -16,7 +16,9 @@ each model and which pilots it scores; it is a pure function of the pilots
 and the seed, and the naive plan is one model with nothing held out.
 ``fit_plans`` fits the models of any number of plans of equal training size
 in shared stacks, so the frames of one experiment cell can train together.
-``calibrate`` scores the held-out folds and returns the set predictor.
+``calibrate`` scores the held-out folds and returns the set predictor.  A
+plan whose rank threshold is 0 is ``vacuous``: its sets are the full
+alphabet, so its models need not be fitted.
 
 The score of a candidate label is its log loss under the predictive
 (``mlp.log_losses``), so lower means more conforming.  All randomness
@@ -236,13 +238,40 @@ def fit_plans(learner, plans) -> list[list]:
     return [models[end - len(p.train) : end] for p, end in zip(plans, ends)]
 
 
-def calibrate(plan: FoldPlan, models, alpha: float):
-    """The set predictor of a plan's fitted models: the mass rule when the
-    plan holds nothing out, the rank-count rule otherwise.  The rank-count
-    predictor scores its held-out folds here, once."""
+def vacuous(plan: FoldPlan, alpha: float) -> bool:
+    """Whether a plan's sets are the full alphabet whatever its models say.
+
+    True when the plan holds pilots out and their rank threshold is 0
+    (fewer than ``1 / alpha - 1`` held-out pilots): no candidate score can
+    then fall short of the count, so fitting the plan's models decides
+    nothing.  The mass rule of a plan that holds nothing out is never
+    vacuous.
+    """
+    return bool(plan.folds.size) and rank_threshold(plan.folds.size, alpha) == 0
+
+
+def calibrate(plan: FoldPlan, models, alpha: float, n_labels: int):
+    """The set predictor of a plan's fitted models over ``n_labels`` labels:
+    the mass rule when the plan holds nothing out, the rank-count rule
+    otherwise.  The rank-count predictor scores its held-out folds here,
+    once.  A ``vacuous`` plan gets the full-set predictor and its models are
+    never read, so they need not be fitted (pass ``None``)."""
+    if vacuous(plan, alpha):
+        return _FullSetPredictor(n_labels)
     if plan.folds.size:
         return _FoldPlanPredictor(plan, models, alpha)
     return _MassPredictor(plan, models, alpha)
+
+
+class _FullSetPredictor:
+    """Every label for every payload sample: the sets of a vacuous plan."""
+
+    def __init__(self, n_labels: int):
+        self.n_labels = n_labels
+
+    def predict_mask(self, x) -> np.ndarray:
+        # The payload is still checked: a non-finite sample raises here too.
+        return np.ones((len(mlp.features(x)), self.n_labels), dtype=bool)
 
 
 class _MassPredictor:
@@ -303,7 +332,9 @@ class SplitConformalPredictor(_FoldPlanPredictor):
     with the calibrated quantile ``empirical_quantile(val_scores, alpha)``.
     With fewer than 9 held-out pilots at alpha = 0.1 the threshold count is 0
     and every set is the full alphabet; the guarantee is kept by refusing to
-    rule anything out.
+    rule anything out.  ``calibrate`` does not fit such a plan at all; this
+    class still fits its model, as the per-frame reference the fitting-free
+    path is checked against.
     """
 
     def __init__(

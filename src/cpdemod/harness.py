@@ -20,6 +20,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -167,11 +168,27 @@ def _describe(cell, frame_indices) -> str:
 
 @contextmanager
 def _naming(cell, frame_indices):
-    """Re-raise an error as a ``RuntimeError`` that names the frames it hit."""
+    """Name the frames of a cell in whatever goes wrong inside.
+
+    An error is re-raised as a ``RuntimeError`` that names the frames.  A
+    numpy floating-point error that would warn (overflow in a diverging fit,
+    say) is logged instead, each distinct message once, naming the frames;
+    error kinds the caller ignores or raises on stay as they are.
+    """
+    # numpy's "log" mode writes "Warning: <what> encountered in <ufunc>\n".
+    messages = {}
+    sink = SimpleNamespace(
+        write=lambda text: messages.setdefault(text.strip().removeprefix("Warning: "))
+    )
+    policy = {kind: "log" if mode == "warn" else mode for kind, mode in np.geterr().items()}
     try:
-        yield
+        with np.errstate(call=sink, **policy):
+            yield
     except Exception as exc:
         raise RuntimeError(f"{_describe(cell, frame_indices)} failed: {exc!r}") from exc
+    finally:
+        for message in messages:
+            log.warning("%s: %s", _describe(cell, frame_indices), message)
 
 
 def _simulate_block(
@@ -181,16 +198,19 @@ def _simulate_block(
 
     Every frame is generated from its own seed and planned; then all models
     of the block train together (``conformal.fit_plans``), and each frame is
-    calibrated and scored on its own.  A frame whose generation, plan,
-    calibration or scoring raises fails with a ``RuntimeError`` naming it; a
-    failed fit names every frame of the block.  A frame whose models hold
-    non-finite weights (a diverged fit) logs a warning naming it and is
-    scored as it is.
+    calibrated and scored on its own.  A block of ``conformal.vacuous``
+    plans (vb at 10 pilots and alpha 0.1, say) fits nothing: its sets are the
+    full alphabet whatever the models would say, and each frame is still
+    calibrated and its payload still checked.  A frame whose generation,
+    plan, calibration or scoring raises fails with a ``RuntimeError`` naming
+    it; a failed fit names every frame of the block.  A frame whose models
+    hold non-finite weights (a diverged fit) logs a warning naming it and is
+    scored as it is.  Numpy's floating-point warnings are logged naming the
+    frames they came from (see ``_naming``).
     """
     method, learner, n_pilots = cell
     constellation = make_constellation(config.constellation)
-    halved = config.alpha_halving and method in ("cv", "kcv")
-    alpha = config.alpha / 2.0 if halved else config.alpha
+    alpha = _alpha(config, method)
     frames, plans = [], []
     for frame_index in frame_indices:
         with _naming(cell, [frame_index]):
@@ -202,21 +222,25 @@ def _simulate_block(
             plans.append(
                 _plan(method, frame.pilot_x, frame.pilot_y, config.k_folds, hash64(fseed, 1))
             )
-    with _naming(cell, frame_indices):
-        fitted = conformal.fit_plans(_make_learner(learner, len(constellation)), plans)
-    for frame_index, models in zip(frame_indices, fitted):
-        diverged = sum(not model.all_finite() for model in models)
-        if diverged:
-            log.warning(
-                "%s: %d of %d models hold non-finite weights",
-                _describe(cell, [frame_index]),
-                diverged,
-                len(models),
-            )
+    # Every plan of a block has the same shape, so all or none are vacuous.
+    if conformal.vacuous(plans[0], alpha):
+        fitted = [None] * len(plans)
+    else:
+        with _naming(cell, frame_indices):
+            fitted = conformal.fit_plans(_make_learner(learner, len(constellation)), plans)
+        for frame_index, models in zip(frame_indices, fitted):
+            diverged = sum(not model.all_finite() for model in models)
+            if diverged:
+                log.warning(
+                    "%s: %d of %d models hold non-finite weights",
+                    _describe(cell, [frame_index]),
+                    diverged,
+                    len(models),
+                )
     masks = []
     for frame_index, frame, plan, models in zip(frame_indices, frames, plans, fitted):
         with _naming(cell, [frame_index]):
-            predictor = conformal.calibrate(plan, models, alpha)
+            predictor = conformal.calibrate(plan, models, alpha, len(constellation))
             masks.append(predictor.predict_mask(frame.test_x))
     return list(zip(frames, masks))
 
@@ -241,9 +265,17 @@ def _block_job(config: ExperimentConfig, cell, frame_indices) -> list[tuple[int,
     return outcomes
 
 
+def _alpha(config: ExperimentConfig, method: str) -> float:
+    """The miscoverage level the frames of a method's cells are calibrated at."""
+    if config.alpha_halving and method in ("cv", "kcv"):
+        return config.alpha / 2.0
+    return config.alpha
+
+
 def _cell_blocks(config: ExperimentConfig) -> list[tuple[int, tuple[str, str, int], list[int]]]:
     """Every cell's frames cut into ``(cost, cell, frame_indices)`` blocks, in
-    output order; the cost is the training rows of the block's plans.
+    output order; the cost is the training rows of the block's plans, 0 for
+    a block of vacuous plans, which trains nothing.
 
     A block holds up to ``MAX_STACK // models per frame`` frames (at least
     one) of one cell, so the models of a block train as one stack where
@@ -254,7 +286,10 @@ def _cell_blocks(config: ExperimentConfig) -> list[tuple[int, tuple[str, str, in
         method, _, n_pilots = cell
         # Plans of one cell all have the shape of a plan on placeholder pilots.
         zeros = np.zeros(n_pilots, dtype=np.int64)
-        models, rows = _plan(method, zeros, zeros, config.k_folds, 0).train.shape
+        plan = _plan(method, zeros, zeros, config.k_folds, 0)
+        models, rows = plan.train.shape
+        if conformal.vacuous(plan, _alpha(config, method)):
+            rows = 0
         size = max(1, conformal.MAX_STACK // models)
         for start in range(0, config.n_frames, size):
             frame_indices = list(range(start, min(start + size, config.n_frames)))

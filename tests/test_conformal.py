@@ -233,6 +233,22 @@ def test_split_small_calibration_set_gives_full_sets():
     assert np.array_equal(np.flatnonzero(pred.predict_mask([0.3 + 0.3j])[0]), ALL_LABELS)
 
 
+def test_vacuous_plans_are_those_with_a_zero_rank_threshold():
+    frame = _pilot_frame(10, seed=1)
+    x, y = frame.pilot_x, frame.pilot_y
+    assert conformal.vacuous(conformal.split_plan(x, y), 0.1)  # floor(0.1 * 6) = 0
+    assert not conformal.vacuous(conformal.split_plan(x, y), 0.2)  # floor(0.2 * 6) = 1
+    assert not conformal.vacuous(conformal.cross_val_plan(x, y), 0.1)  # floor(0.1 * 11) = 1
+    assert conformal.vacuous(conformal.cross_val_plan(x, y, 5), 0.05)  # floor(0.05 * 11) = 0
+    assert not conformal.vacuous(conformal.naive_plan(x, y), 0.1)
+    # A vacuous plan's predictor reads no model, but still checks its payload.
+    predictor = conformal.calibrate(conformal.split_plan(x, y), None, 0.1, len(ALL_LABELS))
+    mask = predictor.predict_mask([0.3 + 0.3j, -1j])
+    assert mask.dtype == bool and mask.shape == (2, len(ALL_LABELS)) and mask.all()
+    with pytest.raises(ValueError, match="finite"):
+        predictor.predict_mask([0.3, np.nan])
+
+
 def test_split_validation_points_cover_themselves():
     # 9 held-out scores put the quantile at their maximum, so every held-out
     # pilot's own label must be in the set at its location.

@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from cpdemod.harness import (
     write_dat,
 )
 from cpdemod.mlp import GDLearner, ModelArch, SGLDLearner
+from cpdemod.seeding import hash64
 
 
 def _small_config(**overrides):
@@ -179,33 +181,59 @@ def test_failing_stacked_fit_names_every_job_of_its_block(monkeypatch):
         def fit(self, X, y, rng):
             raise FloatingPointError("diverged")
 
+    # vb at 20 pilots holds 10 out, enough for a nonzero rank threshold, so
+    # its models are fitted (at 10 pilots nothing would be).
     monkeypatch.setattr(harness, "_make_learner", lambda name, n_labels: Diverging())
-    config = _small_config(methods=("vb",), learners=("frequentist",), n_frames=3)
+    config = _small_config(
+        methods=("vb",), learners=("frequentist",), n_frames=3, n_pilots_grid=(20,)
+    )
     with pytest.raises(RuntimeError) as excinfo:
         run_experiment(config)
-    assert "cell ('vb', 'frequentist', 10) frames [0, 1, 2] failed" in str(excinfo.value)
+    assert "cell ('vb', 'frequentist', 20) frames [0, 1, 2] failed" in str(excinfo.value)
     assert "diverged" in str(excinfo.value)
+
+
+def _diverging(name, n_labels):
+    arch = ModelArch(output_dim=n_labels)
+    if name == "frequentist":
+        return GDLearner(arch, steps=20, lr=1e100)
+    return SGLDLearner(arch, burn_in=5, ensemble_size=3, lr=1e100)
 
 
 @pytest.mark.parametrize("learner", LEARNERS)
 @pytest.mark.parametrize("method,models", [("naive", 1), ("vb", 1), ("cv", 10), ("kcv", 5)])
 def test_diverged_fit_logs_a_warning_naming_its_frame(monkeypatch, caplog, learner, method, models):
-    def diverging(name, n_labels):
-        arch = ModelArch(output_dim=n_labels)
-        if name == "frequentist":
-            return GDLearner(arch, steps=20, lr=1e100)
-        return SGLDLearner(arch, burn_in=5, ensemble_size=3, lr=1e100)
-
-    monkeypatch.setattr(harness, "_make_learner", diverging)
-    config = _small_config(methods=(method,), learners=(learner,))
+    monkeypatch.setattr(harness, "_make_learner", _diverging)
+    # vb needs 20 pilots for a plan that is fitted at all (see
+    # test_vacuous_cells_fit_nothing_and_admit_every_label).
+    n_pilots = 20 if method == "vb" else 10
+    config = _small_config(methods=(method,), learners=(learner,), n_pilots_grid=(n_pilots,))
     with caplog.at_level(logging.WARNING), np.errstate(all="ignore"):
         (record,) = run_experiment(config)
     assert record.n_frames == 2
     assert [r.getMessage() for r in caplog.records if "non-finite" in r.getMessage()] == [
-        f"cell ({method!r}, {learner!r}, 10) frames [{i}]: {models} of {models} models "
+        f"cell ({method!r}, {learner!r}, {n_pilots}) frames [{i}]: {models} of {models} models "
         "hold non-finite weights"
         for i in range(2)
     ]
+
+
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_floating_point_warnings_are_logged_naming_their_frames(monkeypatch, caplog, learner):
+    # numpy's own RuntimeWarnings name no frame; under the default error
+    # state the harness logs them instead, so none reaches the warnings
+    # filter, which here would turn it into an error.
+    monkeypatch.setattr(harness, "_make_learner", _diverging)
+    config = _small_config(methods=("naive",), learners=(learner,))
+    with caplog.at_level(logging.WARNING), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (record,) = run_experiment(config)
+    assert record.n_frames == 2
+    messages = [r.getMessage() for r in caplog.records]
+    assert f"cell ('naive', {learner!r}, 10) frames [0, 1]: overflow encountered in matmul" in messages
+    floating = [m for m in messages if "encountered in" in m]
+    assert len(floating) == len(set(floating))  # each distinct warning once per block or frame
+    assert all(m.startswith(f"cell ('naive', {learner!r}, 10) frames [") for m in floating)
 
 
 def test_import_does_not_load_the_process_pool():
@@ -294,6 +322,77 @@ def test_longest_first_pool_gives_the_serial_records():
     costs = [cost for cost, _, _ in blocks]
     assert sorted(costs, reverse=True) != costs  # the pool order is not cell order
     assert run_experiment(config, workers=1) == run_experiment(config, workers=2)
+
+
+# Cells whose plans hold too few pilots out for any rank threshold: vb at 10
+# pilots holds 5 out at alpha 0.1, cv and kcv at 10 hold 10 out at 0.05.
+VACUOUS = [("vb", False), ("cv", True), ("kcv", True)]
+
+
+class _Unfittable:
+    def fit(self, X, y, rng):
+        raise AssertionError("a vacuous plan was fitted")
+
+
+@pytest.mark.parametrize("method,halving", VACUOUS)
+def test_vacuous_cells_fit_nothing_and_admit_every_label(monkeypatch, method, halving):
+    monkeypatch.setattr(harness, "_make_learner", lambda name, n_labels: _Unfittable())
+    config = _small_config(methods=(method,), alpha_halving=halving, n_frames=3)
+    for _, cell, frame_indices in harness._cell_blocks(config):
+        for frame, mask in harness._simulate_block(config, cell, frame_indices):
+            assert mask.dtype == bool and mask.shape == (config.n_test, 4) and mask.all()
+
+
+@pytest.mark.parametrize("method,halving", VACUOUS)
+def test_vacuous_cells_give_the_masks_of_the_fitting_predictors(method, halving):
+    # The predictor classes still fit every plan; they are the reference.
+    for master_seed in range(3):
+        config = _small_config(methods=(method,), alpha_halving=halving, master_seed=master_seed)
+        for cell in experiment_cells(config):
+            got = harness._simulate_block(config, cell, list(range(config.n_frames)))
+            for frame_index, (frame, mask) in enumerate(got):
+                fseed = frame_seed(master_seed, *cell, frame_index)
+                args = (frame.pilot_x, frame.pilot_y, config.alpha / (2 if halving else 1),
+                        harness._make_learner(cell[1], 4))
+                if method == "vb":
+                    predictor = conformal.SplitConformalPredictor(*args, seed=hash64(fseed, 1))
+                else:
+                    k = None if method == "cv" else config.k_folds
+                    predictor = conformal.CrossValConformalPredictor(*args, k, hash64(fseed, 1))
+                want = predictor.predict_mask(frame.test_x)
+                assert mask.dtype == want.dtype and np.array_equal(mask, want)
+
+
+def test_vacuous_frame_still_rejects_a_non_finite_payload(monkeypatch):
+    generate = harness.generate_frame
+    calls = []
+
+    def nan_in_second_payload(*args):
+        frame = generate(*args)
+        calls.append(frame)
+        if len(calls) == 2:
+            frame.test_x[3] = np.nan
+        return frame
+
+    monkeypatch.setattr(harness, "generate_frame", nan_in_second_payload)
+    monkeypatch.setattr(harness, "_make_learner", lambda name, n_labels: _Unfittable())
+    config = _small_config(methods=("vb",), learners=("frequentist",), n_frames=3)
+    with pytest.raises(RuntimeError) as excinfo:
+        run_experiment(config)
+    assert "cell ('vb', 'frequentist', 10) frames [1] failed" in str(excinfo.value)
+    assert "finite" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("halving,vacuous", [
+    (False, {"vb"}),
+    (True, {"vb", "cv", "kcv"}),
+])
+def test_vacuous_blocks_cost_nothing_and_run_last(halving, vacuous):
+    blocks = harness._cell_blocks(ExperimentConfig(alpha_halving=halving))
+    free = [block for block in blocks if block[0] == 0]
+    assert {cell for _, cell, _ in free} == {(m, l, 10) for m in vacuous for l in LEARNERS}
+    # The pool submits blocks longest first, so the free ones go last.
+    assert sorted(blocks, key=lambda block: -block[0])[-len(free) :] == free
 
 
 def test_alpha_halving_reaches_the_calibrated_methods():
