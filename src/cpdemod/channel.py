@@ -106,30 +106,29 @@ def apply_iq_imbalance(y: complex, amp_imb: float, phase_imb: float) -> complex:
 
 
 def transmit(
-    y_label: int | np.ndarray,
+    labels: np.ndarray,
     constellation: Constellation,
     params: ChannelParams,
     snr_linear: float,
     rng: np.random.Generator,
-) -> complex | np.ndarray:
-    """Send symbols through the channel and return the received samples.
+) -> np.ndarray:
+    """Send symbols through the channel and return the received samples, a
+    complex128 array shaped like ``labels``.
 
     Each constellation point is I/Q-distorted, rotated by the frame's carrier
     phase, and hit by circular complex Gaussian noise of total power
     ``1 / snr_linear`` (variance ``1 / (2 * snr_linear)`` per component).
     ``snr_linear=inf`` yields a noiseless channel.
 
-    ``y_label`` is one label, which returns one complex sample, or an array
-    of labels, which returns a complex128 array of the same shape.  The noise
-    is one ``(n, 2)`` standard normal draw, (re, im) per symbol in label
-    order: the same stream, and so the same samples, as ``n`` one-symbol
-    calls.  The clean point of each label is computed once, in scalar
-    arithmetic, and the noise is added per real component, so every sample
-    has the bits a one-symbol call gives it.
+    The noise is one ``(n, 2)`` standard normal draw, (re, im) per symbol in
+    label order: the same stream, and so the same samples, as ``n``
+    one-symbol calls.  The clean point of each label is computed once, in
+    scalar arithmetic, and the noise is added per real component, so every
+    sample has the bits a one-symbol call gives it.
     """
     if not snr_linear > 0.0:
         raise ValueError(f"snr_linear must be positive, got {snr_linear!r}")
-    labels = np.asarray(y_label)
+    labels = np.asarray(labels)
     rotation = cmath.exp(1j * params.phase)
     clean = np.array(
         [
@@ -142,7 +141,7 @@ def transmit(
     xs = np.empty(labels.shape, dtype=np.complex128)
     xs.real = clean.real[labels] + scale * noise[..., 0]
     xs.imag = clean.imag[labels] + scale * noise[..., 1]
-    return complex(xs) if xs.ndim == 0 else xs
+    return xs
 
 
 @dataclass(frozen=True)

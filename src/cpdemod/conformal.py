@@ -191,15 +191,12 @@ def naive_plan(pilot_x, pilot_y, seed: int = 0) -> FoldPlan:
     return FoldPlan(feats, y, np.arange(len(y))[None], np.empty((1, 0), dtype=np.intp), seed)
 
 
-def split_plan(pilot_x, pilot_y, split_ratio: float = 0.5, seed: int = 0) -> FoldPlan:
-    """One model on the first ``ceil(split_ratio * n)`` pilots in calibration
-    order; the rest are its one held-out fold."""
+def split_plan(pilot_x, pilot_y, seed: int = 0) -> FoldPlan:
+    """One model on the first ``ceil(n / 2)`` pilots in calibration order;
+    the rest are its one held-out fold."""
     feats, y = _pilot_arrays(pilot_x, pilot_y)
     order = _calibration_order(feats, y, seed)
-    n = len(y)
-    n_train = math.ceil(split_ratio * n)
-    if not 1 <= n_train <= n - 1:
-        raise ValueError(f"split_ratio={split_ratio!r} leaves an empty partition for {n} pilots")
+    n_train = (len(y) + 1) // 2
     return FoldPlan(feats, y, order[None, :n_train], order[None, n_train:], seed)
 
 
@@ -337,16 +334,8 @@ class SplitConformalPredictor(_FoldPlanPredictor):
     path is checked against.
     """
 
-    def __init__(
-        self,
-        pilot_x,
-        pilot_y,
-        alpha: float,
-        learner,
-        split_ratio: float = 0.5,
-        seed: int = 0,
-    ):
-        plan = split_plan(pilot_x, pilot_y, split_ratio, seed)
+    def __init__(self, pilot_x, pilot_y, alpha: float, learner, seed: int = 0):
+        plan = split_plan(pilot_x, pilot_y, seed)
         super().__init__(plan, fit_plans(learner, [plan])[0], alpha)
 
 

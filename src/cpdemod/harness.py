@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -49,6 +48,14 @@ def make_constellation(name: str) -> Constellation:
         raise ValueError(f"unknown constellation {name!r}") from None
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int; a bool, float or anything else that is not a
+    Python or numpy integer raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment grid."""
@@ -66,7 +73,10 @@ class ExperimentConfig:
     constellation: str = "qpsk"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_pilots_grid", tuple(int(n) for n in self.n_pilots_grid))
+        for name in ("n_test", "n_frames", "k_folds", "master_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        grid = tuple(_integer("n_pilots_grid", n) for n in self.n_pilots_grid)
+        object.__setattr__(self, "n_pilots_grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "learners", tuple(self.learners))
         if not 0.0 < self.alpha < 1.0:
@@ -145,7 +155,7 @@ def _plan(method: str, pilot_x, pilot_y, k: int, seed: int) -> conformal.FoldPla
     if method == "naive":
         return conformal.naive_plan(pilot_x, pilot_y, seed)
     if method == "vb":
-        return conformal.split_plan(pilot_x, pilot_y, seed=seed)
+        return conformal.split_plan(pilot_x, pilot_y, seed)
     if method in ("cv", "kcv"):
         return conformal.cross_val_plan(pilot_x, pilot_y, None if method == "cv" else k, seed)
     raise ValueError(f"unknown method {method!r}")
@@ -389,15 +399,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MetricsRe
 
 
 def _atomic_write(path: str, text: str) -> None:
-    # Write to a sibling temp file and rename, so readers never see a torn file.
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # Write to a new sibling file and rename, so readers never see a torn
+    # file.  os.open applies the process umask to the mode, as for any new file.
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp_path = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        # mkstemp creates the file 0600; give it the mode any new file gets
-        # under the process umask, which can only be read by setting it.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp_path, path)

@@ -293,17 +293,16 @@ def _unflat(params: np.ndarray, dims: list[tuple[int, int]]) -> Weights:
     return Weights(ws, bs)
 
 
-def _training_stack(X, y, arch: ModelArch, rng):
+def _training_stack(X, y, arch: ModelArch, rngs):
     """The initial parameters of a training stack as one flat ``(K,
     n_params)`` array, the stack's training pass over canonical sample-major
-    ``(m, K, d)`` data, the generators, and whether a single dataset (a stack
-    of one) came in.  Updates run on the flat array, one elementwise
-    operation per step for all parameters; fitted models are views of it."""
+    ``(m, K, d)`` data, and the generators.  Updates run on the flat array,
+    one elementwise operation per step for all parameters; fitted models are
+    views of it."""
     X, y = _canonical(X, y)
-    single = X.ndim == 2
-    if single:
-        X, y, rng = X[None], y[None], [rng]
-    rngs = list(rng)
+    if X.ndim != 3:
+        raise ValueError("expected a (K, n, d) stack of datasets and (K, n) labels")
+    rngs = list(rngs)
     if len(rngs) != len(X):
         raise ValueError(f"a stack of {len(X)} datasets needs {len(X)} generators, got {len(rngs)}")
     dims = arch.dims()
@@ -314,7 +313,7 @@ def _training_stack(X, y, arch: ModelArch, rng):
         for stacked, own in zip(w.ws + w.bs, init.ws + init.bs):
             stacked[j] = own
     X = np.ascontiguousarray(X.transpose(1, 0, 2))
-    return params, _Pass(w, X, _one_hot(y.T, arch.output_dim)), rngs, single
+    return params, _Pass(w, X, _one_hot(y.T, arch.output_dim)), rngs
 
 
 def predictive_stack(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
@@ -381,12 +380,11 @@ def log_losses(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
     return -np.log(np.maximum(p, PROB_FLOOR))
 
 
-# Learners share one entry point, ``fit(X, y, rng)``.  One (n, d) dataset with
-# n labels and one generator returns one model.  A (K, n, d) stack of
+# Learners share one entry point, ``fit(X, y, rngs)``: a (K, n, d) stack of
 # equal-size datasets with (K, n) labels and a sequence of K generators
-# returns a list of K models, trained as one batched network; model j draws
-# its initial weights and noise from generator j alone, so it is
-# bit-identical to a single fit with that generator.
+# returns a list of K models, trained as one batched network.  Model j draws
+# its initial weights and noise from generator j alone, so it is the same
+# bits whatever else shares its stack; one model is a stack of one.
 
 
 @dataclass(frozen=True)
@@ -398,16 +396,15 @@ class GDLearner:
     steps: int = 120
     lr: float = 0.2
 
-    def fit(self, X, y, rng) -> Weights | list[Weights]:
-        params, step, _, single = _training_stack(X, y, self.arch, rng)
+    def fit(self, X, y, rngs) -> list[Weights]:
+        params, step, _ = _training_stack(X, y, self.arch, rngs)
         g = step.grad
         for _ in range(self.steps):
             step.forward()
             step.backward()
             g *= self.lr
             params -= g
-        models = [_unflat(p, self.arch.dims()) for p in params]
-        return models[0] if single else models
+        return [_unflat(p, self.arch.dims()) for p in params]
 
 
 @dataclass(frozen=True)
@@ -434,10 +431,10 @@ class SGLDLearner:
     lr: float = 0.2
     prior_sigma: float = 10.0
 
-    def fit(self, X, y, rng) -> Ensemble | list[Ensemble]:
+    def fit(self, X, y, rngs) -> list[Ensemble]:
         if self.burn_in < 0 or self.ensemble_size < 1:
             raise ValueError("need burn_in >= 0 and ensemble_size >= 1")
-        params, step, rngs, single = _training_stack(X, y, self.arch, rng)
+        params, step, rngs = _training_stack(X, y, self.arch, rngs)
         eps = self.lr / step.rows
         root_eps = math.sqrt(eps)
         # -eps/2 * (n * grad_mean) is taken as -lr/2 * grad_mean.
@@ -460,5 +457,4 @@ class SGLDLearner:
             params += g
             if i >= self.burn_in:
                 kept[:, i - self.burn_in] = params
-        models = [Ensemble(_unflat(members, self.arch.dims())) for members in kept]
-        return models[0] if single else models
+        return [Ensemble(_unflat(members, self.arch.dims())) for members in kept]

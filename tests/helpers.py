@@ -18,6 +18,12 @@ from cpdemod.channel import (
 from cpdemod.mlp import Ensemble, ModelArch, Weights, init_weights
 
 
+def fit_one(learner, X, y, rng):
+    """One model fitted on one (n, d) dataset, as a learner's stack of one."""
+    (model,) = learner.fit(np.asarray(X)[None], np.asarray(y)[None], [rng])
+    return model
+
+
 def zero_weights(arch: ModelArch) -> Weights:
     """All-zero weights: uniform predictive regardless of input."""
     return Weights(

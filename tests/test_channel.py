@@ -151,7 +151,7 @@ def test_transmit_one_label_is_element_zero_of_an_array_of_one():
     for label in range(len(EIGHT_PSK)):
         one = transmit(label, EIGHT_PSK, params, SNR_5DB, np.random.default_rng(label))
         arr = transmit(np.array([label]), EIGHT_PSK, params, SNR_5DB, np.random.default_rng(label))
-        assert isinstance(one, complex) and arr.shape == (1,)
+        assert arr.shape == (1,)
         assert np.array([one]).tobytes() == arr.tobytes()
 
 

@@ -29,7 +29,7 @@ from cpdemod.mlp import (
     log_losses,
     predictive_stack,
 )
-from helpers import certain_weights, zero_weights
+from helpers import certain_weights, fit_one, zero_weights
 
 SNR_5DB = 10.0 ** 0.5
 LOG4 = math.log(4.0)
@@ -290,19 +290,6 @@ def test_split_partition_sizes(n, expected_val):
     assert len(pred.val_scores) == expected_val
 
 
-def test_split_rejects_degenerate_partitions():
-    frame = _pilot_frame(10, seed=10)
-    learner = _quick_learner()
-    with pytest.raises(ValueError):
-        SplitConformalPredictor(frame.pilot_x[:1], frame.pilot_y[:1], 0.1, learner)
-    with pytest.raises(ValueError):
-        SplitConformalPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, split_ratio=0.0)
-    with pytest.raises(ValueError):
-        SplitConformalPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, split_ratio=1.0)
-    with pytest.raises(ValueError):
-        SplitConformalPredictor(frame.pilot_x, frame.pilot_y[:-1], 0.1, learner)
-
-
 # ---------------------------------------------------------------- cross CP
 
 
@@ -523,8 +510,8 @@ def test_naive_predictor_uses_one_model_on_all_pilots():
     x = 0.2 + 0.2j
     direct = naive_mask(predictive_stack([pred.model], features(x))[:, 0], 0.1)
     assert np.array_equal(pred.predict_mask([x]), direct)
-    assert isinstance(pred.model, type(learner.fit(
-        np.zeros((2, 2)), np.array([0, 1]), np.random.default_rng(0)
+    assert isinstance(pred.model, type(fit_one(
+        learner, np.zeros((2, 2)), np.array([0, 1]), np.random.default_rng(0)
     )))
 
 
@@ -549,6 +536,16 @@ def test_non_finite_pilot_or_payload_samples_are_rejected(method):
     for bad in (complex(np.nan, 1.0), complex(1.0, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             pred.predict_mask(np.array([0.5 + 0.5j, bad]))
+
+
+@pytest.mark.parametrize("method", sorted(_BUILDERS))
+def test_unequal_pilot_arrays_and_too_few_pilots_are_rejected(method):
+    frame = _pilot_frame(10, seed=10)
+    with pytest.raises(ValueError, match="matching lengths"):
+        _BUILDERS[method](frame.pilot_x, frame.pilot_y[:-1])
+    if method != "naive":
+        with pytest.raises(ValueError, match="two pilots"):
+            _BUILDERS[method](frame.pilot_x[:1], frame.pilot_y[:1])
 
 
 def test_ensemble_learner_plugs_into_conformal():

@@ -449,6 +449,19 @@ def test_written_file_has_the_mode_of_a_new_file(tmp_path, writer):
     assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
+def test_writers_never_touch_the_process_umask(tmp_path, monkeypatch):
+    # Setting the umask, even for a moment, changes the mode of files that
+    # other threads create meanwhile.
+    def umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    records = [MetricsRecord("naive", "frequentist", 20, 0.1, 0.5, 2.25, 5, 1)]
+    write_csv(records, str(tmp_path / "out.csv"))
+    write_dat(records, str(tmp_path / "out.dat"))
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.dat"]
+
+
 def test_writers_reject_empty_record_lists(tmp_path):
     with pytest.raises(ValueError):
         write_csv([], str(tmp_path / "x.csv"))
@@ -491,11 +504,32 @@ def test_make_constellation():
         dict(snr_db=-3200.0),
         dict(master_seed=-1),
         dict(master_seed=2**64),
+        dict(master_seed=1.5),
+        dict(master_seed=1.0),
+        dict(master_seed=True),
+        dict(n_pilots_grid=(10.7,)),
+        dict(n_pilots_grid=(10, np.float64(20.0))),
+        dict(n_test=2.5),
+        dict(n_test=np.bool_(True)),
+        dict(n_frames=1.5),
+        dict(k_folds=2.5),
+        dict(k_folds="5"),
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
+
+
+def test_config_stores_numpy_integers_as_plain_ints():
+    config = ExperimentConfig(
+        n_pilots_grid=(np.int64(10), 20), n_test=np.int32(5), n_frames=np.uint8(2),
+        k_folds=np.int64(5), master_seed=np.uint64(2**64 - 1),
+    )
+    values = (*config.n_pilots_grid, config.n_test, config.n_frames, config.k_folds,
+              config.master_seed)
+    assert values == (10, 20, 5, 2, 5, 2**64 - 1)
+    assert all(type(v) is int for v in values)
 
 
 def test_config_allows_the_noiseless_channel():

@@ -26,6 +26,7 @@ from helpers import (
     certain_weights,
     copy_weights,
     finite_difference_grad,
+    fit_one,
     max_rel_grad_error,
     networks,
     reference_forward,
@@ -188,15 +189,15 @@ def test_grad_vanishes_after_convergence_on_one_point():
 def test_train_gd_does_not_increase_loss():
     X, y = _toy_data(seed=10, n=20)
     w0 = init_weights(ModelArch(), np.random.default_rng(11))
-    trained = GDLearner(ModelArch()).fit(X, y, np.random.default_rng(11))
+    trained = fit_one(GDLearner(ModelArch()), X, y, np.random.default_rng(11))
     assert nll_loss(trained, X, y) <= nll_loss(w0, X, y)
 
 
 def test_train_gd_permutation_bit_identical():
     X, y = _toy_data(seed=12, n=15)
     perm = np.random.default_rng(13).permutation(15)
-    a = GDLearner(ModelArch()).fit(X, y, np.random.default_rng(14))
-    b = GDLearner(ModelArch()).fit(X[perm], y[perm], np.random.default_rng(14))
+    a = fit_one(GDLearner(ModelArch()), X, y, np.random.default_rng(14))
+    b = fit_one(GDLearner(ModelArch()), X[perm], y[perm], np.random.default_rng(14))
     assert weights_equal(a, b)
 
 
@@ -207,25 +208,25 @@ def test_train_gd_fits_separable_clusters():
     X = np.vstack([left, right])
     y = np.array([0] * 10 + [1] * 10)
     arch = ModelArch(output_dim=2)
-    w = GDLearner(arch).fit(X, y, np.random.default_rng(16))
+    w = fit_one(GDLearner(arch), X, y, np.random.default_rng(16))
     assert np.array_equal(predictive_stack([w], X)[:, 0].argmax(axis=1), y)
 
 
 def test_train_sgld_member_count():
     X, y = _toy_data(seed=17)
-    ens = SGLDLearner(ModelArch()).fit(X, y, np.random.default_rng(18))
+    ens = fit_one(SGLDLearner(ModelArch()), X, y, np.random.default_rng(18))
     assert len(networks(ens.stacked)) == 20
-    ens = SGLDLearner(ModelArch(), burn_in=3, ensemble_size=7).fit(X, y, np.random.default_rng(18))
+    learner = SGLDLearner(ModelArch(), burn_in=3, ensemble_size=7)
+    ens = fit_one(learner, X, y, np.random.default_rng(18))
     assert len(networks(ens.stacked)) == 7
 
 
 def test_train_sgld_permutation_bit_identical():
     X, y = _toy_data(seed=19, n=9)
     perm = np.random.default_rng(20).permutation(9)
-    a = SGLDLearner(ModelArch(), burn_in=5, ensemble_size=3).fit(X, y, np.random.default_rng(21))
-    b = SGLDLearner(ModelArch(), burn_in=5, ensemble_size=3).fit(
-        X[perm], y[perm], np.random.default_rng(21)
-    )
+    learner = SGLDLearner(ModelArch(), burn_in=5, ensemble_size=3)
+    a = fit_one(learner, X, y, np.random.default_rng(21))
+    b = fit_one(learner, X[perm], y[perm], np.random.default_rng(21))
     assert all(
         weights_equal(ma, mb) for ma, mb in zip(networks(a.stacked), networks(b.stacked))
     )
@@ -234,9 +235,9 @@ def test_train_sgld_permutation_bit_identical():
 def test_trainers_stay_finite_at_working_scale():
     frame = generate_frame(100, 1, SNR_5DB, make_qpsk(), np.random.default_rng(24))
     X = features(frame.pilot_x)
-    w = GDLearner(ModelArch()).fit(X, frame.pilot_y, np.random.default_rng(25))
+    w = fit_one(GDLearner(ModelArch()), X, frame.pilot_y, np.random.default_rng(25))
     assert w.all_finite()
-    ens = SGLDLearner(ModelArch()).fit(X, frame.pilot_y, np.random.default_rng(26))
+    ens = fit_one(SGLDLearner(ModelArch()), X, frame.pilot_y, np.random.default_rng(26))
     assert all(m.all_finite() for m in networks(ens.stacked))
     # Langevin iterates should hover at a moderate scale, not blow up.
     largest = max(

@@ -16,6 +16,7 @@ from cpdemod.conformal import CrossValConformalPredictor, SplitConformalPredicto
 from cpdemod.mlp import Ensemble, GDLearner, ModelArch, SGLDLearner, features, init_weights
 from cpdemod.seeding import derive_rng
 from helpers import (
+    fit_one,
     networks,
     reference_forward,
     reference_grad,
@@ -62,7 +63,8 @@ def test_stacked_fit_equals_single_fits(learner, rows):
     stacked = fit(X[rows], y[rows], [derive_rng(7, j) for j in range(len(rows))])
     assert isinstance(stacked, list) and len(stacked) == len(rows)
     for j, model in enumerate(stacked):
-        assert _same_model(model, fit(X[rows[j]], y[rows[j]], derive_rng(7, j))), f"model {j}"
+        single = fit_one(LEARNERS[learner], X[rows[j]], y[rows[j]], derive_rng(7, j))
+        assert _same_model(model, single), f"model {j}"
 
 
 @pytest.mark.parametrize("learner", sorted(LEARNERS))
@@ -83,8 +85,16 @@ def test_fold_count_above_the_stack_cap_fits_in_capped_stacks(learner):
     feats = features(frame.pilot_x)
     for j, (fold, model) in enumerate(zip(pred.folds, pred.models)):
         keep = np.setdiff1d(np.arange(k), fold)
-        single = LEARNERS[learner].fit(feats[keep], frame.pilot_y[keep], derive_rng(3, 1 + j))
+        single = fit_one(LEARNERS[learner], feats[keep], frame.pilot_y[keep], derive_rng(3, 1 + j))
         assert _same_model(model, single), f"fold {j}"
+
+
+@pytest.mark.parametrize("learner", sorted(LEARNERS))
+def test_single_dataset_is_rejected(learner):
+    # A learner fits stacks only; one dataset is a stack of one.
+    X, y = _pilots(6, seed=4)
+    with pytest.raises(ValueError, match="stack"):
+        LEARNERS[learner].fit(X, y, [derive_rng(0)])
 
 
 @pytest.mark.parametrize("learner", sorted(LEARNERS))
