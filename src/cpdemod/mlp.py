@@ -4,9 +4,9 @@ Training is deterministic given an explicit generator, and every data-dependent
 computation first puts the samples into a canonical order, so losses, gradients
 and trained weights are bit-identical under any permutation of the dataset.
 
-Training has one API, the learners' ``fit``: ``GDLearner`` (gradient descent,
-one network) and ``SGLDLearner`` (Langevin dynamics, an ensemble of sampled
-networks).  Scoring has one conformity score, ``log_losses``.
+Every fitted model is an ``Ensemble``: ``GDLearner`` (gradient descent) fits
+one member, ``SGLDLearner`` (Langevin dynamics) samples many.  Training has one
+API, the learners' ``fit``; scoring one conformity score, ``log_losses``.
 
 Networks run as stacks.  Stacked weights carry a leading network axis, and
 activations are laid out sample-major, ``(m, K, width)``: row ``i`` of network
@@ -60,7 +60,8 @@ class ModelArch:
 
 @dataclass
 class Weights:
-    """Per-layer weight matrices (fan_out x fan_in) and bias vectors.
+    """Per-layer weight matrices (fan_out x fan_in) and bias vectors: one
+    network, the type of ``init_weights``, ``grad`` and ``nll_loss``.
 
     Stacked weights carry a leading model axis on every array: K models train
     together as ``(K, fan_out, fan_in)`` matrices and ``(K, fan_out)`` biases.
@@ -77,8 +78,8 @@ class Weights:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Sampled networks of one architecture as one stack, member axis first;
-    the predictive averages the members' outputs."""
+    """A fitted model: member networks as one stack, member axis first; the
+    predictive averages their outputs.  Gradient descent fits one member."""
 
     stacked: Weights
 
@@ -88,13 +89,6 @@ class Ensemble:
 
     def all_finite(self) -> bool:
         return self.stacked.all_finite()
-
-
-def _networks(model: Weights | Ensemble) -> Weights:
-    """A model's networks as one stack: its members, or itself as a stack of one."""
-    if isinstance(model, Ensemble):
-        return model.stacked
-    return Weights([w[None] for w in model.ws], [b[None] for b in model.bs])
 
 
 def features(x) -> np.ndarray:
@@ -253,18 +247,21 @@ def _one_dataset(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def _stack_of_one(w: Weights) -> Weights:
+    return Weights([a[None] for a in w.ws], [b[None] for b in w.bs])
+
+
 def nll_loss(w: Weights, X, y) -> float:
     """Mean negative log probability of the true labels."""
     X, y = _one_dataset(X, y)
-    return float(np.mean(log_losses([w], X)[np.arange(len(y)), 0, y]))
+    return float(np.mean(log_losses([Ensemble(_stack_of_one(w))], X)[np.arange(len(y)), 0, y]))
 
 
 def grad(w: Weights, X, y) -> Weights:
     """Weights-shaped gradient of ``nll_loss`` at ``w``."""
     X, y = _one_dataset(X, y)
-    net = _networks(w)
     targets = _one_hot(y[:, None], w.bs[-1].size)
-    step = _Pass(net, X[:, None, :], targets)
+    step = _Pass(_stack_of_one(w), X[:, None, :], targets)
     step.forward()
     step.backward()
     return _unflat(step.grad[0], [(a.shape[-1], a.shape[-2]) for a in w.ws])
@@ -316,19 +313,19 @@ def _training_stack(X, y, arch: ModelArch, rngs):
     return params, _Pass(w, X, _one_hot(y.T, arch.output_dim)), rngs
 
 
-def predictive_stack(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
-    """Predictive class probabilities of K models, ``(n, K, labels)``.
+def predictive_stack(models: Sequence[Ensemble], X) -> np.ndarray:
+    """Predictive class probabilities of K fitted models, ``(n, K, labels)``.
 
     ``X`` is one ``(n, d)`` matrix that every model scores, or a sample-major
-    ``(n, K, d)`` stack in which model ``k`` scores ``X[:, k]``.  Ensembles
-    average their members' outputs, added in member order.  The networks of
-    all models (every member of every ensemble) run as stacked passes of at
+    ``(n, K, d)`` stack in which model ``k`` scores ``X[:, k]``.  A model
+    averages its members' outputs, added in member order.  The networks of
+    all models (every member of every model) run as stacked passes of at
     most ``MAX_PASS_BYTES`` each, and every network sees all ``n`` of its rows
     in one product, so each model's output has the bits it has when scored
     alone.  The models need equal member counts.
     """
     X = np.asarray(X, dtype=np.float64)
-    stacks = [_networks(m) for m in models]
+    stacks = [m.stacked for m in models]
     if X.ndim == 3 and X.shape[1] != len(stacks):
         raise ValueError(
             f"per-model rows (n, K, d) need one column per model, "
@@ -371,8 +368,8 @@ def predictive_stack(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
     return np.divide(total, size, out=total)
 
 
-def log_losses(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
-    """``(n, K, labels)`` log loss of every label under each of K models,
+def log_losses(models: Sequence[Ensemble], X) -> np.ndarray:
+    """``(n, K, labels)`` log loss of every label under each of K fitted models,
     ``-log(max(p, PROB_FLOOR))`` of the predictive; ``X`` as for
     ``predictive_stack``.  It is the conformity score of the conformal sets
     and, at the true labels, the training loss."""
@@ -382,21 +379,22 @@ def log_losses(models: Sequence[Weights | Ensemble], X) -> np.ndarray:
 
 # Learners share one entry point, ``fit(X, y, rngs)``: a (K, n, d) stack of
 # equal-size datasets with (K, n) labels and a sequence of K generators
-# returns a list of K models, trained as one batched network.  Model j draws
-# its initial weights and noise from generator j alone, so it is the same
-# bits whatever else shares its stack; one model is a stack of one.
+# returns K ``Ensemble`` models (one member each from gradient descent),
+# trained as one batched network; one dataset is a stack of one.  Model j
+# draws its initial weights and noise from generator j alone, so it is the
+# same bits whatever else shares its stack.
 
 
 @dataclass(frozen=True)
 class GDLearner:
     """Point-estimate learner: full-batch gradient descent on the mean cross
-    entropy, one weight vector out."""
+    entropy, a one-member ensemble out."""
 
     arch: ModelArch
     steps: int = 120
     lr: float = 0.2
 
-    def fit(self, X, y, rngs) -> list[Weights]:
+    def fit(self, X, y, rngs) -> list[Ensemble]:
         params, step, _ = _training_stack(X, y, self.arch, rngs)
         g = step.grad
         for _ in range(self.steps):
@@ -404,7 +402,7 @@ class GDLearner:
             step.backward()
             g *= self.lr
             params -= g
-        return [_unflat(p, self.arch.dims()) for p in params]
+        return [Ensemble(_unflat(p[None], self.arch.dims())) for p in params]
 
 
 @dataclass(frozen=True)

@@ -135,17 +135,17 @@ def _parameters(w: Weights) -> list[np.ndarray]:
     return [a for pair in zip(w.ws, w.bs) for a in pair]
 
 
-def reference_train_gd(X, y, arch: ModelArch, steps: int, lr: float, rng) -> Weights:
+def reference_train_gd(X, y, arch: ModelArch, steps: int, lr: float, rng) -> Ensemble:
     """One network trained by full-batch gradient descent in plain numpy:
     ``init_weights``, then per step ``reference_grad`` and ``p -= lr * g`` on
-    every parameter array."""
+    every parameter array; the network is the one member."""
     X, targets = _reference_data(X, y, arch)
     w = init_weights(arch, rng)
     for _ in range(steps):
         g = reference_grad(w, X, targets)
         for p, gp in zip(_parameters(w), _parameters(g)):
             p -= lr * gp
-    return w
+    return Ensemble(stack([w]))
 
 
 def reference_train_sgld(
@@ -183,11 +183,9 @@ def reference_train_sgld(
     return Ensemble(stack(members))
 
 
-def reference_predictive(model, X) -> np.ndarray:
+def reference_predictive(model: Ensemble, X) -> np.ndarray:
     """Predictive of one model, one member network at a time."""
-    if isinstance(model, Ensemble):
-        return np.mean([reference_forward(m, X)[1] for m in networks(model.stacked)], axis=0)
-    return reference_forward(model, X)[1]
+    return np.mean([reference_forward(m, X)[1] for m in networks(model.stacked)], axis=0)
 
 
 def reference_transmit(

@@ -29,7 +29,7 @@ from cpdemod.mlp import (
     log_losses,
     predictive_stack,
 )
-from helpers import certain_weights, fit_one, zero_weights
+from helpers import certain_weights, fit_one, stack, zero_weights
 
 SNR_5DB = 10.0 ** 0.5
 LOG4 = math.log(4.0)
@@ -139,14 +139,15 @@ def test_quantile_and_rank_rules_agree(n, seed, alpha):
 
 
 def test_nc_score_uniform_model():
-    assert log_losses([zero_weights(ModelArch())], features(0.2 + 0.1j))[0, 0, 3] == (
+    uniform = Ensemble(stack([zero_weights(ModelArch())]))
+    assert log_losses([uniform], features(0.2 + 0.1j))[0, 0, 3] == (
         pytest.approx(LOG4, abs=1e-12)
     )
 
 
 def test_nc_score_certain_model():
     arch = ModelArch()
-    sure = certain_weights(arch, 2)
+    sure = Ensemble(stack([certain_weights(arch, 2)]))
     scores = log_losses([sure], features(0.5 - 0.5j))[0, 0]
     assert scores[2] == 0.0
     # Wrong label under a certain model hits the probability floor.
@@ -178,7 +179,8 @@ def test_naive_set_tie_prefers_smaller_label():
 
 
 def test_naive_set_certain_model_is_singleton():
-    probs = predictive_stack([certain_weights(ModelArch(), 1)], features(1j))[:, 0]
+    sure = Ensemble(stack([certain_weights(ModelArch(), 1)]))
+    probs = predictive_stack([sure], features(1j))[:, 0]
     assert np.array_equal(np.flatnonzero(naive_mask(probs, 0.1)[0]), [1])
 
 
@@ -308,14 +310,14 @@ class _DivergedLearner:
 
     arch = ModelArch()
 
-    def _nan_model(self):
+    def _nan_model(self) -> Ensemble:
         w = zero_weights(self.arch)
         for a in w.ws + w.bs:
             a.fill(np.nan)
-        return w
+        return Ensemble(stack([w]))
 
     def fit(self, X, y, rng):
-        return self._nan_model() if np.ndim(X) == 2 else [self._nan_model() for _ in rng]
+        return [self._nan_model() for _ in rng]
 
 
 @pytest.mark.parametrize(
@@ -392,17 +394,16 @@ class _CentroidLearner:
     arch = ModelArch(hidden=(4, 4, 4))
     temperature = 0.5
 
-    def _model(self, X, y) -> Weights:
+    def _model(self, X, y) -> Ensemble:
         centroids = np.array([X[y == l].mean(axis=0) if (y == l).any() else [0.0, 0.0]
                               for l in range(4)])
         split = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         out = 2.0 * centroids @ split.T / self.temperature
         bias = -(centroids**2).sum(axis=1) / self.temperature
-        return Weights([split, np.eye(4), np.eye(4), out], [np.zeros(4)] * 3 + [bias])
+        net = Weights([split, np.eye(4), np.eye(4), out], [np.zeros(4)] * 3 + [bias])
+        return Ensemble(stack([net]))
 
     def fit(self, X, y, rng):
-        if np.ndim(X) == 2:
-            return self._model(X, y)
         return [self._model(a, b) for a, b in zip(X, y)]
 
 

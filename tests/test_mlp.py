@@ -75,7 +75,7 @@ def test_init_weights_first_layer_variance():
 
 
 def test_forward_zero_weights_is_uniform():
-    w = zero_weights(ModelArch())
+    w = Ensemble(stack([zero_weights(ModelArch())]))
     assert np.array_equal(predictive_stack([w], features(0.3 - 0.7j))[0, 0], np.full(4, 0.25))
 
 
@@ -86,7 +86,7 @@ def test_forward_rows_sum_to_one(seed):
     w = init_weights(ModelArch(), rng)
     for layer in w.ws:
         layer *= rng.uniform(0.1, 5.0)
-    probs = predictive_stack([w], rng.normal(size=(5, 2)))[:, 0]
+    probs = predictive_stack([Ensemble(stack([w]))], rng.normal(size=(5, 2)))[:, 0]
     assert probs.shape == (5, 4)
     assert np.all(probs >= 0.0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -96,16 +96,16 @@ def test_forward_logit_shift_invariance():
     rng = np.random.default_rng(2)
     w = init_weights(ModelArch(), rng)
     X = features(0.5 + 0.25j)
-    base = predictive_stack([w], X)[0, 0]
+    base = predictive_stack([Ensemble(stack([w]))], X)[0, 0]
     w.bs[-1] += 17.5  # same constant on every logit
-    np.testing.assert_allclose(predictive_stack([w], X)[0, 0], base, atol=1e-12)
+    np.testing.assert_allclose(predictive_stack([Ensemble(stack([w]))], X)[0, 0], base, atol=1e-12)
 
 
 def test_one_label_head_is_certain_and_has_zero_gradient():
     arch = ModelArch(output_dim=1)
     w = init_weights(arch, np.random.default_rng(6))
     X, y = _toy_data(seed=6, n_labels=1)
-    assert np.array_equal(predictive_stack([w], X)[:, 0], np.ones((len(X), 1)))
+    assert np.array_equal(predictive_stack([Ensemble(stack([w]))], X)[:, 0], np.ones((len(X), 1)))
     assert weights_equal(grad(w, X, y), zero_weights(arch))
 
 
@@ -189,7 +189,7 @@ def test_grad_vanishes_after_convergence_on_one_point():
 def test_train_gd_does_not_increase_loss():
     X, y = _toy_data(seed=10, n=20)
     w0 = init_weights(ModelArch(), np.random.default_rng(11))
-    trained = fit_one(GDLearner(ModelArch()), X, y, np.random.default_rng(11))
+    (trained,) = networks(fit_one(GDLearner(ModelArch()), X, y, np.random.default_rng(11)).stacked)
     assert nll_loss(trained, X, y) <= nll_loss(w0, X, y)
 
 
@@ -198,7 +198,7 @@ def test_train_gd_permutation_bit_identical():
     perm = np.random.default_rng(13).permutation(15)
     a = fit_one(GDLearner(ModelArch()), X, y, np.random.default_rng(14))
     b = fit_one(GDLearner(ModelArch()), X[perm], y[perm], np.random.default_rng(14))
-    assert weights_equal(a, b)
+    assert weights_equal(a.stacked, b.stacked)
 
 
 def test_train_gd_fits_separable_clusters():
@@ -258,7 +258,7 @@ def test_predictive_identical_members_average_to_member():
     X = features(0.6 - 0.1j)
     np.testing.assert_allclose(
         predictive_stack([Ensemble(stack([w, w, w]))], X)[0, 0],
-        predictive_stack([w], X)[0, 0],
+        predictive_stack([Ensemble(stack([w]))], X)[0, 0],
         atol=1e-15,
     )
 
@@ -277,11 +277,12 @@ def test_ensemble_rejects_empty_member_list():
 
 
 def test_predictive_stack_rejects_unequal_member_counts():
-    # A GD model is one network; an SGLD ensemble here holds three.
+    # A GD model has one member; an SGLD model here holds three.
     arch = ModelArch()
+    point = Ensemble(stack([zero_weights(arch)]))
     ens = Ensemble(stack([zero_weights(arch)] * 3))
     with pytest.raises(ValueError, match="models scored together need equal member counts"):
-        predictive_stack([zero_weights(arch), ens], features(0.5j))
+        predictive_stack([point, ens], features(0.5j))
 
 
 @pytest.mark.parametrize("columns", [1, 3])
@@ -289,7 +290,7 @@ def test_predictive_stack_needs_one_row_column_per_model(columns):
     arch = ModelArch()
     rows = np.zeros((5, columns, arch.input_dim))
     with pytest.raises(ValueError, match=f"one column per model, got {columns} for 2 models"):
-        predictive_stack([zero_weights(arch)] * 2, rows)
+        predictive_stack([Ensemble(stack([zero_weights(arch)]))] * 2, rows)
 
 
 def test_features_stacks_real_imag():

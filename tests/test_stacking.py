@@ -32,6 +32,8 @@ LEARNERS = {
     "gd": GDLearner(ModelArch(), steps=25),
     "sgld": SGLDLearner(ModelArch(), burn_in=10, ensemble_size=4),
 }
+# Every fitted model is an Ensemble; a gradient-descent point estimate has one member.
+MEMBERS = {"gd": 1, "sgld": 4}
 
 
 def _pilots(n, seed):
@@ -40,10 +42,8 @@ def _pilots(n, seed):
 
 
 def _same_model(a, b) -> bool:
-    if isinstance(a, Ensemble):
-        a, b = networks(a.stacked), networks(b.stacked)
-        return len(a) == len(b) and all(weights_equal(x, y) for x, y in zip(a, b))
-    return weights_equal(a, b)
+    a, b = networks(a.stacked), networks(b.stacked)
+    return len(a) == len(b) and all(weights_equal(x, y) for x, y in zip(a, b))
 
 
 def _loo_rows(n):
@@ -62,9 +62,13 @@ def test_stacked_fit_equals_single_fits(learner, rows):
     fit = LEARNERS[learner].fit
     stacked = fit(X[rows], y[rows], [derive_rng(7, j) for j in range(len(rows))])
     assert isinstance(stacked, list) and len(stacked) == len(rows)
+    probs = mlp.predictive_stack(stacked, X)
     for j, model in enumerate(stacked):
         single = fit_one(LEARNERS[learner], X[rows[j]], y[rows[j]], derive_rng(7, j))
         assert _same_model(model, single), f"model {j}"
+        assert isinstance(model, Ensemble) and len(networks(model.stacked)) == MEMBERS[learner]
+        # A GD model's predictive is the forward pass of its one member, bit for bit.
+        assert np.array_equal(probs[:, j], reference_predictive(model, X)), f"model {j}"
 
 
 @pytest.mark.parametrize("learner", sorted(LEARNERS))
@@ -201,10 +205,7 @@ def test_stacked_predictive_equals_per_model_reference(
     rng = np.random.default_rng(members)
     k, n = 4, 5
     nets = _random_networks(rng, k * members)
-    if members == 1:
-        models = nets
-    else:
-        models = [Ensemble(stack(nets[j * members : (j + 1) * members])) for j in range(k)]
+    models = [Ensemble(stack(nets[j * members : (j + 1) * members])) for j in range(k)]
     X = rng.normal(size=(n, k, 2)) if per_model_rows else rng.normal(size=(n, 2))
     with np.errstate(all="ignore"):
         got = mlp.predictive_stack(models, X)
