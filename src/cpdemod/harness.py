@@ -56,6 +56,17 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a plain float; a bool, string or anything else that is not
+    a Python or numpy int or float raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of a float's range, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment grid."""
@@ -75,6 +86,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("n_test", "n_frames", "k_folds", "master_seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("snr_db", "alpha"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if not isinstance(self.alpha_halving, (bool, np.bool_)):
+            raise ValueError(f"alpha_halving must be a bool, got {self.alpha_halving!r}")
+        object.__setattr__(self, "alpha_halving", bool(self.alpha_halving))
         grid = tuple(_integer("n_pilots_grid", n) for n in self.n_pilots_grid)
         object.__setattr__(self, "n_pilots_grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))

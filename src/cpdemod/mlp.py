@@ -395,6 +395,8 @@ class GDLearner:
     lr: float = 0.2
 
     def fit(self, X, y, rngs) -> list[Ensemble]:
+        if self.steps < 0:
+            raise ValueError(f"need steps >= 0, got {self.steps!r}")
         params, step, _ = _training_stack(X, y, self.arch, rngs)
         g = step.grad
         for _ in range(self.steps):

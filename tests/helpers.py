@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +18,26 @@ from cpdemod.channel import (
     sample_channel_params,
 )
 from cpdemod.mlp import Ensemble, ModelArch, Weights, init_weights
+
+
+#: The OpenBLAS kernel that made ``results.csv`` and ``golden_subgrid.csv``.
+#: OpenBLAS picks its kernel by CPU, and other kernels round some products
+#: differently, so the byte goldens hold on this one only.
+GOLDEN_KERNEL = "SkylakeX"
+
+
+def blas_kernel() -> str:
+    """The core name of the kernel numpy's bundled OpenBLAS runs on, or
+    ``"unknown"`` when no bundled library names it."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def fit_one(learner, X, y, rng):

@@ -31,7 +31,7 @@ from cpdemod.harness import (
     write_csv,
 )
 from cpdemod.mlp import GDLearner, ModelArch
-from helpers import finite_difference_grad, max_rel_grad_error
+from helpers import GOLDEN_KERNEL, blas_kernel, finite_difference_grad, max_rel_grad_error
 
 GRID_NS = (10, 20, 40, 60)
 CP_METHODS = ("vb", "cv", "kcv")
@@ -190,4 +190,7 @@ def test_default_grid_reproduces_committed_results_csv(grid, tmp_path):
     # its CSV must be the committed results.csv byte for byte.
     out = tmp_path / "results.csv"
     write_csv([grid[cell] for cell in experiment_cells(ExperimentConfig())], str(out))
-    assert out.read_bytes() == COMMITTED_RESULTS.read_bytes()
+    assert out.read_bytes() == COMMITTED_RESULTS.read_bytes(), (
+        f"grid differs from the committed results.csv: this run used the OpenBLAS "
+        f"{blas_kernel()} kernel, results.csv was made on {GOLDEN_KERNEL}"
+    )

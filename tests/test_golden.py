@@ -9,6 +9,7 @@ import logging
 from pathlib import Path
 
 from cpdemod.harness import ExperimentConfig, run_experiment, write_csv
+from helpers import GOLDEN_KERNEL, blas_kernel
 
 GOLDEN = Path(__file__).resolve().parent / "golden_subgrid.csv"
 
@@ -18,6 +19,9 @@ def test_subgrid_csv_matches_golden_bytes(tmp_path, caplog):
     out = tmp_path / "subgrid.csv"
     with caplog.at_level(logging.WARNING):
         write_csv(run_experiment(config), str(out))
-    assert out.read_bytes() == GOLDEN.read_bytes()
+    assert out.read_bytes() == GOLDEN.read_bytes(), (
+        f"sub-grid differs from {GOLDEN.name}: this run used the OpenBLAS "
+        f"{blas_kernel()} kernel, the golden was made on {GOLDEN_KERNEL}"
+    )
     # No model of the sub-grid diverges.
     assert not [r for r in caplog.records if "non-finite" in r.getMessage()]

@@ -514,6 +514,16 @@ def test_make_constellation():
         dict(n_frames=1.5),
         dict(k_folds=2.5),
         dict(k_folds="5"),
+        dict(alpha_halving="no"),
+        dict(alpha_halving=1),
+        dict(alpha_halving=None),
+        dict(snr_db=True),
+        dict(snr_db=np.bool_(False)),
+        dict(snr_db="5"),
+        dict(snr_db=5 + 0j),
+        dict(snr_db=10**400),
+        dict(alpha="0.1"),
+        dict(alpha=None),
     ],
 )
 def test_config_validation(kwargs):
@@ -530,6 +540,14 @@ def test_config_stores_numpy_integers_as_plain_ints():
               config.master_seed)
     assert values == (10, 20, 5, 2, 5, 2**64 - 1)
     assert all(type(v) is int for v in values)
+
+
+def test_config_stores_numpy_reals_and_bools_as_plain_values():
+    config = ExperimentConfig(snr_db=np.int64(5), alpha=np.float32(0.25),
+                              alpha_halving=np.bool_(True))
+    values = (config.snr_db, config.alpha, config.alpha_halving)
+    assert values == (5.0, 0.25, True)
+    assert [type(v) for v in values] == [float, float, bool]
 
 
 def test_config_allows_the_noiseless_channel():

@@ -232,6 +232,22 @@ def test_train_sgld_permutation_bit_identical():
     )
 
 
+@pytest.mark.parametrize(
+    "learner",
+    [
+        GDLearner(ModelArch(), steps=-3),
+        SGLDLearner(ModelArch(), burn_in=-1),
+        SGLDLearner(ModelArch(), ensemble_size=0),
+    ],
+    ids=["gd-steps", "sgld-burn-in", "sgld-ensemble-size"],
+)
+def test_learners_reject_step_counts_below_their_minimum(learner):
+    # A negative count must not quietly return the untrained initial weights.
+    X, y = _toy_data(seed=22)
+    with pytest.raises(ValueError, match=">="):
+        fit_one(learner, X, y, np.random.default_rng(23))
+
+
 def test_trainers_stay_finite_at_working_scale():
     frame = generate_frame(100, 1, SNR_5DB, make_qpsk(), np.random.default_rng(24))
     X = features(frame.pilot_x)
