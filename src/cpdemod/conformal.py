@@ -11,14 +11,22 @@ which labels enter a set.
 * leave-one-out cross conformal: one model per left-out pilot;
 * leave-fold-out (k-fold) cross conformal: one model per left-out fold.
 
-Each predictor is three steps.  A plan (``FoldPlan``) says which pilots train
-each model and which pilots it scores; it is a pure function of the pilots
-and the seed, and the naive plan is one model with nothing held out.
-``fit_plans`` fits the models of any number of plans of equal training size
-in shared stacks, so the frames of one experiment cell can train together.
-``calibrate`` scores the held-out folds and returns the set predictor.  A
-plan whose rank threshold is 0 is ``vacuous``: its sets are the full
-alphabet, so its models need not be fitted.
+Each set construction is three steps.  A plan (``FoldPlan``) says which
+pilots train each model and which pilots it scores; it is a pure function of
+the pilots and the seed, and the naive plan is one model with nothing held
+out.  ``fitted_stacks`` fits the models of any number of plans of equal
+training size in shared stacks, so the frames of one experiment cell can
+train together, and hands over each stack as soon as it is fitted.
+``calibrate`` sets up the sets of one plan's payload (``PayloadSets``), and
+each model adds its held-out and payload scores to them the moment its
+stack arrives: fit, score, drop.  The rank rule needs nothing of a fold
+model beyond those scores, so a caller that drops every stack once it is
+scored holds one stack of models at a time, whatever the number of pilots.
+A plan whose rank threshold is 0 is ``vacuous``: its sets are the full
+alphabet, so its models need not be fitted.  ``fit_plans`` and the
+predictor classes instead keep every model of a plan, so that a payload can
+be scored later; they run the same stacks and the same rules, and serve as
+the per-frame reference.
 
 The score of a candidate label is its log loss under the predictive
 (``mlp.log_losses``), so lower means more conforming.  All randomness
@@ -43,8 +51,8 @@ from .seeding import derive_rng
 NAIVE_MASS_TOL = 1e-9
 
 #: Most models fitted in one stacked ``learner.fit`` call, from one plan or
-#: several.  Larger stacks buy little speed and hold more training state in
-#: memory at once.
+#: several, and so the most fitted models a streamed caller holds at once.
+#: Larger stacks buy little speed and hold more training state in memory.
 MAX_STACK = 20
 
 
@@ -216,23 +224,49 @@ def cross_val_plan(pilot_x, pilot_y, k: int | None = None, seed: int = 0) -> Fol
     return FoldPlan(feats, y, train, folds, seed)
 
 
-def fit_plans(learner, plans) -> list[list]:
-    """The models of every plan, in plan order.
+def fitted_stacks(learner, plans):
+    """Fit the models of every plan in stacks of at most ``MAX_STACK`` and
+    yield each stack as soon as it is fitted.
 
-    All models of all plans train in stacks of at most ``MAX_STACK``, each
-    from its own generator, so every model is bit-identical to its lone fit.
-    Plans fitted together need equal training sizes.  ``learner.fit`` is the
-    only learner call made.
+    A stack is a list of ``(p, first, models)``: the models ``first, first +
+    1, ...`` of ``plans[p]``, in plan order.  Every model trains from its own
+    generator, so it is bit-identical to its lone fit.  Plans fitted together
+    need equal training sizes.  ``learner.fit`` is the only learner call
+    made.  Only the caller holds a yielded stack, so a caller that drops it
+    before asking for the next one holds one stack of models at a time
+    (every model is a view of its stack's weights).
     """
     X = np.concatenate([p.feats[p.train] for p in plans])
     y = np.concatenate([p.y[p.train] for p in plans])
     rngs = [derive_rng(p.seed, 1 + j) for p in plans for j in range(len(p.train))]
-    models = []
+    owners = [(i, j) for i, p in enumerate(plans) for j in range(len(p.train))]
     for start in range(0, len(rngs), MAX_STACK):
         stop = start + MAX_STACK
-        models += learner.fit(X[start:stop], y[start:stop], rngs[start:stop])
-    ends = np.cumsum([len(p.train) for p in plans])
-    return [models[end - len(p.train) : end] for p, end in zip(plans, ends)]
+        # Yielded unnamed, so this generator keeps no reference to the stack.
+        yield _by_plan(
+            owners[start:stop], learner.fit(X[start:stop], y[start:stop], rngs[start:stop])
+        )
+
+
+def _by_plan(owners, models) -> list[tuple[int, int, list]]:
+    """``(p, first, models)`` runs of consecutive models of one plan."""
+    runs = []
+    for (p, j), model in zip(owners, models):
+        if runs and runs[-1][0] == p:
+            runs[-1][2].append(model)
+        else:
+            runs.append((p, j, [model]))
+    return runs
+
+
+def fit_plans(learner, plans) -> list[list]:
+    """The models of every plan, in plan order, all held at once: the
+    stacks of ``fitted_stacks`` joined."""
+    fitted = [[] for _ in plans]
+    for stack in fitted_stacks(learner, plans):
+        for p, _, models in stack:
+            fitted[p] += models
+    return fitted
 
 
 def vacuous(plan: FoldPlan, alpha: float) -> bool:
@@ -247,70 +281,103 @@ def vacuous(plan: FoldPlan, alpha: float) -> bool:
     return bool(plan.folds.size) and rank_threshold(plan.folds.size, alpha) == 0
 
 
-def calibrate(plan: FoldPlan, models, alpha: float, n_labels: int):
-    """The set predictor of a plan's fitted models over ``n_labels`` labels:
-    the mass rule when the plan holds nothing out, the rank-count rule
-    otherwise.  The rank-count predictor scores its held-out folds here,
-    once.  A ``vacuous`` plan gets the full-set predictor and its models are
-    never read, so they need not be fitted (pass ``None``)."""
-    if vacuous(plan, alpha):
-        return _FullSetPredictor(n_labels)
-    if plan.folds.size:
-        return _FoldPlanPredictor(plan, models, alpha)
-    return _MassPredictor(plan, models, alpha)
+def _held_out_scores(plan: FoldPlan, first: int, models) -> np.ndarray:
+    """``(len(models), fold size)`` scores of models ``first, first + 1,
+    ...`` of a plan on their own held-out folds, at the true labels.  Every
+    fold has the same size, so the models score their folds as one stack of
+    per-model rows, ``(fold size, K, d)``."""
+    held = plan.folds[first : first + len(models)]
+    scores = mlp.log_losses(models, plan.feats[held].transpose(1, 0, 2))
+    return np.take_along_axis(scores, plan.y[held].T[:, :, None], axis=-1)[..., 0].T
 
 
-class _FullSetPredictor:
-    """Every label for every payload sample: the sets of a vacuous plan."""
-
-    def __init__(self, n_labels: int):
-        self.n_labels = n_labels
-
-    def predict_mask(self, x) -> np.ndarray:
-        # The payload is still checked: a non-finite sample raises here too.
-        return np.ones((len(mlp.features(x)), self.n_labels), dtype=bool)
+def _payload_counts(models, held_out, feats: np.ndarray) -> np.ndarray:
+    """Rank counts (``_rank_counts``) of every label of every payload row,
+    summed over ``models``, each scoring the one payload matrix ``feats``;
+    ``held_out[k]`` are model ``k``'s held-out scores."""
+    return _rank_counts(mlp.log_losses(models, feats).transpose(0, 2, 1), held_out)
 
 
-class _MassPredictor:
-    """Probability-mass sets (``naive_mask``) from a plan's one model."""
+def _mass_mask(model, feats: np.ndarray, alpha: float) -> np.ndarray:
+    """The mass rule (``naive_mask``) on one model's predictive."""
+    return naive_mask(mlp.predictive_stack([model], feats)[:, 0], alpha)
 
-    def __init__(self, plan: FoldPlan, models, alpha: float):
+
+def calibrate(plan: FoldPlan, alpha: float, x, n_labels: int) -> "PayloadSets":
+    """The sets of the payload ``x`` over ``n_labels`` labels under a plan,
+    to be built from the plan's models as they are fitted: the mass rule
+    when the plan holds nothing out, the rank-count rule otherwise.  The
+    payload is checked here (a non-finite sample raises).  A ``vacuous``
+    plan's sets are complete at once and need no model."""
+    return PayloadSets(plan, alpha, x, n_labels)
+
+
+class PayloadSets:
+    """The sets of one payload under one plan, built stack by stack.
+
+    ``add(first, models)`` scores models ``first, first + 1, ...`` of the
+    plan and keeps none of them: each model scores its own held-out fold on
+    per-model rows, scores the payload as one feature matrix, and adds its
+    rank counts.  Once the plan's last model is added, ``mask`` holds the
+    ``(payload, labels)`` membership mask.  A candidate label enters a set
+    when at least ``threshold_count = rank_threshold(n_cal, alpha)`` of the
+    ``n_cal`` held-out pilots score at or above it under their own model; a
+    threshold of 0 (a ``vacuous`` plan) admits every label at once.  Under
+    the mass rule, the one model's predictive decides.  Payload features and
+    counts exist only while models are added, so sets waiting for their
+    first model hold nothing the size of the payload but ``x`` itself.
+    """
+
+    def __init__(self, plan: FoldPlan, alpha: float, x, n_labels: int):
+        self.plan = plan
         self.alpha = _check_alpha(alpha)
-        (self.model,) = models
+        self.x = x
+        self.threshold_count = rank_threshold(plan.folds.size, self.alpha)
+        #: Models still to add; a vacuous plan needs none.
+        self.pending = 0 if vacuous(plan, self.alpha) else len(plan.train)
+        self.counts = None
+        n_rows = len(mlp.features(x))
+        self.mask = None if self.pending else np.ones((n_rows, n_labels), dtype=bool)
 
-    def predict_mask(self, x) -> np.ndarray:
-        probs = mlp.predictive_stack([self.model], mlp.features(x))[:, 0]
-        return naive_mask(probs, self.alpha)
+    def add(self, first: int, models) -> None:
+        feats = mlp.features(self.x)
+        self.pending -= len(models)
+        if not self.plan.folds.size:
+            (model,) = models
+            self.mask = _mass_mask(model, feats, self.alpha)
+            return
+        counts = _payload_counts(models, _held_out_scores(self.plan, first, models), feats)
+        self.counts = counts if self.counts is None else self.counts + counts
+        if not self.pending:
+            self.mask, self.counts = self.counts >= self.threshold_count, None
 
 
-class NaiveSetPredictor(_MassPredictor):
+# The predictor classes fit every model of one frame's plan and keep them, so
+# that any payload can be scored later; they are the per-frame reference the
+# streamed sets are checked against.
+
+
+class NaiveSetPredictor:
     """Probability-mass sets from one model trained on all pilots."""
 
     def __init__(self, pilot_x, pilot_y, alpha: float, learner, seed: int = 0):
-        plan = naive_plan(pilot_x, pilot_y, seed)
-        super().__init__(plan, fit_plans(learner, [plan])[0], alpha)
+        self.alpha = _check_alpha(alpha)
+        (self.model,) = fit_plans(learner, [naive_plan(pilot_x, pilot_y, seed)])[0]
+
+    def predict_mask(self, x) -> np.ndarray:
+        return _mass_mask(self.model, mlp.features(x), self.alpha)
 
 
 class _FoldPlanPredictor:
-    """Conformal sets from a fitted fold plan and the rank-count rule.
+    """Conformal sets from a fold plan, its fitted models and the rank-count
+    rule of ``PayloadSets``."""
 
-    Each model scores its own held-out fold.  A candidate label enters the
-    set when at least ``rank_threshold(n_cal, alpha)`` of the ``n_cal``
-    held-out pilots score at or above it under their own model.  A threshold
-    of 0 admits every label, whatever the scores are.
-    """
-
-    def __init__(self, plan: FoldPlan, models, alpha: float):
+    def __init__(self, plan: FoldPlan, learner, alpha: float):
         self.alpha = _check_alpha(alpha)
         self.folds = list(plan.folds)
-        self.models = list(models)
-        # Every fold has the same size, so the models score their folds as
-        # one stack: (fold size, K, d) rows.
-        held = plan.folds
-        scores = mlp.log_losses(self.models, plan.feats[held].transpose(1, 0, 2))
-        true = np.take_along_axis(scores, plan.y[held].T[:, :, None], axis=-1)[..., 0]
-        self.fold_scores = list(true.T)
-        self.threshold_count = rank_threshold(held.size, self.alpha)
+        self.models = fit_plans(learner, [plan])[0]
+        self.fold_scores = list(_held_out_scores(plan, 0, self.models))
+        self.threshold_count = rank_threshold(plan.folds.size, self.alpha)
 
     @property
     def val_scores(self) -> np.ndarray:
@@ -318,8 +385,8 @@ class _FoldPlanPredictor:
         return np.concatenate(self.fold_scores)
 
     def predict_mask(self, x) -> np.ndarray:
-        scores = mlp.log_losses(self.models, mlp.features(x))
-        return _rank_counts(scores.transpose(0, 2, 1), self.fold_scores) >= self.threshold_count
+        counts = _payload_counts(self.models, self.fold_scores, mlp.features(x))
+        return counts >= self.threshold_count
 
 
 class SplitConformalPredictor(_FoldPlanPredictor):
@@ -335,8 +402,7 @@ class SplitConformalPredictor(_FoldPlanPredictor):
     """
 
     def __init__(self, pilot_x, pilot_y, alpha: float, learner, seed: int = 0):
-        plan = split_plan(pilot_x, pilot_y, seed)
-        super().__init__(plan, fit_plans(learner, [plan])[0], alpha)
+        super().__init__(split_plan(pilot_x, pilot_y, seed), learner, alpha)
 
 
 class CrossValConformalPredictor(_FoldPlanPredictor):
@@ -353,5 +419,4 @@ class CrossValConformalPredictor(_FoldPlanPredictor):
         k: int | None = None,
         seed: int = 0,
     ):
-        plan = cross_val_plan(pilot_x, pilot_y, k, seed)
-        super().__init__(plan, fit_plans(learner, [plan])[0], alpha)
+        super().__init__(cross_val_plan(pilot_x, pilot_y, k, seed), learner, alpha)

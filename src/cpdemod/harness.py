@@ -8,8 +8,11 @@ cells and frames can be computed in any order, serially or in parallel, with
 identical results.
 
 The unit of work is a block: up to ``MAX_STACK // models per frame`` frames
-of one cell, whose models all train in one stacked fit.  A pool runs the
-blocks longest first and the outcomes are put back in cell order.
+of one cell, whose models train in stacks of at most ``MAX_STACK``.  A block
+runs fit, score, drop: each stack is scored as soon as it is fitted and
+dropped before the next fit, so a worker holds one stack of models at a
+time, whatever the pilot count.  A pool runs the blocks longest first and
+the outcomes are put back in cell order.
 """
 
 from __future__ import annotations
@@ -193,28 +196,31 @@ def _describe(cell, frame_indices) -> str:
 
 
 @contextmanager
-def _naming(cell, frame_indices):
+def _naming(cell, frame_indices, logged: set | None = None):
     """Name the frames of a cell in whatever goes wrong inside.
 
     An error is re-raised as a ``RuntimeError`` that names the frames.  A
     numpy floating-point error that would warn (overflow in a diverging fit,
-    say) is logged instead, each distinct message once, naming the frames;
-    error kinds the caller ignores or raises on stay as they are.
+    say) is logged instead, naming the frames, each distinct message once
+    per ``logged`` set: pass one set to several ``with`` blocks to log a
+    message once across them.  Error kinds the caller ignores or raises on
+    stay as they are.
     """
-    # numpy's "log" mode writes "Warning: <what> encountered in <ufunc>\n".
-    messages = {}
-    sink = SimpleNamespace(
-        write=lambda text: messages.setdefault(text.strip().removeprefix("Warning: "))
-    )
+    logged = set() if logged is None else logged
+
+    def write(text):
+        # numpy's "log" mode writes "Warning: <what> encountered in <ufunc>\n".
+        message = text.strip().removeprefix("Warning: ")
+        if message not in logged:
+            logged.add(message)
+            log.warning("%s: %s", _describe(cell, frame_indices), message)
+
     policy = {kind: "log" if mode == "warn" else mode for kind, mode in np.geterr().items()}
     try:
-        with np.errstate(call=sink, **policy):
+        with np.errstate(call=SimpleNamespace(write=write), **policy):
             yield
     except Exception as exc:
         raise RuntimeError(f"{_describe(cell, frame_indices)} failed: {exc!r}") from exc
-    finally:
-        for message in messages:
-            log.warning("%s: %s", _describe(cell, frame_indices), message)
 
 
 def _simulate_block(
@@ -222,22 +228,29 @@ def _simulate_block(
 ) -> list[tuple[Frame, np.ndarray]]:
     """Frames ``frame_indices`` of one cell of ``config`` end to end.
 
-    Every frame is generated from its own seed and planned; then all models
-    of the block train together (``conformal.fit_plans``), and each frame is
-    calibrated and scored on its own.  A block of ``conformal.vacuous``
-    plans (vb at 10 pilots and alpha 0.1, say) fits nothing: its sets are the
-    full alphabet whatever the models would say, and each frame is still
-    calibrated and its payload still checked.  A frame whose generation,
-    plan, calibration or scoring raises fails with a ``RuntimeError`` naming
-    it; a failed fit names every frame of the block.  A frame whose models
-    hold non-finite weights (a diverged fit) logs a warning naming it and is
-    scored as it is.  Numpy's floating-point warnings are logged naming the
-    frames they came from (see ``_naming``).
+    Every frame is generated from its own seed, planned, and its payload
+    checked and set up for calibration (``conformal.calibrate``).  Then the
+    models of the block are fitted, scored and dropped one stack at a time
+    (``conformal.fitted_stacks``): each model scores its held-out fold and
+    its frame's payload as soon as its stack is fitted, and the stack is
+    dropped before the next one is fitted.  A frame's mask is finished when
+    its last model is scored.  So a block holds at most one stack of
+    ``conformal.MAX_STACK`` models, whatever its pilot count or frame count.
+    A block of ``conformal.vacuous`` plans (vb at 10 pilots and alpha 0.1,
+    say) fits nothing: its sets are the full alphabet whatever the models
+    would say.
+
+    A frame whose generation, plan, payload or scoring raises fails with a
+    ``RuntimeError`` naming it; a failed fit names every frame of the block.
+    A frame whose models hold non-finite weights (a diverged fit) logs a
+    warning naming it and is scored as it is.  Numpy's floating-point
+    warnings are logged naming the frames they came from, each distinct one
+    once per block fit and once per frame scored (see ``_naming``).
     """
     method, learner, n_pilots = cell
     constellation = make_constellation(config.constellation)
     alpha = _alpha(config, method)
-    frames, plans = [], []
+    frames, plans, sets = [], [], []
     for frame_index in frame_indices:
         with _naming(cell, [frame_index]):
             fseed = frame_seed(config.master_seed, *cell, frame_index)
@@ -248,27 +261,32 @@ def _simulate_block(
             plans.append(
                 _plan(method, frame.pilot_x, frame.pilot_y, config.k_folds, hash64(fseed, 1))
             )
+            sets.append(conformal.calibrate(plans[-1], alpha, frame.test_x, len(constellation)))
     # Every plan of a block has the same shape, so all or none are vacuous.
-    if conformal.vacuous(plans[0], alpha):
-        fitted = [None] * len(plans)
-    else:
-        with _naming(cell, frame_indices):
-            fitted = conformal.fit_plans(_make_learner(learner, len(constellation)), plans)
-        for frame_index, models in zip(frame_indices, fitted):
-            diverged = sum(not model.all_finite() for model in models)
-            if diverged:
-                log.warning(
-                    "%s: %d of %d models hold non-finite weights",
-                    _describe(cell, [frame_index]),
-                    diverged,
-                    len(models),
-                )
-    masks = []
-    for frame_index, frame, plan, models in zip(frame_indices, frames, plans, fitted):
-        with _naming(cell, [frame_index]):
-            predictor = conformal.calibrate(plan, models, alpha, len(constellation))
-            masks.append(predictor.predict_mask(frame.test_x))
-    return list(zip(frames, masks))
+    if not conformal.vacuous(plans[0], alpha):
+        fit_logged, score_logged = set(), [set() for _ in plans]
+        diverged = [0] * len(plans)
+        stacks = conformal.fitted_stacks(_make_learner(learner, len(constellation)), plans)
+        while True:
+            with _naming(cell, frame_indices, fit_logged):
+                stack = next(stacks, None)
+            if stack is None:
+                break
+            for p, first, models in stack:
+                diverged[p] += sum(not model.all_finite() for model in models)
+                with _naming(cell, [frame_indices[p]], score_logged[p]):
+                    sets[p].add(first, models)
+                if diverged[p] and sets[p].mask is not None:
+                    log.warning(
+                        "%s: %d of %d models hold non-finite weights",
+                        _describe(cell, [frame_indices[p]]),
+                        diverged[p],
+                        len(plans[p].train),
+                    )
+            # Every model is a view of its stack's weights: drop the last
+            # references before the next fit.
+            del stack, models
+    return [(frame, frame_sets.mask) for frame, frame_sets in zip(frames, sets)]
 
 
 def simulate_frame(

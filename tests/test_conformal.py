@@ -243,12 +243,12 @@ def test_vacuous_plans_are_those_with_a_zero_rank_threshold():
     assert not conformal.vacuous(conformal.cross_val_plan(x, y), 0.1)  # floor(0.1 * 11) = 1
     assert conformal.vacuous(conformal.cross_val_plan(x, y, 5), 0.05)  # floor(0.05 * 11) = 0
     assert not conformal.vacuous(conformal.naive_plan(x, y), 0.1)
-    # A vacuous plan's predictor reads no model, but still checks its payload.
-    predictor = conformal.calibrate(conformal.split_plan(x, y), None, 0.1, len(ALL_LABELS))
-    mask = predictor.predict_mask([0.3 + 0.3j, -1j])
+    # A vacuous plan's sets need no model, but its payload is still checked.
+    plan = conformal.split_plan(x, y)
+    mask = conformal.calibrate(plan, 0.1, [0.3 + 0.3j, -1j], len(ALL_LABELS)).mask
     assert mask.dtype == bool and mask.shape == (2, len(ALL_LABELS)) and mask.all()
     with pytest.raises(ValueError, match="finite"):
-        predictor.predict_mask([0.3, np.nan])
+        conformal.calibrate(plan, 0.1, [0.3, np.nan], len(ALL_LABELS))
 
 
 def test_split_validation_points_cover_themselves():

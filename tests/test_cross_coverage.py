@@ -61,8 +61,9 @@ def pooled_coverage():
         for frame, plan, models in zip(frames, plans, fitted):
             for alpha in ALPHAS:
                 assert conformal.rank_threshold(plan.folds.size, alpha) >= 1
-                predictor = conformal.calibrate(plan, models, alpha, len(constellation))
-                h, _ = tally(predictor.predict_mask(frame.test_x), frame.test_y)
+                sets = conformal.calibrate(plan, alpha, frame.test_x, len(constellation))
+                sets.add(0, models)
+                h, _ = tally(sets.mask, frame.test_y)
                 key = (method, learner, alpha)
                 hits[key] = hits.get(key, 0) + h
     return {key: h / N_SYMBOLS for key, h in hits.items()}

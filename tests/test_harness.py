@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,89 @@ def test_blocks_give_the_masks_of_single_frames(monkeypatch, max_stack):
     assert len(block_masks) == len(single_masks) == 8 * 2 * 3
     for got, want in zip(block_masks, single_masks):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _predictor_mask(config, cell, frame_index, frame):
+    """A frame's mask from the predictor class of its method, which fits and
+    keeps every model of the frame before it scores any payload."""
+    method, learner, _ = cell
+    seed = hash64(frame_seed(config.master_seed, *cell, frame_index), 1)
+    args = (frame.pilot_x, frame.pilot_y, config.alpha, harness._make_learner(learner, 4))
+    if method == "naive":
+        predictor = conformal.NaiveSetPredictor(*args, seed)
+    elif method == "vb":
+        predictor = conformal.SplitConformalPredictor(*args, seed=seed)
+    else:
+        k = None if method == "cv" else config.k_folds
+        predictor = conformal.CrossValConformalPredictor(*args, k, seed)
+    return predictor.predict_mask(frame.test_x)
+
+
+@pytest.mark.parametrize("max_stack", [20, 8])
+def test_blocks_give_the_masks_of_the_fitting_predictors(monkeypatch, max_stack):
+    # The block path scores each stack as soon as it is fitted and drops it.
+    # At a cap of 8, a cv frame's models span two stacks at 10 pilots and
+    # three at 20, and the kcv and naive stacks hold several frames.
+    monkeypatch.setattr(conformal, "MAX_STACK", max_stack)
+    config = _small_config(n_pilots_grid=(10, 20), n_frames=3)
+    compared = 0
+    for _, cell, frame_indices in harness._cell_blocks(config):
+        got = harness._simulate_block(config, cell, frame_indices)
+        for frame_index, (frame, mask) in zip(frame_indices, got):
+            want = _predictor_mask(config, cell, frame_index, frame)
+            assert mask.dtype == want.dtype and np.array_equal(mask, want), (cell, frame_index)
+            compared += 1
+    assert compared == 8 * 2 * 3
+
+
+def _memory_root(array: np.ndarray) -> np.ndarray:
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+class _StackWatch:
+    """Learner wrapper that asserts, at every fit, that no model it returned
+    from an earlier fit, and no array those models' weights are views of, is
+    still alive."""
+
+    def __init__(self, learner):
+        self.learner = learner
+        self.refs = []
+        self.fits = 0
+
+    def fit(self, X, y, rngs):
+        alive = sum(ref() is not None for ref in self.refs)
+        assert not alive, f"{alive} objects of earlier stacks alive at fit {self.fits}"
+        self.fits += 1
+        models = self.learner.fit(X, y, rngs)
+        for model in models:
+            self.refs += [weakref.ref(model), weakref.ref(_memory_root(model.stacked.ws[0]))]
+        return models
+
+
+@pytest.mark.parametrize("learner", LEARNERS)
+@pytest.mark.parametrize(
+    "method,n_pilots,n_frames,max_stack,fits",
+    [("cv", 20, 1, 8, 3), ("naive", 10, 5, 2, 3)],
+    ids=["cv-three-stacks", "naive-multi-frame-blocks"],
+)
+def test_a_block_holds_one_stack_of_models_at_a_time(
+    monkeypatch, learner, method, n_pilots, n_frames, max_stack, fits
+):
+    # cv at 20 pilots and a cap of 8 fits one frame in stacks of 8, 8 and 4;
+    # naive at a cap of 2 runs blocks of 2, 2 and 1 frames, one stack each,
+    # and the one watch sees the fits of every block.
+    monkeypatch.setattr(conformal, "MAX_STACK", max_stack)
+    watch = _StackWatch(harness._make_learner(learner, 4))
+    monkeypatch.setattr(harness, "_make_learner", lambda name, n_labels: watch)
+    config = _small_config(
+        methods=(method,), learners=(learner,), n_pilots_grid=(n_pilots,), n_frames=n_frames
+    )
+    (record,) = run_experiment(config)
+    assert record.n_frames == n_frames and watch.fits == fits
+    assert len(watch.refs) == 2 * (n_pilots if method == "cv" else n_frames)
+    assert not any(ref() is not None for ref in watch.refs)
 
 
 def test_longest_first_pool_gives_the_serial_records():
