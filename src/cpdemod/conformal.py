@@ -44,6 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import mlp
+from .checks import integer
 from .seeding import derive_rng
 
 #: Slack used when comparing accumulated probability mass against a target;
@@ -214,7 +215,7 @@ def cross_val_plan(pilot_x, pilot_y, k: int | None = None, seed: int = 0) -> Fol
     feats, y = _pilot_arrays(pilot_x, pilot_y)
     order = _calibration_order(feats, y, seed)
     n = len(y)
-    k = n if k is None else int(k)
+    k = n if k is None else integer("k", k)
     if not 2 <= k <= n:
         raise ValueError(f"fold count must be in [2, {n}], got {k}")
     if n % k:

@@ -27,6 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import conformal
+from .checks import integer, real
 from .channel import Constellation, Frame, generate_frame, make_qpsk
 from .mlp import GDLearner, ModelArch, SGLDLearner
 from .seeding import derive_rng, hash64
@@ -51,25 +52,6 @@ def make_constellation(name: str) -> Constellation:
         raise ValueError(f"unknown constellation {name!r}") from None
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a plain int; a bool, float or anything else that is not a
-    Python or numpy integer raises."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a plain float; a bool, string or anything else that is not
-    a Python or numpy int or float raises."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is out of a float's range, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment grid."""
@@ -88,13 +70,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_test", "n_frames", "k_folds", "master_seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         for name in ("snr_db", "alpha"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
+            object.__setattr__(self, name, real(name, getattr(self, name)))
         if not isinstance(self.alpha_halving, (bool, np.bool_)):
             raise ValueError(f"alpha_halving must be a bool, got {self.alpha_halving!r}")
         object.__setattr__(self, "alpha_halving", bool(self.alpha_halving))
-        grid = tuple(_integer("n_pilots_grid", n) for n in self.n_pilots_grid)
+        grid = tuple(integer("n_pilots_grid", n) for n in self.n_pilots_grid)
         object.__setattr__(self, "n_pilots_grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "learners", tuple(self.learners))

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer
+
 #: Probabilities are clamped here before any log; the clamp only guards the
 #: log, the softmax output itself is never modified.
 PROB_FLOOR = 1e-12
@@ -46,7 +48,9 @@ class ModelArch:
     output_dim: int = 4
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        for name in ("input_dim", "output_dim"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
+        object.__setattr__(self, "hidden", tuple(integer("hidden", h) for h in self.hidden))
         if len(self.hidden) != 3:
             raise ValueError("expected exactly three hidden layers")
         if min(self.input_dim, self.output_dim, *self.hidden) < 1:
@@ -394,6 +398,9 @@ class GDLearner:
     steps: int = 120
     lr: float = 0.2
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "steps", integer("steps", self.steps))
+
     def fit(self, X, y, rngs) -> list[Ensemble]:
         if self.steps < 0:
             raise ValueError(f"need steps >= 0, got {self.steps!r}")
@@ -430,6 +437,10 @@ class SGLDLearner:
     ensemble_size: int = 20
     lr: float = 0.2
     prior_sigma: float = 10.0
+
+    def __post_init__(self) -> None:
+        for name in ("burn_in", "ensemble_size"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
 
     def fit(self, X, y, rngs) -> list[Ensemble]:
         if self.burn_in < 0 or self.ensemble_size < 1:

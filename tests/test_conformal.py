@@ -466,6 +466,15 @@ def test_kfold_rejects_bad_fold_counts():
         CrossValConformalPredictor(frame.pilot_x[:1], frame.pilot_y[:1], 0.1, learner)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_fold_count_must_be_an_integer(k):
+    # int() would cut 2.5 folds into 2, and True into 1.
+    frame = _pilot_frame(10, seed=20)
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        conformal.cross_val_plan(frame.pilot_x, frame.pilot_y, k)
+    assert len(conformal.cross_val_plan(frame.pilot_x, frame.pilot_y, np.int64(2)).folds) == 2
+
+
 def test_calibrated_predictors_ignore_pilot_order():
     frame = _pilot_frame(12, seed=21, n_test=6)
     perm = np.random.default_rng(22).permutation(12)

@@ -53,6 +53,36 @@ def test_arch_requires_three_hidden_layers():
         ModelArch(output_dim=0)
 
 
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        (lambda: ModelArch(hidden=(10.7, 16, 16)), "hidden"),
+        (lambda: ModelArch(hidden=(16, True, 16)), "hidden"),
+        (lambda: ModelArch(input_dim=2.0), "input_dim"),
+        (lambda: ModelArch(output_dim="4"), "output_dim"),
+        (lambda: GDLearner(ModelArch(), steps=2.5), "steps"),
+        (lambda: SGLDLearner(ModelArch(), burn_in=True), "burn_in"),
+        (lambda: SGLDLearner(ModelArch(), ensemble_size=2.5), "ensemble_size"),
+    ],
+    ids=["hidden-float", "hidden-bool", "input-float", "output-str", "gd-steps-float",
+         "sgld-burn-in-bool", "sgld-ensemble-size-float"],
+)
+def test_sizes_and_counts_must_be_integers(build, field):
+    # int() would truncate 10.7 to a 10-unit layer and count True as 1.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        build()
+
+
+def test_numpy_integer_sizes_and_counts_are_stored_as_plain_ints():
+    arch = ModelArch(input_dim=np.int64(2), hidden=(np.int32(5), 4, 3), output_dim=np.uint8(4))
+    gd = GDLearner(arch, steps=np.int16(7))
+    sgld = SGLDLearner(arch, burn_in=np.int64(3), ensemble_size=np.int64(2))
+    values = [arch.input_dim, *arch.hidden, arch.output_dim, gd.steps, sgld.burn_in,
+              sgld.ensemble_size]
+    assert values == [2, 5, 4, 3, 4, 7, 3, 2]
+    assert all(type(v) is int for v in values)
+
+
 def test_init_weights_shapes_and_zero_biases():
     w = init_weights(ModelArch(), np.random.default_rng(0))
     assert [a.shape for a in w.ws] == [(16, 2), (16, 16), (16, 16), (4, 16)]
