@@ -237,6 +237,22 @@ def test_floating_point_warnings_are_logged_naming_their_frames(monkeypatch, cap
     assert all(m.startswith(f"cell ('naive', {learner!r}, 10) frames [") for m in floating)
 
 
+def test_a_shared_naming_set_logs_each_warning_once_over_several_scopes(caplog):
+    # A block fit spans several stacks and a cv frame is scored stack by
+    # stack; each shares one set over its scopes.
+    cell, logged = ("cv", "frequentist", 20), set()
+    with caplog.at_level(logging.WARNING), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3):
+            with harness._naming(cell, [0], logged):
+                np.array([1e308]) * 10.0
+        with harness._naming(cell, [0]):
+            np.array([1e308]) * 10.0
+    assert [r.getMessage() for r in caplog.records] == [
+        "cell ('cv', 'frequentist', 20) frames [0]: overflow encountered in multiply"
+    ] * 2
+
+
 def test_import_does_not_load_the_process_pool():
     # The pool module loads multiprocessing; only a pooled run needs it.
     code = (
