@@ -27,8 +27,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import conformal
-from .checks import integer, real
 from .channel import Constellation, Frame, generate_frame, make_qpsk
+from .checks import integer, real
 from .mlp import GDLearner, ModelArch, SGLDLearner
 from .seeding import derive_rng, hash64
 
