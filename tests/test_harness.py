@@ -338,7 +338,9 @@ def _predictor_mask(config, cell, frame_index, frame):
     keeps every model of the frame before it scores any payload."""
     method, learner, _ = cell
     seed = hash64(frame_seed(config.master_seed, *cell, frame_index), 1)
-    args = (frame.pilot_x, frame.pilot_y, config.alpha, harness._make_learner(learner, 4))
+    halved = config.alpha_halving and method in ("cv", "kcv")
+    alpha = config.alpha / (2 if halved else 1)
+    args = (frame.pilot_x, frame.pilot_y, alpha, harness._make_learner(learner, 4))
     if method == "naive":
         predictor = conformal.NaiveSetPredictor(*args, seed)
     elif method == "vb":
@@ -451,15 +453,7 @@ def test_vacuous_cells_give_the_masks_of_the_fitting_predictors(method, halving)
         for cell in experiment_cells(config):
             got = harness._simulate_block(config, cell, list(range(config.n_frames)))
             for frame_index, (frame, mask) in enumerate(got):
-                fseed = frame_seed(master_seed, *cell, frame_index)
-                args = (frame.pilot_x, frame.pilot_y, config.alpha / (2 if halving else 1),
-                        harness._make_learner(cell[1], 4))
-                if method == "vb":
-                    predictor = conformal.SplitConformalPredictor(*args, seed=hash64(fseed, 1))
-                else:
-                    k = None if method == "cv" else config.k_folds
-                    predictor = conformal.CrossValConformalPredictor(*args, k, hash64(fseed, 1))
-                want = predictor.predict_mask(frame.test_x)
+                want = _predictor_mask(config, cell, frame_index, frame)
                 assert mask.dtype == want.dtype and np.array_equal(mask, want)
 
 
