@@ -304,7 +304,7 @@ def _mass_mask(model, feats: np.ndarray, alpha: float) -> np.ndarray:
     return naive_mask(mlp.predictive_stack([model], feats)[:, 0], alpha)
 
 
-def calibrate(plan: FoldPlan, alpha: float, x, n_labels: int) -> "PayloadSets":
+def calibrate(plan: FoldPlan, alpha: float, x, n_labels: int) -> PayloadSets:
     """The sets of the payload ``x`` over ``n_labels`` labels under a plan,
     to be built from the plan's models as they are fitted: the mass rule
     when the plan holds nothing out, the rank-count rule otherwise.  The
