@@ -21,7 +21,8 @@ train together, and hands over each stack as soon as it is fitted.
 each model adds its held-out and payload scores to them the moment its
 stack arrives: fit, score, drop.  The rank rule needs nothing of a fold
 model beyond those scores, so a caller that drops every stack once it is
-scored holds one stack of models at a time, whatever the number of pilots.
+scored holds one stack of models and one scoring pass's weights
+(``mlp.predictive_stack``) at a time, whatever the number of pilots.
 A plan whose rank threshold is 0 is ``vacuous``: its sets are the full
 alphabet, so its models need not be fitted.  ``fit_plans`` and the
 predictor classes instead keep every model of a plan, so that a payload can

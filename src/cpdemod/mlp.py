@@ -35,7 +35,8 @@ PROB_FLOOR = 1e-12
 #: Most bytes of stacked weights and activations one scoring pass holds.
 #: Networks join a pass while their weights and their rows' activations fit;
 #: a network's rows are never split, so a payload wider than this runs one
-#: network per pass.
+#: network per pass.  A scoring call holds one pass's weight copy at a time,
+#: next to the models it scores.
 MAX_PASS_BYTES = 1 << 20
 
 
@@ -326,7 +327,9 @@ def predictive_stack(models: Sequence[Ensemble], X) -> np.ndarray:
     all models (every member of every model) run as stacked passes of at
     most ``MAX_PASS_BYTES`` each, and every network sees all ``n`` of its rows
     in one product, so each model's output has the bits it has when scored
-    alone.  The models need equal member counts.
+    alone.  Each pass copies its networks' weights into one stack and frees
+    that copy before the next pass builds its own, so the call holds the
+    models plus one pass's weights.  The models need equal member counts.
     """
     X = np.asarray(X, dtype=np.float64)
     stacks = [m.stacked for m in models]
@@ -369,6 +372,13 @@ def predictive_stack(models: Sequence[Ensemble], X) -> np.ndarray:
                 column = probs[:, pos::size]
                 model = (start + pos) // size
                 total[:, model : model + column.shape[1]] += column
+        # Free this pass's weight copy before the next pass concatenates its
+        # own, so a call holds one pass's weights at a time.  ``probs``, the
+        # pass's last activation buffer, stays bound until the next pass
+        # replaces it: it sits above the pass's freed buffers, and freeing it
+        # too can let the allocator trim the heap and fault a whole-payload
+        # pass's pages in again on every pass.
+        del w
     return np.divide(total, size, out=total)
 
 

@@ -7,6 +7,8 @@ scores and sets equal per-model scoring, and a predictor's sets do not depend
 on what it scored before.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,39 @@ def test_stacked_predictive_equals_per_model_reference(
 
 
 # ------------------------------------------------------------------ scoring
+
+
+@pytest.mark.parametrize("pass_bytes", [64 << 10, 256 << 10, None])
+def test_scoring_holds_one_pass_of_weights(pass_bytes, monkeypatch):
+    # cv's held-out scoring: 20 Langevin ensembles, each on its own pilot.
+    # A pass's stacked weight copy is the largest buffer the call makes, so
+    # holding two at once (the previous pass's beside the next) shows as a
+    # peak of about twice one pass's weights.
+    if pass_bytes is not None:
+        monkeypatch.setattr(mlp, "MAX_PASS_BYTES", pass_bytes)
+    X, y = _pilots(20, seed=6)
+    rows = _loo_rows(20)
+    models = SGLDLearner(ModelArch(), burn_in=1).fit(
+        X[rows], y[rows], [derive_rng(5, j) for j in range(20)]
+    )
+    held_out = X[None]
+    pass_weights = []
+
+    class Recording(mlp._Pass):
+        def __init__(self, w, *args):
+            pass_weights.append(sum(a.nbytes for a in w.ws + w.bs))
+            super().__init__(w, *args)
+
+    monkeypatch.setattr(mlp, "_Pass", Recording)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mlp.predictive_stack(models, held_out)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pass_weights) > 2
+    assert peak < 1.5 * max(pass_weights), (peak, pass_weights)
 
 
 def _reference_scores(model, feats):
