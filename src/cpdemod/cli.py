@@ -27,11 +27,6 @@ def _usable_cpus() -> int:
 
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snr-db", type=float, default=5.0, help="SNR in dB")
-    parser.add_argument(
-        "--constellation",
-        choices=sorted(harness._CONSTELLATIONS),
-        default="qpsk",
-    )
     parser.add_argument("--n-test", type=int, default=100, help="payload symbols per frame")
     parser.add_argument("--alpha", type=float, default=0.1, help="target miscoverage")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
@@ -112,7 +107,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     try:
         args.config = harness.ExperimentConfig(
             snr_db=args.snr_db, n_test=args.n_test, alpha=args.alpha, k_folds=args.k,
-            master_seed=args.seed, constellation=args.constellation, **grid,
+            master_seed=args.seed, **grid,
         )
     except ValueError as exc:
         parser.error(str(exc))

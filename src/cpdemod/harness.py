@@ -21,7 +21,7 @@ import logging
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,14 +42,12 @@ _LEARNER_ID = {l: i for i, l in enumerate(LEARNERS)}
 
 CSV_HEADER = "method,learner,n_pilots,alpha,coverage,inefficiency,n_frames,seed"
 
-_CONSTELLATIONS = {"qpsk": make_qpsk}
-
 
 def make_constellation(name: str) -> Constellation:
-    try:
-        return _CONSTELLATIONS[name]()
-    except KeyError:
-        raise ValueError(f"unknown constellation {name!r}") from None
+    """QPSK, the only alphabet, by name; the benchmark script still names it."""
+    if name != "qpsk":
+        raise ValueError(f"unknown constellation {name!r}")
+    return make_qpsk()
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,9 @@ class ExperimentConfig:
     k_folds: int = 5
     master_seed: int = 0
     alpha_halving: bool = False
-    constellation: str = "qpsk"
+    # Not settable: QPSK is the only alphabet.  Kept as a field so that
+    # ``dataclasses.asdict`` gives the stored benchmark signatures.
+    constellation: str = field(default="qpsk", init=False)
 
     def __post_init__(self) -> None:
         for name in ("n_test", "n_frames", "k_folds", "master_seed"):
@@ -111,7 +111,6 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} repeats a value: {values!r}")
-        make_constellation(self.constellation)
 
     @property
     def snr_linear(self) -> float:
@@ -230,7 +229,7 @@ def _simulate_block(
     once per block fit and once per frame scored (see ``_naming``).
     """
     method, learner, n_pilots = cell
-    constellation = make_constellation(config.constellation)
+    constellation = make_qpsk()
     alpha = _alpha(config, method)
     frames, plans, sets = [], [], []
     for frame_index in frame_indices:

@@ -157,6 +157,15 @@ def test_run_rejects_grid_values_the_config_cannot_use(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "frame"])
+def test_constellation_is_not_an_option(command, capsys):
+    # QPSK is the only alphabet, so there is nothing to choose.
+    with pytest.raises(SystemExit) as exc:
+        parse_args([command, "--constellation", "qpsk"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --constellation" in capsys.readouterr().err
+
+
 def test_frame_output_is_deterministic(capsys):
     argv = ["frame", "--n-pilots", "6", "--n-test", "3", "--method", "naive"]
     main(argv)

@@ -1,5 +1,6 @@
 """Experiment loop: seeding, pooling, parallel equivalence, file formats."""
 
+import dataclasses
 import logging
 import os
 import re
@@ -569,6 +570,12 @@ def test_make_constellation():
         make_constellation("64apsk")
 
 
+def test_constellation_is_qpsk_and_not_settable():
+    assert dataclasses.asdict(ExperimentConfig())["constellation"] == "qpsk"
+    with pytest.raises(TypeError):
+        ExperimentConfig(constellation="qpsk")
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -583,7 +590,6 @@ def test_make_constellation():
         dict(methods=("naive", "bogus")),
         dict(learners=()),
         dict(learners=("frequentist", "map")),
-        dict(constellation="psk1024"),
         dict(n_pilots_grid=(1, 10), methods=("naive", "vb")),
         dict(n_pilots_grid=(1,), methods=("cv",)),
         dict(n_pilots_grid=(1,), methods=("kcv",)),
