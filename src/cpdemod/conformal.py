@@ -293,16 +293,11 @@ def _held_out_scores(plan: FoldPlan, first: int, models) -> np.ndarray:
     return np.take_along_axis(scores, plan.y[held].T[:, :, None], axis=-1)[..., 0].T
 
 
-def _payload_counts(models, held_out, feats: np.ndarray) -> np.ndarray:
-    """Rank counts (``_rank_counts``) of every label of every payload row,
-    summed over ``models``, each scoring the one payload matrix ``feats``;
-    ``held_out[k]`` are model ``k``'s held-out scores."""
-    return _rank_counts(mlp.log_losses(models, feats).transpose(0, 2, 1), held_out)
-
-
-def _mass_mask(model, feats: np.ndarray, alpha: float) -> np.ndarray:
-    """The mass rule (``naive_mask``) on one model's predictive."""
-    return naive_mask(mlp.predictive_stack([model], feats)[:, 0], alpha)
+def _payload_scores(models, feats: np.ndarray) -> np.ndarray:
+    """``(payload, labels, len(models))`` scores of every label of every
+    payload row, each model scoring the one payload matrix ``feats``: the
+    candidate scores of ``_rank_counts``."""
+    return mlp.log_losses(models, feats).transpose(0, 2, 1)
 
 
 def calibrate(plan: FoldPlan, alpha: float, x, n_labels: int) -> PayloadSets:
@@ -328,6 +323,13 @@ class PayloadSets:
     the mass rule, the one model's predictive decides.  Payload features and
     counts exist only while models are added, so sets waiting for their
     first model hold nothing the size of the payload but ``x`` itself.
+
+    ``nan_held_out`` counts the NaN held-out scores added so far and
+    ``nan_rows`` marks the payload rows with a NaN score under any added
+    model (``None`` while there is none).  A NaN held-out score never counts
+    towards a rank count but still counts in ``threshold_count``, and a
+    NaN predictive decides the mass rule arbitrarily, so both leave sets
+    that look calibrated and are not.
     """
 
     def __init__(self, plan: FoldPlan, alpha: float, x, n_labels: int):
@@ -338,6 +340,7 @@ class PayloadSets:
         #: Models still to add; a vacuous plan needs none.
         self.pending = 0 if vacuous(plan, self.alpha) else len(plan.train)
         self.counts = None
+        self.nan_held_out, self.nan_rows = 0, None
         n_rows = len(mlp.features(x))
         self.mask = None if self.pending else np.ones((n_rows, n_labels), dtype=bool)
 
@@ -346,12 +349,28 @@ class PayloadSets:
         self.pending -= len(models)
         if not self.plan.folds.size:
             (model,) = models
-            self.mask = _mass_mask(model, feats, self.alpha)
+            probs = mlp.predictive_stack([model], feats)[:, 0]
+            self._note_nan_rows(probs)
+            self.mask = naive_mask(probs, self.alpha)
             return
-        counts = _payload_counts(models, _held_out_scores(self.plan, first, models), feats)
+        held_out = _held_out_scores(self.plan, first, models)
+        scores = _payload_scores(models, feats)
+        if not np.isfinite(held_out.sum()):
+            self.nan_held_out += int(np.isnan(held_out).sum())
+        self._note_nan_rows(scores)
+        counts = _rank_counts(scores, held_out)
         self.counts = counts if self.counts is None else self.counts + counts
         if not self.pending:
             self.mask, self.counts = self.counts >= self.threshold_count, None
+
+    def _note_nan_rows(self, scores: np.ndarray) -> None:
+        # A finite sum has no NaN term.  Testing it first makes no array of
+        # flags for a frame without NaN: flagging every stack's scores raised
+        # the peak resident size of a cv benchmark run by ~0.7 MB.
+        if np.isfinite(scores.sum()):
+            return
+        rows = np.isnan(scores).reshape(len(scores), -1).any(axis=1)
+        self.nan_rows = rows if self.nan_rows is None else self.nan_rows | rows
 
 
 # The predictor classes fit every model of one frame's plan and keep them, so
@@ -367,7 +386,8 @@ class NaiveSetPredictor:
         (self.model,) = fit_plans(learner, [naive_plan(pilot_x, pilot_y, seed)])[0]
 
     def predict_mask(self, x) -> np.ndarray:
-        return _mass_mask(self.model, mlp.features(x), self.alpha)
+        probs = mlp.predictive_stack([self.model], mlp.features(x))[:, 0]
+        return naive_mask(probs, self.alpha)
 
 
 class _FoldPlanPredictor:
@@ -387,8 +407,8 @@ class _FoldPlanPredictor:
         return np.concatenate(self.fold_scores)
 
     def predict_mask(self, x) -> np.ndarray:
-        counts = _payload_counts(self.models, self.fold_scores, mlp.features(x))
-        return counts >= self.threshold_count
+        scores = _payload_scores(self.models, mlp.features(x))
+        return _rank_counts(scores, self.fold_scores) >= self.threshold_count
 
 
 class SplitConformalPredictor(_FoldPlanPredictor):

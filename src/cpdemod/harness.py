@@ -204,6 +204,24 @@ def _naming(cell, frame_indices, logged: set | None = None):
         raise RuntimeError(f"{_describe(cell, frame_indices)} failed: {exc!r}") from exc
 
 
+def _warn_unsound(cell, frame_index, plan, frame_sets, diverged: int) -> None:
+    """Log what leaves a finished frame's sets unsound: models with
+    non-finite weights, and NaN held-out or payload scores (which finite but
+    huge weights give too), one warning each."""
+    where = _describe(cell, [frame_index])
+    if diverged:
+        log.warning("%s: %d of %d models hold non-finite weights", where, diverged,
+                    len(plan.train))
+    found = []
+    if frame_sets.nan_held_out:
+        found.append(f"{frame_sets.nan_held_out} of {plan.folds.size} held-out scores are NaN")
+    rows = frame_sets.nan_rows
+    if rows is not None:
+        found.append(f"{int(rows.sum())} of {len(rows)} payload rows have NaN scores")
+    if found:
+        log.warning("%s: %s", where, " and ".join(found))
+
+
 def _simulate_block(
     config: ExperimentConfig, cell, frame_indices
 ) -> list[tuple[Frame, np.ndarray]]:
@@ -223,10 +241,12 @@ def _simulate_block(
 
     A frame whose generation, plan, payload or scoring raises fails with a
     ``RuntimeError`` naming it; a failed fit names every frame of the block.
-    A frame whose models hold non-finite weights (a diverged fit) logs a
-    warning naming it and is scored as it is.  Numpy's floating-point
-    warnings are logged naming the frames they came from, each distinct one
-    once per block fit and once per frame scored (see ``_naming``).
+    A frame whose models hold non-finite weights (a diverged fit), or whose
+    held-out or payload scores hold NaN (finite but huge weights give that
+    too), logs a warning naming it and is scored as it is (``_warn_unsound``).
+    Numpy's floating-point warnings are logged naming the frames they came
+    from, each distinct one once per block fit and once per frame scored (see
+    ``_naming``).
     """
     method, learner, n_pilots = cell
     constellation = make_qpsk()
@@ -257,13 +277,8 @@ def _simulate_block(
                 diverged[p] += sum(not model.all_finite() for model in models)
                 with _naming(cell, [frame_indices[p]], score_logged[p]):
                     sets[p].add(first, models)
-                if diverged[p] and sets[p].mask is not None:
-                    log.warning(
-                        "%s: %d of %d models hold non-finite weights",
-                        _describe(cell, [frame_indices[p]]),
-                        diverged[p],
-                        len(plans[p].train),
-                    )
+                if sets[p].mask is not None:
+                    _warn_unsound(cell, frame_indices[p], plans[p], sets[p], diverged[p])
             # Every model is a view of its stack's weights: drop the last
             # references before the next fit.
             del stack, models

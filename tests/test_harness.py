@@ -31,7 +31,7 @@ from cpdemod.harness import (
     write_csv,
     write_dat,
 )
-from cpdemod.mlp import GDLearner, ModelArch, SGLDLearner
+from cpdemod.mlp import Ensemble, GDLearner, ModelArch, SGLDLearner, Weights, init_weights
 from cpdemod.seeding import hash64
 
 
@@ -218,6 +218,56 @@ def test_diverged_fit_logs_a_warning_naming_its_frame(monkeypatch, caplog, learn
         "hold non-finite weights"
         for i in range(2)
     ]
+
+
+class _HugeWeights:
+    """Finite weights of about 1e200: every product overflows, the scores are
+    NaN, and no weight is non-finite."""
+
+    def __init__(self, name, n_labels):
+        self.arch = ModelArch(output_dim=n_labels)
+
+    def fit(self, X, y, rngs):
+        models = []
+        for rng in rngs:
+            w = init_weights(self.arch, rng)
+            stacked = Weights([a[None] * 1e200 for a in w.ws], [b[None] * 1e200 for b in w.bs])
+            models.append(Ensemble(stacked))
+        return models
+
+
+@pytest.mark.parametrize(
+    "method,n_pilots,held_out",
+    # cv at 30 pilots fits each frame in two stacks, whose counts add up.
+    [("naive", 10, None), ("vb", 20, 10), ("cv", 10, 10), ("cv", 30, 30), ("kcv", 10, 10)],
+)
+def test_nan_scores_log_a_warning_naming_their_frame(monkeypatch, caplog, method, n_pilots,
+                                                      held_out):
+    config = _small_config(methods=(method,), learners=("frequentist",),
+                           n_pilots_grid=(n_pilots,))
+    cell = (method, "frequentist", n_pilots)
+    monkeypatch.setattr(harness, "_make_learner", _HugeWeights)
+    with caplog.at_level(logging.WARNING), np.errstate(all="ignore"):
+        masks = [simulate_frame(config, cell, i)[1] for i in range(2)]
+        (record,) = run_experiment(config)
+    assert record.n_frames == 2
+    messages = [r.getMessage() for r in caplog.records if "NaN" in r.getMessage()]
+    assert not any("non-finite" in m for m in messages)
+    expected = ""
+    if held_out:
+        expected = f"{held_out} of {held_out} held-out scores are NaN and "
+    expected += "8 of 8 payload rows have NaN scores"
+    # Once by simulate_frame, once by run_experiment, for each frame.
+    assert sorted(messages) == sorted(
+        f"cell {cell!r} frames [{i}]: {expected}" for i in (0, 1, 0, 1)
+    )
+    # Logging changes no set: a NaN predictive gives the set {0}, and a NaN
+    # score counts towards no rank count, so no label enters.
+    expected_mask = np.zeros((8, 4), dtype=bool)
+    if method == "naive":
+        expected_mask[:, 0] = True
+    for mask in masks:
+        assert np.array_equal(mask, expected_mask)
 
 
 @pytest.mark.parametrize("learner", LEARNERS)
