@@ -17,11 +17,11 @@ the pilots and the seed, and the naive plan is one model with nothing held
 out.  ``fitted_stacks`` fits the models of any number of plans of equal
 training size in shared stacks, so the frames of one experiment cell can
 train together, and hands over each stack as soon as it is fitted.
-``calibrate`` sets up the sets of one plan's payload (``PayloadSets``), and
-each model adds its held-out and payload scores to them the moment its
-stack arrives: fit, score, drop.  The rank rule needs nothing of a fold
-model beyond those scores, so a caller that drops every stack once it is
-scored holds one stack of models and one scoring pass's weights
+``PayloadSets`` holds the sets of one plan's payload, and each model adds
+its held-out and payload scores to them the moment its stack arrives: fit,
+score, drop.  The rank rule needs nothing of a fold model beyond those
+scores, so a caller that drops every stack once it is scored holds one
+stack of models and one scoring pass's weights
 (``mlp.predictive_stack``) at a time, whatever the number of pilots.
 A plan whose rank threshold is 0 is ``vacuous``: its sets are the full
 alphabet, so its models need not be fitted.  ``fit_plans`` and the
@@ -230,18 +230,18 @@ def fitted_stacks(learner, plans):
     """Fit the models of every plan in stacks of at most ``MAX_STACK`` and
     yield each stack as soon as it is fitted.
 
-    A stack is a list of ``(p, first, models)``: the models ``first, first +
-    1, ...`` of ``plans[p]``, in plan order.  Every model trains from its own
-    generator, so it is bit-identical to its lone fit.  Plans fitted together
-    need equal training sizes.  ``learner.fit`` is the only learner call
-    made.  Only the caller holds a yielded stack, so a caller that drops it
-    before asking for the next one holds one stack of models at a time
-    (every model is a view of its stack's weights).
+    A stack is a list of ``(p, models)``: the next models of ``plans[p]``,
+    in plan order.  Every model trains from its own generator, so it is
+    bit-identical to its lone fit.  Plans fitted together need equal
+    training sizes.  ``learner.fit`` is the only learner call made.  Only
+    the caller holds a yielded stack, so a caller that drops it before
+    asking for the next one holds one stack of models at a time (every
+    model is a view of its stack's weights).
     """
     X = np.concatenate([p.feats[p.train] for p in plans])
     y = np.concatenate([p.y[p.train] for p in plans])
     rngs = [derive_rng(p.seed, 1 + j) for p in plans for j in range(len(p.train))]
-    owners = [(i, j) for i, p in enumerate(plans) for j in range(len(p.train))]
+    owners = [i for i, p in enumerate(plans) for _ in p.train]
     for start in range(0, len(rngs), MAX_STACK):
         stop = start + MAX_STACK
         # Yielded unnamed, so this generator keeps no reference to the stack.
@@ -250,14 +250,14 @@ def fitted_stacks(learner, plans):
         )
 
 
-def _by_plan(owners, models) -> list[tuple[int, int, list]]:
-    """``(p, first, models)`` runs of consecutive models of one plan."""
+def _by_plan(owners, models) -> list[tuple[int, list]]:
+    """``(p, models)`` runs of consecutive models of one plan."""
     runs = []
-    for (p, j), model in zip(owners, models):
+    for p, model in zip(owners, models):
         if runs and runs[-1][0] == p:
-            runs[-1][2].append(model)
+            runs[-1][1].append(model)
         else:
-            runs.append((p, j, [model]))
+            runs.append((p, [model]))
     return runs
 
 
@@ -266,7 +266,7 @@ def fit_plans(learner, plans) -> list[list]:
     stacks of ``fitted_stacks`` joined."""
     fitted = [[] for _ in plans]
     for stack in fitted_stacks(learner, plans):
-        for p, _, models in stack:
+        for p, models in stack:
             fitted[p] += models
     return fitted
 
@@ -300,22 +300,15 @@ def _payload_scores(models, feats: np.ndarray) -> np.ndarray:
     return mlp.log_losses(models, feats).transpose(0, 2, 1)
 
 
-def calibrate(plan: FoldPlan, alpha: float, x, n_labels: int) -> PayloadSets:
-    """The sets of the payload ``x`` over ``n_labels`` labels under a plan,
-    to be built from the plan's models as they are fitted: the mass rule
-    when the plan holds nothing out, the rank-count rule otherwise.  The
-    payload is checked here (a non-finite sample raises).  A ``vacuous``
-    plan's sets are complete at once and need no model."""
-    return PayloadSets(plan, alpha, x, n_labels)
-
-
 class PayloadSets:
-    """The sets of one payload under one plan, built stack by stack.
+    """The sets of the payload ``x`` over ``n_labels`` labels under one plan,
+    built stack by stack; the payload is checked on construction (a
+    non-finite sample raises).
 
-    ``add(first, models)`` scores models ``first, first + 1, ...`` of the
-    plan and keeps none of them: each model scores its own held-out fold on
-    per-model rows, scores the payload as one feature matrix, and adds its
-    rank counts.  Once the plan's last model is added, ``mask`` holds the
+    ``add(models)`` scores the plan's next models, of the ``pending`` still
+    to add, and keeps none of them: each model scores its own held-out fold
+    on per-model rows, scores the payload as one feature matrix, and adds
+    its rank counts.  Once the last model is added, ``mask`` holds the
     ``(payload, labels)`` membership mask.  A candidate label enters a set
     when at least ``threshold_count = rank_threshold(n_cal, alpha)`` of the
     ``n_cal`` held-out pilots score at or above it under their own model; a
@@ -324,12 +317,13 @@ class PayloadSets:
     counts exist only while models are added, so sets waiting for their
     first model hold nothing the size of the payload but ``x`` itself.
 
-    ``nan_held_out`` counts the NaN held-out scores added so far and
-    ``nan_rows`` marks the payload rows with a NaN score under any added
-    model (``None`` while there is none).  A NaN held-out score never counts
-    towards a rank count but still counts in ``threshold_count``, and a
-    NaN predictive decides the mass rule arbitrarily, so both leave sets
-    that look calibrated and are not.
+    ``diverged`` counts the added models with non-finite weights,
+    ``nan_held_out`` the NaN held-out scores, and ``nan_rows`` marks the
+    payload rows with a NaN score under any added model (``None`` while
+    there is none).  A NaN held-out score never counts towards a rank count
+    but still counts in ``threshold_count``, and a NaN predictive decides
+    the mass rule arbitrarily, so each leaves sets that look calibrated and
+    are not.
     """
 
     def __init__(self, plan: FoldPlan, alpha: float, x, n_labels: int):
@@ -340,13 +334,15 @@ class PayloadSets:
         #: Models still to add; a vacuous plan needs none.
         self.pending = 0 if vacuous(plan, self.alpha) else len(plan.train)
         self.counts = None
-        self.nan_held_out, self.nan_rows = 0, None
+        self.diverged, self.nan_held_out, self.nan_rows = 0, 0, None
         n_rows = len(mlp.features(x))
         self.mask = None if self.pending else np.ones((n_rows, n_labels), dtype=bool)
 
-    def add(self, first: int, models) -> None:
+    def add(self, models) -> None:
         feats = mlp.features(self.x)
+        first = len(self.plan.train) - self.pending
         self.pending -= len(models)
+        self.diverged += sum(not model.all_finite() for model in models)
         if not self.plan.folds.size:
             (model,) = models
             probs = mlp.predictive_stack([model], feats)[:, 0]
@@ -418,7 +414,7 @@ class SplitConformalPredictor(_FoldPlanPredictor):
     with the calibrated quantile ``empirical_quantile(val_scores, alpha)``.
     With fewer than 9 held-out pilots at alpha = 0.1 the threshold count is 0
     and every set is the full alphabet; the guarantee is kept by refusing to
-    rule anything out.  ``calibrate`` does not fit such a plan at all; this
+    rule anything out.  ``PayloadSets`` needs no model for such a plan; this
     class still fits its model, as the per-frame reference the fitting-free
     path is checked against.
     """

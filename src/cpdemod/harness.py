@@ -142,7 +142,7 @@ def frame_seed(
 
 
 def _make_learner(name: str, n_labels: int):
-    arch = ModelArch(input_dim=2, hidden=(16, 16, 16), output_dim=n_labels)
+    arch = ModelArch(hidden=(16, 16, 16), output_dim=n_labels)
     if name == "frequentist":
         return GDLearner(arch)
     if name == "bayesian":
@@ -204,13 +204,13 @@ def _naming(cell, frame_indices, logged: set | None = None):
         raise RuntimeError(f"{_describe(cell, frame_indices)} failed: {exc!r}") from exc
 
 
-def _warn_unsound(cell, frame_index, plan, frame_sets, diverged: int) -> None:
+def _warn_unsound(cell, frame_index, frame_sets) -> None:
     """Log what leaves a finished frame's sets unsound: models with
     non-finite weights, and NaN held-out or payload scores (which finite but
     huge weights give too), one warning each."""
-    where = _describe(cell, [frame_index])
-    if diverged:
-        log.warning("%s: %d of %d models hold non-finite weights", where, diverged,
+    where, plan = _describe(cell, [frame_index]), frame_sets.plan
+    if frame_sets.diverged:
+        log.warning("%s: %d of %d models hold non-finite weights", where, frame_sets.diverged,
                     len(plan.train))
     found = []
     if frame_sets.nan_held_out:
@@ -228,7 +228,7 @@ def _simulate_block(
     """Frames ``frame_indices`` of one cell of ``config`` end to end.
 
     Every frame is generated from its own seed, planned, and its payload
-    checked and set up for calibration (``conformal.calibrate``).  Then the
+    checked and set up for calibration (``conformal.PayloadSets``).  Then the
     models of the block are fitted, scored and dropped one stack at a time
     (``conformal.fitted_stacks``): each model scores its held-out fold and
     its frame's payload as soon as its stack is fitted, and the stack is
@@ -236,8 +236,8 @@ def _simulate_block(
     its last model is scored.  So a block holds at most one stack of
     ``conformal.MAX_STACK`` models, whatever its pilot count or frame count.
     A block of ``conformal.vacuous`` plans (vb at 10 pilots and alpha 0.1,
-    say) fits nothing: its sets are the full alphabet whatever the models
-    would say.
+    say) has no model pending and fits nothing: its sets are the full
+    alphabet whatever the models would say.
 
     A frame whose generation, plan, payload or scoring raises fails with a
     ``RuntimeError`` naming it; a failed fit names every frame of the block.
@@ -251,7 +251,7 @@ def _simulate_block(
     method, learner, n_pilots = cell
     constellation = make_qpsk()
     alpha = _alpha(config, method)
-    frames, plans, sets = [], [], []
+    frames, sets = [], []
     for frame_index in frame_indices:
         with _naming(cell, [frame_index]):
             fseed = frame_seed(config.master_seed, *cell, frame_index)
@@ -259,26 +259,23 @@ def _simulate_block(
                 n_pilots, config.n_test, config.snr_linear, constellation, derive_rng(fseed, 0)
             )
             frames.append(frame)
-            plans.append(
-                _plan(method, frame.pilot_x, frame.pilot_y, config.k_folds, hash64(fseed, 1))
-            )
-            sets.append(conformal.calibrate(plans[-1], alpha, frame.test_x, len(constellation)))
+            plan = _plan(method, frame.pilot_x, frame.pilot_y, config.k_folds, hash64(fseed, 1))
+            sets.append(conformal.PayloadSets(plan, alpha, frame.test_x, len(constellation)))
     # Every plan of a block has the same shape, so all or none are vacuous.
-    if not conformal.vacuous(plans[0], alpha):
-        fit_logged, score_logged = set(), [set() for _ in plans]
-        diverged = [0] * len(plans)
+    if sets[0].pending:
+        fit_logged, score_logged = set(), [set() for _ in sets]
+        plans = [frame_sets.plan for frame_sets in sets]
         stacks = conformal.fitted_stacks(_make_learner(learner, len(constellation)), plans)
         while True:
             with _naming(cell, frame_indices, fit_logged):
                 stack = next(stacks, None)
             if stack is None:
                 break
-            for p, first, models in stack:
-                diverged[p] += sum(not model.all_finite() for model in models)
+            for p, models in stack:
                 with _naming(cell, [frame_indices[p]], score_logged[p]):
-                    sets[p].add(first, models)
+                    sets[p].add(models)
                 if sets[p].mask is not None:
-                    _warn_unsound(cell, frame_indices[p], plans[p], sets[p], diverged[p])
+                    _warn_unsound(cell, frame_indices[p], sets[p])
             # Every model is a view of its stack's weights: drop the last
             # references before the next fit.
             del stack, models

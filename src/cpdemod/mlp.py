@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,19 +43,19 @@ MAX_PASS_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class ModelArch:
-    """Layer sizes: input features, three hidden widths, output labels."""
+    """Layer sizes: three hidden widths and the output labels.  The input is
+    always the two (re, im) columns of ``features``."""
 
-    input_dim: int = 2
+    input_dim: ClassVar[int] = 2
     hidden: tuple[int, int, int] = (16, 16, 16)
     output_dim: int = 4
 
     def __post_init__(self) -> None:
-        for name in ("input_dim", "output_dim"):
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
+        object.__setattr__(self, "output_dim", integer("output_dim", self.output_dim))
         object.__setattr__(self, "hidden", tuple(integer("hidden", h) for h in self.hidden))
         if len(self.hidden) != 3:
             raise ValueError("expected exactly three hidden layers")
-        if min(self.input_dim, self.output_dim, *self.hidden) < 1:
+        if min(self.output_dim, *self.hidden) < 1:
             raise ValueError("all layer sizes must be at least 1")
 
     def dims(self) -> list[tuple[int, int]]:
@@ -446,7 +447,7 @@ class SGLDLearner:
     burn_in: int = 100
     ensemble_size: int = 20
     lr: float = 0.2
-    prior_sigma: float = 10.0
+    prior_sigma: ClassVar[float] = 10.0
 
     def __post_init__(self) -> None:
         for name in ("burn_in", "ensemble_size"):

@@ -116,7 +116,7 @@ def test_criterion_6_numerical_core():
     # a) analytic gradient vs central differences, on five seeds that keep
     # every rectifier input clear of the difference stencil (a kink straddle
     # measures averaged one-sided slopes, not the reported subgradient)
-    arch = ModelArch(input_dim=2, hidden=(5, 4, 3), output_dim=3)
+    arch = ModelArch(hidden=(5, 4, 3), output_dim=3)
     grad_ok = True
     for seed in (0, 1, 2, 3, 6):
         rng = np.random.default_rng(seed)

@@ -245,10 +245,10 @@ def test_vacuous_plans_are_those_with_a_zero_rank_threshold():
     assert not conformal.vacuous(conformal.naive_plan(x, y), 0.1)
     # A vacuous plan's sets need no model, but its payload is still checked.
     plan = conformal.split_plan(x, y)
-    mask = conformal.calibrate(plan, 0.1, [0.3 + 0.3j, -1j], len(ALL_LABELS)).mask
+    mask = conformal.PayloadSets(plan, 0.1, [0.3 + 0.3j, -1j], len(ALL_LABELS)).mask
     assert mask.dtype == bool and mask.shape == (2, len(ALL_LABELS)) and mask.all()
     with pytest.raises(ValueError, match="finite"):
-        conformal.calibrate(plan, 0.1, [0.3, np.nan], len(ALL_LABELS))
+        conformal.PayloadSets(plan, 0.1, [0.3, np.nan], len(ALL_LABELS))
 
 
 def test_split_validation_points_cover_themselves():

@@ -61,8 +61,8 @@ def pooled_coverage():
         for frame, plan, models in zip(frames, plans, fitted):
             for alpha in ALPHAS:
                 assert conformal.rank_threshold(plan.folds.size, alpha) >= 1
-                sets = conformal.calibrate(plan, alpha, frame.test_x, len(constellation))
-                sets.add(0, models)
+                sets = conformal.PayloadSets(plan, alpha, frame.test_x, len(constellation))
+                sets.add(models)
                 h, _ = tally(sets.mask, frame.test_y)
                 key = (method, learner, alpha)
                 hits[key] = hits.get(key, 0) + h

@@ -319,16 +319,16 @@ def test_import_does_not_load_the_process_pool():
 
 
 def test_failing_calibration_names_its_frame(monkeypatch):
-    calibrate = conformal.calibrate
+    payload_sets = conformal.PayloadSets
     calls = []
 
     def fail_second_frame(*args):
         calls.append(args)
         if len(calls) == 2:
             raise FloatingPointError("held-out scores are NaN")
-        return calibrate(*args)
+        return payload_sets(*args)
 
-    monkeypatch.setattr(conformal, "calibrate", fail_second_frame)
+    monkeypatch.setattr(conformal, "PayloadSets", fail_second_frame)
     config = _small_config(methods=("vb",), learners=("frequentist",), n_frames=3)
     with pytest.raises(RuntimeError) as excinfo:
         run_experiment(config)

@@ -58,13 +58,12 @@ def test_arch_requires_three_hidden_layers():
     [
         (lambda: ModelArch(hidden=(10.7, 16, 16)), "hidden"),
         (lambda: ModelArch(hidden=(16, True, 16)), "hidden"),
-        (lambda: ModelArch(input_dim=2.0), "input_dim"),
         (lambda: ModelArch(output_dim="4"), "output_dim"),
         (lambda: GDLearner(ModelArch(), steps=2.5), "steps"),
         (lambda: SGLDLearner(ModelArch(), burn_in=True), "burn_in"),
         (lambda: SGLDLearner(ModelArch(), ensemble_size=2.5), "ensemble_size"),
     ],
-    ids=["hidden-float", "hidden-bool", "input-float", "output-str", "gd-steps-float",
+    ids=["hidden-float", "hidden-bool", "output-str", "gd-steps-float",
          "sgld-burn-in-bool", "sgld-ensemble-size-float"],
 )
 def test_sizes_and_counts_must_be_integers(build, field):
@@ -74,13 +73,22 @@ def test_sizes_and_counts_must_be_integers(build, field):
 
 
 def test_numpy_integer_sizes_and_counts_are_stored_as_plain_ints():
-    arch = ModelArch(input_dim=np.int64(2), hidden=(np.int32(5), 4, 3), output_dim=np.uint8(4))
+    arch = ModelArch(hidden=(np.int32(5), 4, 3), output_dim=np.uint8(4))
     gd = GDLearner(arch, steps=np.int16(7))
     sgld = SGLDLearner(arch, burn_in=np.int64(3), ensemble_size=np.int64(2))
     values = [arch.input_dim, *arch.hidden, arch.output_dim, gd.steps, sgld.burn_in,
               sgld.ensemble_size]
     assert values == [2, 5, 4, 3, 4, 7, 3, 2]
     assert all(type(v) is int for v in values)
+
+
+def test_input_width_and_prior_are_not_settable():
+    # features() always gives two columns, and no caller varies the prior.
+    with pytest.raises(TypeError):
+        ModelArch(input_dim=2)
+    with pytest.raises(TypeError):
+        SGLDLearner(ModelArch(), prior_sigma=1.0)
+    assert ModelArch().input_dim == 2 and SGLDLearner(ModelArch()).prior_sigma == 10.0
 
 
 def test_init_weights_shapes_and_zero_biases():
@@ -172,7 +180,7 @@ def test_grad_matches_finite_differences():
     # at a kink of the piecewise-linear activation the two-sided difference
     # measures the average of the one-sided slopes, not the subgradient the
     # backward pass reports (seed 4 lands a unit at exactly zero input).
-    arch = ModelArch(input_dim=2, hidden=(5, 4, 3), output_dim=3)
+    arch = ModelArch(hidden=(5, 4, 3), output_dim=3)
     for seed in (0, 1, 2, 3, 6):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(6, 2))
