@@ -45,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import mlp
-from .checks import integer
+from .checks import class_labels, integer, real
 from .seeding import derive_rng
 
 #: Slack used when comparing accumulated probability mass against a target;
@@ -59,7 +59,7 @@ MAX_STACK = 20
 
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+    alpha = real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     return alpha
@@ -155,7 +155,7 @@ def cv_membership(candidate_scores, val_scores, alpha: float) -> np.ndarray:
 
 def _pilot_arrays(pilot_x, pilot_y) -> tuple[np.ndarray, np.ndarray]:
     feats = mlp.features(pilot_x)
-    y = np.atleast_1d(np.asarray(pilot_y, dtype=np.int64))
+    y = np.atleast_1d(class_labels(pilot_y))
     if len(feats) != len(y):
         raise ValueError("pilot samples and labels must have matching lengths")
     if len(y) == 0:
@@ -290,7 +290,8 @@ def _held_out_scores(plan: FoldPlan, first: int, models) -> np.ndarray:
     per-model rows, ``(fold size, K, d)``."""
     held = plan.folds[first : first + len(models)]
     scores = mlp.log_losses(models, plan.feats[held].transpose(1, 0, 2))
-    return np.take_along_axis(scores, plan.y[held].T[:, :, None], axis=-1)[..., 0].T
+    y = class_labels(plan.y[held].T, scores.shape[-1])
+    return np.take_along_axis(scores, y[:, :, None], axis=-1)[..., 0].T
 
 
 def _payload_scores(models, feats: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import conformal
 from .channel import Constellation, Frame, generate_frame, make_qpsk
-from .checks import integer, real
+from .checks import class_labels, integer, real
 from .mlp import GDLearner, ModelArch, SGLDLearner
 from .seeding import derive_rng, hash64
 
@@ -76,10 +76,14 @@ class ExperimentConfig:
         if not isinstance(self.alpha_halving, (bool, np.bool_)):
             raise ValueError(f"alpha_halving must be a bool, got {self.alpha_halving!r}")
         object.__setattr__(self, "alpha_halving", bool(self.alpha_halving))
+        for name in ("n_pilots_grid", "methods", "learners"):
+            values = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(values))
+            except TypeError:
+                raise ValueError(f"{name} must be a sequence, got {values!r}") from None
         grid = tuple(integer("n_pilots_grid", n) for n in self.n_pilots_grid)
         object.__setattr__(self, "n_pilots_grid", grid)
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "learners", tuple(self.learners))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
         # +inf is the noiseless channel; any other SNR needs a positive finite
@@ -166,7 +170,7 @@ def tally(mask: np.ndarray, y_true: np.ndarray) -> tuple[int, np.ndarray]:
 
     Empty sets are legal; they simply cannot score a hit.
     """
-    y_true = np.asarray(y_true, dtype=np.int64)
+    y_true = class_labels(y_true, mask.shape[1])
     hits = int(mask[np.arange(len(y_true)), y_true].sum())
     sizes = mask.sum(axis=1).astype(np.int64)
     return hits, sizes

@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .checks import integer
+from .checks import class_labels, integer
 
 #: Probabilities are clamped here before any log; the clamp only guards the
 #: log, the softmax output itself is never modified.
@@ -127,7 +127,7 @@ def _canonical(X, y) -> tuple[np.ndarray, np.ndarray]:
     equal-size datasets with (K, n) labels.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = class_labels(y)
     if X.ndim not in (2, 3) or y.shape != X.shape[:-1]:
         raise ValueError(
             "expected (n, d) features and n labels, "
@@ -245,12 +245,13 @@ class _Pass:
             call(*args, out=out)
 
 
-def _one_dataset(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """``_canonical`` for exactly one (n, d) dataset."""
+def _one_dataset(X, y, n_labels: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_canonical`` for exactly one (n, d) dataset with labels in ``[0,
+    n_labels)``."""
     X, y = _canonical(X, y)
     if X.ndim != 2:
         raise ValueError("expected one (n, d) dataset")
-    return X, y
+    return X, class_labels(y, n_labels)
 
 
 def _stack_of_one(w: Weights) -> Weights:
@@ -259,13 +260,13 @@ def _stack_of_one(w: Weights) -> Weights:
 
 def nll_loss(w: Weights, X, y) -> float:
     """Mean negative log probability of the true labels."""
-    X, y = _one_dataset(X, y)
+    X, y = _one_dataset(X, y, w.bs[-1].size)
     return float(np.mean(log_losses([Ensemble(_stack_of_one(w))], X)[np.arange(len(y)), 0, y]))
 
 
 def grad(w: Weights, X, y) -> Weights:
     """Weights-shaped gradient of ``nll_loss`` at ``w``."""
-    X, y = _one_dataset(X, y)
+    X, y = _one_dataset(X, y, w.bs[-1].size)
     targets = _one_hot(y[:, None], w.bs[-1].size)
     step = _Pass(_stack_of_one(w), X[:, None, :], targets)
     step.forward()
@@ -305,6 +306,7 @@ def _training_stack(X, y, arch: ModelArch, rngs):
     X, y = _canonical(X, y)
     if X.ndim != 3:
         raise ValueError("expected a (K, n, d) stack of datasets and (K, n) labels")
+    class_labels(y, arch.output_dim)
     rngs = list(rngs)
     if len(rngs) != len(X):
         raise ValueError(f"a stack of {len(X)} datasets needs {len(X)} generators, got {len(rngs)}")

@@ -98,6 +98,18 @@ def test_alpha_domain_is_enforced(alpha):
         naive_mask([0.5, 0.5], alpha)
 
 
+@pytest.mark.parametrize("alpha", ["0.1", True, None])
+def test_alpha_must_be_a_real_number(alpha):
+    # float("0.1") would accept a string, and float(True) is 1.0.
+    for call in (quantile_index, rank_threshold):
+        with pytest.raises(ValueError, match="^alpha must be a real number"):
+            call(10, alpha)
+    with pytest.raises(ValueError, match="^alpha must be a real number"):
+        empirical_quantile([1.0, 2.0], alpha)
+    with pytest.raises(ValueError, match="^alpha must be a real number"):
+        naive_mask([[0.25, 0.25, 0.25, 0.25]], alpha)
+
+
 def test_empirical_quantile_against_counting_oracle():
     # Independent characterisation: the quantile is the smallest score with at
     # least (1 - alpha) * (n + 1) scores at or below it, in exact arithmetic.
@@ -556,6 +568,28 @@ def test_unequal_pilot_arrays_and_too_few_pilots_are_rejected(method):
     if method != "naive":
         with pytest.raises(ValueError, match="two pilots"):
             _BUILDERS[method](frame.pilot_x[:1], frame.pilot_y[:1])
+
+
+@pytest.mark.parametrize("method", sorted(_BUILDERS))
+def test_pilot_labels_must_be_integers_in_range(method):
+    frame = _pilot_frame(10, seed=10)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        _BUILDERS[method](frame.pilot_x, frame.pilot_y + 0.7)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
+            _BUILDERS[method](frame.pilot_x, np.full(10, bad))
+
+
+def test_held_out_labels_out_of_range_are_rejected():
+    # The split plan's held-out pilots never reach the learner, so their
+    # labels are checked where they index the scores: -1 would score as the
+    # last label.
+    frame = _pilot_frame(18, seed=2)
+    (fold,) = conformal.split_plan(frame.pilot_x, frame.pilot_y, seed=4).folds
+    y = frame.pilot_y.copy()
+    y[fold] = -1
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
+        SplitConformalPredictor(frame.pilot_x, y, 0.1, _quick_learner(), seed=4)
 
 
 def test_ensemble_learner_plugs_into_conformal():

@@ -67,6 +67,12 @@ def test_tally_counts_only_true_label_membership():
     assert np.array_equal(sizes, [1, 2])
 
 
+def test_tally_rejects_labels_outside_the_mask():
+    # -1 would count a hit in the last label's column.
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
+        tally(np.eye(4, dtype=bool), [-1, 0, 1, 2])
+
+
 def test_simulate_frame_degenerate_cross_val_covers_everything():
     # 5 pilots cannot exclude anything at alpha 0.1, so coverage is total.
     config = ExperimentConfig(n_pilots_grid=(5,), n_test=12, n_frames=1, methods=("cv",),
@@ -679,6 +685,14 @@ def test_constellation_is_qpsk_and_not_settable():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "name,value", [("n_pilots_grid", 10), ("methods", 5), ("learners", None)]
+)
+def test_config_names_a_field_that_is_not_a_sequence(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a sequence"):
+        ExperimentConfig(**{name: value})
 
 
 def test_config_stores_numpy_integers_as_plain_ints():

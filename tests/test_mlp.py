@@ -168,6 +168,39 @@ def test_loss_and_grad_reject_a_stack_of_datasets(fn, shape):
         fn(zero_weights(ModelArch()), X, y)
 
 
+def _fit_one_step(learner):
+    return lambda w, X, y: learner.fit(X[None], y[None], [np.random.default_rng(0)])
+
+
+@pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "past-last"])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        nll_loss,
+        grad,
+        _fit_one_step(GDLearner(ModelArch(), steps=1)),
+        _fit_one_step(SGLDLearner(ModelArch(), burn_in=0, ensemble_size=1)),
+    ],
+    ids=["nll_loss", "grad", "gd-fit", "sgld-fit"],
+)
+def test_labels_outside_the_output_width_are_rejected(fn, bad):
+    # -1 would pick label 3's one-hot row and train and score as label 3;
+    # 4 would fail with a bare IndexError.
+    X, y = _toy_data(seed=7)
+    y[0] = bad
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
+        fn(zero_weights(ModelArch()), X, y)
+
+
+def test_float_labels_are_rejected_not_truncated():
+    X, y = _toy_data(seed=7)
+    for labels in (y + 0.7, y.astype(np.float64), y.astype(bool)):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            mlp._canonical(X, labels)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            nll_loss(zero_weights(ModelArch()), X, labels)
+
+
 def test_nll_permutation_bit_identical():
     X, y = _toy_data(seed=3, n=12)
     w = init_weights(ModelArch(), np.random.default_rng(4))
