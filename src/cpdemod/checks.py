@@ -1,5 +1,5 @@
-"""Type checks shared by the package's constructors: a size, count or seed
-is an integer, and a level or SNR a real number, never a bool; labels are
+"""Input checks shared by the package: a size, count or seed is an
+integer, and a level or SNR a real number, never a bool; labels are
 integers, in range where the label count is known."""
 
 from __future__ import annotations
