@@ -25,7 +25,6 @@ from .harness import (
     run_experiment,
     simulate_frame,
     write_csv,
-    write_dat,
 )
 from .mlp import (
     Ensemble,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import class_labels
+
 #: Upper bound of the relative I/Q gain mismatch.
 AMP_IMB_MAX = 0.15
 #: Upper bound of the I/Q phase skew, radians.
@@ -113,7 +115,8 @@ def transmit(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Send symbols through the channel and return the received samples, a
-    complex128 array shaped like ``labels``.
+    complex128 array shaped like ``labels``; a label that is not an integer
+    in ``[0, len(constellation))`` raises ``ValueError``.
 
     Each constellation point is I/Q-distorted, rotated by the frame's carrier
     phase, and hit by circular complex Gaussian noise of total power
@@ -128,7 +131,7 @@ def transmit(
     """
     if not snr_linear > 0.0:
         raise ValueError(f"snr_linear must be positive, got {snr_linear!r}")
-    labels = np.asarray(labels)
+    labels = class_labels(labels, len(constellation))
     rotation = cmath.exp(1j * params.phase)
     clean = np.array(
         [

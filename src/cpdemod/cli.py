@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run cv/kcv at alpha/2 (trades set size for the stronger guarantee)",
     )
     run.add_argument("--out", default="results.csv", help="CSV output path")
-    run.add_argument("--dat", default=None, help="also write a gnuplot .dat here")
     run.add_argument(
         "--threads",
         type=int,
@@ -101,9 +100,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         if args.threads < 1:
             parser.error(f"--threads must be at least 1, got {args.threads}")
         # Fail now, not after the whole grid has run.
-        for path in (args.out, args.dat):
-            if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-                parser.error(f"no directory to write {path!r} into")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            parser.error(f"no directory to write {args.out!r} into")
     try:
         args.config = harness.ExperimentConfig(
             snr_db=args.snr_db, n_test=args.n_test, alpha=args.alpha, k_folds=args.k,
@@ -123,8 +121,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("nothing to run: every requested cell was skipped", file=sys.stderr)
         return 1
     harness.write_csv(records, args.out)
-    if args.dat:
-        harness.write_dat(records, args.dat)
     for record in records:
         print(
             f"{record.method:>5s} {record.learner:<11s} n={record.n_pilots:<3d} "

@@ -24,10 +24,9 @@ scores, so a caller that drops every stack once it is scored holds one
 stack of models and one scoring pass's weights
 (``mlp.predictive_stack``) at a time, whatever the number of pilots.
 A plan whose rank threshold is 0 is ``vacuous``: its sets are the full
-alphabet, so its models need not be fitted.  ``fit_plans`` and the
-predictor classes instead keep every model of a plan, so that a payload can
-be scored later; they run the same stacks and the same rules, and serve as
-the per-frame reference.
+alphabet, so its models need not be fitted.  ``fit_plans`` instead keeps
+every model of a plan, and the predictor classes add those kept models to
+a ``PayloadSets`` of any payload later: the per-frame reference.
 
 The score of a candidate label is its log loss under the predictive
 (``mlp.log_losses``), so lower means more conforming.  All randomness
@@ -370,72 +369,49 @@ class PayloadSets:
         self.nan_rows = rows if self.nan_rows is None else self.nan_rows | rows
 
 
-# The predictor classes fit every model of one frame's plan and keep them, so
-# that any payload can be scored later; they are the per-frame reference the
-# streamed sets are checked against.
-
-
-class NaiveSetPredictor:
-    """Probability-mass sets from one model trained on all pilots."""
-
-    def __init__(self, pilot_x, pilot_y, alpha: float, learner, seed: int = 0):
-        self.alpha = _check_alpha(alpha)
-        (self.model,) = fit_plans(learner, [naive_plan(pilot_x, pilot_y, seed)])[0]
-
-    def predict_mask(self, x) -> np.ndarray:
-        probs = mlp.predictive_stack([self.model], mlp.features(x))[:, 0]
-        return naive_mask(probs, self.alpha)
-
-
-class _FoldPlanPredictor:
-    """Conformal sets from a fold plan, its fitted models and the rank-count
-    rule of ``PayloadSets``."""
+class _KeptPlan:
+    """Sets from one plan whose fitted models are all kept, so that any
+    payload can be scored later: the per-frame reference the streamed sets
+    are checked against.  ``predict_mask`` adds the kept models to a new
+    ``PayloadSets``, so both paths share one set of rules."""
 
     def __init__(self, plan: FoldPlan, learner, alpha: float):
         self.alpha = _check_alpha(alpha)
-        self.folds = list(plan.folds)
+        # A split plan's held-out pilots reach no learner, and are scored
+        # only by ``predict_mask``: check their labels now.
+        self.n_labels = learner.arch.output_dim
+        class_labels(plan.y, self.n_labels)
+        self.plan = plan
         self.models = fit_plans(learner, [plan])[0]
-        self.fold_scores = list(_held_out_scores(plan, 0, self.models))
-        self.threshold_count = rank_threshold(plan.folds.size, self.alpha)
-
-    @property
-    def val_scores(self) -> np.ndarray:
-        """Held-out score of every calibration pilot, fold by fold."""
-        return np.concatenate(self.fold_scores)
 
     def predict_mask(self, x) -> np.ndarray:
-        scores = _payload_scores(self.models, mlp.features(x))
-        return _rank_counts(scores, self.fold_scores) >= self.threshold_count
+        sets = PayloadSets(self.plan, self.alpha, x, self.n_labels)
+        if sets.pending:
+            sets.add(self.models)
+        return sets.mask
 
 
-class SplitConformalPredictor(_FoldPlanPredictor):
-    """Split conformal: the one-fold plan of ``split_plan``.
+class NaiveSetPredictor(_KeptPlan):
+    """Probability-mass sets from one model trained on all pilots."""
 
-    The rank count over one fold is the same decision as comparing a score
-    with the calibrated quantile ``empirical_quantile(val_scores, alpha)``.
-    With fewer than 9 held-out pilots at alpha = 0.1 the threshold count is 0
-    and every set is the full alphabet; the guarantee is kept by refusing to
-    rule anything out.  ``PayloadSets`` needs no model for such a plan; this
-    class still fits its model, as the per-frame reference the fitting-free
-    path is checked against.
-    """
+    def __init__(self, pilot_x, pilot_y, alpha: float, learner, seed: int = 0):
+        super().__init__(naive_plan(pilot_x, pilot_y, seed), learner, alpha)
+
+
+class SplitConformalPredictor(_KeptPlan):
+    """Split conformal sets on the one-fold plan of ``split_plan``: the rank
+    count over one fold is the same decision as comparing a score with the
+    ``empirical_quantile`` of the held-out scores."""
 
     def __init__(self, pilot_x, pilot_y, alpha: float, learner, seed: int = 0):
         super().__init__(split_plan(pilot_x, pilot_y, seed), learner, alpha)
 
 
-class CrossValConformalPredictor(_FoldPlanPredictor):
+class CrossValConformalPredictor(_KeptPlan):
     """Leave-fold-out conformal sets on the plan of ``cross_val_plan``; ``k =
-    n`` (the default) is leave-one-out, so every pilot is scored by the model
-    that did not see it."""
+    n`` (the default) is leave-one-out."""
 
     def __init__(
-        self,
-        pilot_x,
-        pilot_y,
-        alpha: float,
-        learner,
-        k: int | None = None,
-        seed: int = 0,
+        self, pilot_x, pilot_y, alpha: float, learner, k: int | None = None, seed: int = 0
     ):
         super().__init__(cross_val_plan(pilot_x, pilot_y, k, seed), learner, alpha)

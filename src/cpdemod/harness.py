@@ -146,7 +146,7 @@ def frame_seed(
 
 
 def _make_learner(name: str, n_labels: int):
-    arch = ModelArch(hidden=(16, 16, 16), output_dim=n_labels)
+    arch = ModelArch(output_dim=n_labels)
     if name == "frequentist":
         return GDLearner(arch)
     if name == "bayesian":
@@ -171,6 +171,8 @@ def tally(mask: np.ndarray, y_true: np.ndarray) -> tuple[int, np.ndarray]:
     Empty sets are legal; they simply cannot score a hit.
     """
     y_true = class_labels(y_true, mask.shape[1])
+    if len(mask) != len(y_true):
+        raise ValueError(f"{len(mask)} mask rows for {len(y_true)} labels")
     hits = int(mask[np.arange(len(y_true)), y_true].sum())
     sizes = mask.sum(axis=1).astype(np.int64)
     return hits, sizes
@@ -445,23 +447,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_table(records: list[MetricsRecord], path: str, sep: str, header: str) -> None:
-    """Write a header line, then one ``sep``-joined line per record."""
+def write_csv(records: list[MetricsRecord], path: str) -> None:
+    """Write records as CSV (LF line endings, floats to 6 decimal places)."""
     if not records:
         raise ValueError("no records to write")
-    lines = [header]
+    lines = [CSV_HEADER]
     for r in records:
         fields = [r.method, r.learner, str(r.n_pilots), f"{r.alpha:.6f}",
                   f"{r.coverage:.6f}", f"{r.inefficiency:.6f}", str(r.n_frames), str(r.seed)]
-        lines.append(sep.join(fields))
+        lines.append(",".join(fields))
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_csv(records: list[MetricsRecord], path: str) -> None:
-    """Write records as CSV (LF line endings, floats to 6 decimal places)."""
-    _write_table(records, path, ",", CSV_HEADER)
-
-
-def write_dat(records: list[MetricsRecord], path: str) -> None:
-    """Write records whitespace-separated for gnuplot, same column order."""
-    _write_table(records, path, " ", "# " + CSV_HEADER.replace(",", " "))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cpdemod import mlp
+from cpdemod import conformal, mlp
 from cpdemod.channel import (
     ChannelParams,
     Constellation,
@@ -44,6 +44,12 @@ def fit_one(learner, X, y, rng):
     """One model fitted on one (n, d) dataset, as a learner's stack of one."""
     (model,) = learner.fit(np.asarray(X)[None], np.asarray(y)[None], [rng])
     return model
+
+
+def held_out_scores(pred) -> np.ndarray:
+    """A kept-model predictor's held-out scores at the true labels, one row
+    per fold model, in fold order."""
+    return conformal._held_out_scores(pred.plan, 0, pred.models)
 
 
 def zero_weights(arch: ModelArch) -> Weights:

@@ -130,6 +130,18 @@ def test_transmit_rejects_nonpositive_snr(snr):
         transmit(0, make_qpsk(), ChannelParams(0.0, 0.0, 0.0), snr, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "labels,match",
+    [([-1, 3], r"must lie in \[0, 4\)"), ([0, 7], r"must lie in \[0, 4\)"),
+     (1.0, "must be integers"), ([0.0, 1.0], "must be integers")],
+)
+def test_transmit_rejects_labels_outside_the_alphabet(labels, match):
+    # -1 would index the last point and send label 3's symbol.
+    params = ChannelParams(0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=match):
+        transmit(labels, make_qpsk(), params, math.inf, np.random.default_rng(0))
+
+
 def test_transmit_noise_variance_matches_snr():
     const = make_qpsk()
     params = ChannelParams(0.0, 0.0, 0.0)

@@ -144,7 +144,6 @@ def test_frame_rejects_pilot_counts_the_method_cannot_use(argv, capsys):
         ["--threads", "0"],
         ["--threads=-2"],
         ["--out", "{tmp}/missing/x.csv"],
-        ["--dat", "{tmp}/missing/x.dat"],
     ],
 )
 def test_run_rejects_grid_values_the_config_cannot_use(argv, tmp_path, capsys):
@@ -166,6 +165,16 @@ def test_constellation_is_not_an_option(command, capsys):
     assert "unrecognized arguments: --constellation" in capsys.readouterr().err
 
 
+def test_run_has_no_dat_option(tmp_path, capsys):
+    # The CSV is the one results file; gnuplot reads it with
+    # `set datafile separator ','`.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--n-frames", "1", "--out", str(tmp_path / "x.csv"), "--dat", "x.dat"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dat x.dat" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_frame_output_is_deterministic(capsys):
     argv = ["frame", "--n-pilots", "6", "--n-test", "3", "--method", "naive"]
     main(argv)
@@ -185,13 +194,12 @@ def test_frame_naive_sets_nest_across_alpha(capsys):
         assert small <= big
 
 
-def test_run_writes_csv_and_dat(tmp_path, capsys):
+def test_run_writes_csv(tmp_path, capsys):
     out_csv = str(tmp_path / "r.csv")
-    out_dat = str(tmp_path / "r.dat")
     rc = main(
         ["run", "--n-pilots", "5", "--n-frames", "1", "--n-test", "4",
          "--methods", "naive", "vb", "--learners", "frequentist",
-         "--out", out_csv, "--dat", out_dat, "--threads", "1"]
+         "--out", out_csv, "--threads", "1"]
     )
     stdout = capsys.readouterr().out
     assert rc == 0
@@ -199,8 +207,6 @@ def test_run_writes_csv_and_dat(tmp_path, capsys):
     with open(out_csv, encoding="ascii") as handle:
         lines = handle.read().splitlines()
     assert len(lines) == 3  # header + 2 cells
-    with open(out_dat, encoding="ascii") as handle:
-        assert len(handle.read().splitlines()) == 3
 
 
 def test_run_with_no_runnable_cells_fails(tmp_path, capsys):

@@ -29,7 +29,7 @@ from cpdemod.mlp import (
     log_losses,
     predictive_stack,
 )
-from helpers import certain_weights, fit_one, stack, zero_weights
+from helpers import certain_weights, fit_one, held_out_scores, stack, zero_weights
 
 SNR_5DB = 10.0 ** 0.5
 LOG4 = math.log(4.0)
@@ -242,8 +242,8 @@ def test_split_small_calibration_set_gives_full_sets():
     pred = SplitConformalPredictor(
         frame.pilot_x, frame.pilot_y, 0.1, _quick_learner(), seed=3
     )
-    assert math.isinf(empirical_quantile(pred.val_scores, 0.1))
-    assert pred.threshold_count == 0
+    assert math.isinf(empirical_quantile(held_out_scores(pred).ravel(), 0.1))
+    assert rank_threshold(pred.plan.folds.size, pred.alpha) == 0
     assert np.array_equal(np.flatnonzero(pred.predict_mask([0.3 + 0.3j])[0]), ALL_LABELS)
 
 
@@ -270,8 +270,9 @@ def test_split_validation_points_cover_themselves():
     pred = SplitConformalPredictor(
         frame.pilot_x, frame.pilot_y, 0.1, _quick_learner(), seed=4
     )
-    assert empirical_quantile(pred.val_scores, 0.1) == pred.val_scores.max()
-    held_out = pred.folds[0]
+    val_scores = held_out_scores(pred).ravel()
+    assert empirical_quantile(val_scores, 0.1) == val_scores.max()
+    held_out = pred.plan.folds[0]
     mask = pred.predict_mask(frame.pilot_x[held_out])
     assert mask[np.arange(len(held_out)), frame.pilot_y[held_out]].all()
 
@@ -284,13 +285,14 @@ def test_split_mask_matches_rank_rule():
     rng = np.random.default_rng(7)
     xs = rng.normal(size=5) + 1j * rng.normal(size=5)
     masks = pred.predict_mask(xs)
-    n_val = pred.val_scores.size
+    val_scores = held_out_scores(pred).ravel()
+    n_val = val_scores.size
     scores = log_losses([pred.models[0]], features(xs))[:, 0]
     for i, row in enumerate(scores):
         table = np.repeat(row[:, None], n_val, axis=1)
-        assert np.array_equal(masks[i], cv_membership(table, pred.val_scores, 0.1))
+        assert np.array_equal(masks[i], cv_membership(table, val_scores, 0.1))
     # The reference form of the one-fold rule: compare with the quantile.
-    assert np.array_equal(masks, scores <= empirical_quantile(pred.val_scores, 0.1))
+    assert np.array_equal(masks, scores <= empirical_quantile(val_scores, 0.1))
 
 
 @pytest.mark.parametrize("n,expected_val", [(10, 5), (11, 5), (18, 9)])
@@ -299,9 +301,9 @@ def test_split_partition_sizes(n, expected_val):
     pred = SplitConformalPredictor(
         frame.pilot_x, frame.pilot_y, 0.1, _quick_learner(), seed=9
     )
-    assert len(pred.models) == len(pred.folds) == 1
-    assert len(pred.folds[0]) == expected_val
-    assert len(pred.val_scores) == expected_val
+    assert len(pred.models) == len(pred.plan.folds) == 1
+    assert len(pred.plan.folds[0]) == expected_val
+    assert len(held_out_scores(pred).ravel()) == expected_val
 
 
 # ---------------------------------------------------------------- cross CP
@@ -313,7 +315,7 @@ def test_cross_tiny_calibration_set_gives_full_sets():
     pred = CrossValConformalPredictor(
         frame.pilot_x, frame.pilot_y, 0.1, _quick_learner(), seed=12
     )
-    assert pred.threshold_count == 0
+    assert rank_threshold(pred.plan.folds.size, pred.alpha) == 0
     assert np.all(pred.predict_mask(np.array([0.1 + 0.1j, -1.0 - 1.0j])))
 
 
@@ -345,8 +347,8 @@ def test_vacuous_threshold_admits_every_label_even_from_a_diverged_model(n, buil
     # scores from a diverged model must still yield the full alphabet.
     frame = _pilot_frame(n, seed=33, n_test=7)
     pred = build(frame.pilot_x, frame.pilot_y, _DivergedLearner())
-    assert pred.threshold_count == 0
-    assert np.isnan(pred.val_scores).all()
+    assert rank_threshold(pred.plan.folds.size, pred.alpha) == 0
+    assert np.isnan(held_out_scores(pred).ravel()).all()
     assert np.all(pred.predict_mask(frame.test_x))
 
 
@@ -355,8 +357,8 @@ def test_cross_threshold_count_value():
     pred = CrossValConformalPredictor(
         frame.pilot_x, frame.pilot_y, 0.1, _quick_learner(), seed=14
     )
-    assert pred.threshold_count == 1
-    assert pred.val_scores.size == 9
+    assert rank_threshold(pred.plan.folds.size, pred.alpha) == 1
+    assert held_out_scores(pred).ravel().size == 9
 
 
 def test_cv_membership_matches_direct_count():
@@ -452,7 +454,7 @@ def test_kfold_equals_leave_one_out_when_k_is_n():
     learner = _quick_learner()
     loo = CrossValConformalPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, None, 17)
     kn = CrossValConformalPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, 6, 17)
-    assert np.array_equal(loo.val_scores, kn.val_scores)
+    assert np.array_equal(held_out_scores(loo).ravel(), held_out_scores(kn).ravel())
     assert np.array_equal(loo.predict_mask(frame.test_x), kn.predict_mask(frame.test_x))
 
 
@@ -461,11 +463,11 @@ def test_kfold_fold_structure():
     pred = CrossValConformalPredictor(
         frame.pilot_x, frame.pilot_y, 0.1, _quick_learner(), 2, seed=19
     )
-    assert len(pred.folds) == 2
+    assert len(pred.plan.folds) == 2
     assert len(pred.models) == 2
-    assert all(len(f) == 5 for f in pred.folds)
-    assert sorted(np.concatenate(pred.folds).tolist()) == list(range(10))
-    assert pred.threshold_count == 1  # floor(0.1 * 11)
+    assert all(len(f) == 5 for f in pred.plan.folds)
+    assert sorted(np.concatenate(pred.plan.folds).tolist()) == list(range(10))
+    assert rank_threshold(pred.plan.folds.size, pred.alpha) == 1  # floor(0.1 * 11)
 
 
 def test_kfold_rejects_bad_fold_counts():
@@ -498,7 +500,7 @@ def test_calibrated_predictors_ignore_pilot_order():
     ):
         base = build(frame.pilot_x, frame.pilot_y)
         shuffled = build(frame.pilot_x[perm], frame.pilot_y[perm])
-        assert np.array_equal(base.val_scores, shuffled.val_scores)
+        assert np.array_equal(held_out_scores(base).ravel(), held_out_scores(shuffled).ravel())
         assert np.array_equal(
             base.predict_mask(frame.test_x), shuffled.predict_mask(frame.test_x)
         )
@@ -530,9 +532,9 @@ def test_naive_predictor_uses_one_model_on_all_pilots():
     learner = _quick_learner()
     pred = NaiveSetPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, seed=29)
     x = 0.2 + 0.2j
-    direct = naive_mask(predictive_stack([pred.model], features(x))[:, 0], 0.1)
+    direct = naive_mask(predictive_stack([pred.models[0]], features(x))[:, 0], 0.1)
     assert np.array_equal(pred.predict_mask([x]), direct)
-    assert isinstance(pred.model, type(fit_one(
+    assert isinstance(pred.models[0], type(fit_one(
         learner, np.zeros((2, 2)), np.array([0, 1]), np.random.default_rng(0)
     )))
 

@@ -29,7 +29,6 @@ from cpdemod.harness import (
     simulate_frame,
     tally,
     write_csv,
-    write_dat,
 )
 from cpdemod.mlp import Ensemble, GDLearner, ModelArch, SGLDLearner, Weights, init_weights
 from cpdemod.seeding import hash64
@@ -71,6 +70,15 @@ def test_tally_rejects_labels_outside_the_mask():
     # -1 would count a hit in the last label's column.
     with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
         tally(np.eye(4, dtype=bool), [-1, 0, 1, 2])
+
+
+@pytest.mark.parametrize("n_rows", [5, 3])
+def test_tally_rejects_a_mask_of_another_length(n_rows):
+    # Five rows for two labels would pool two hits over five set sizes.
+    with pytest.raises(ValueError, match=f"{n_rows} mask rows for 4 labels"):
+        tally(np.ones((n_rows, 4), dtype=bool), np.array([0, 1, 2, 3]))
+    with pytest.raises(ValueError, match=f"{n_rows} mask rows for 2 labels"):
+        tally(np.ones((n_rows, 4), dtype=bool), np.array([0, 1]))
 
 
 def test_simulate_frame_degenerate_cross_val_covers_everything():
@@ -578,23 +586,12 @@ def test_write_csv_format(tmp_path):
     assert len(os.listdir(tmp_path)) == 1  # no stray temp files
 
 
-def test_write_dat_format(tmp_path):
-    records = [MetricsRecord("naive", "frequentist", 20, 0.1, 0.5, 2.25, 5, 1)]
-    path = str(tmp_path / "out.dat")
-    write_dat(records, path)
-    with open(path, encoding="ascii") as handle:
-        lines = handle.read().splitlines()
-    assert lines[0] == "# " + CSV_HEADER.replace(",", " ")
-    assert lines[1] == "naive frequentist 20 0.100000 0.500000 2.250000 5 1"
-
-
-@pytest.mark.parametrize("writer", [write_csv, write_dat], ids=["csv", "dat"])
-def test_written_file_has_the_mode_of_a_new_file(tmp_path, writer):
+def test_written_file_has_the_mode_of_a_new_file(tmp_path):
     records = [MetricsRecord("naive", "frequentist", 20, 0.1, 0.5, 2.25, 5, 1)]
     path = tmp_path / "out"
     old = os.umask(0o022)
     try:
-        writer(records, str(path))
+        write_csv(records, str(path))
     finally:
         os.umask(old)
     assert stat.S_IMODE(path.stat().st_mode) == 0o644
@@ -609,15 +606,12 @@ def test_writers_never_touch_the_process_umask(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "umask", umask)
     records = [MetricsRecord("naive", "frequentist", 20, 0.1, 0.5, 2.25, 5, 1)]
     write_csv(records, str(tmp_path / "out.csv"))
-    write_dat(records, str(tmp_path / "out.dat"))
-    assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.dat"]
+    assert sorted(os.listdir(tmp_path)) == ["out.csv"]
 
 
 def test_writers_reject_empty_record_lists(tmp_path):
     with pytest.raises(ValueError):
         write_csv([], str(tmp_path / "x.csv"))
-    with pytest.raises(ValueError):
-        write_dat([], str(tmp_path / "x.dat"))
 
 
 def test_make_constellation():

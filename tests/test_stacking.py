@@ -19,6 +19,7 @@ from cpdemod.mlp import Ensemble, GDLearner, ModelArch, SGLDLearner, features, i
 from cpdemod.seeding import derive_rng
 from helpers import (
     fit_one,
+    held_out_scores,
     networks,
     reference_forward,
     reference_grad,
@@ -89,7 +90,7 @@ def test_fold_count_above_the_stack_cap_fits_in_capped_stacks(learner):
     pred = CrossValConformalPredictor(frame.pilot_x, frame.pilot_y, 0.1, Counting(), None, 3)
     assert stack_sizes == [conformal.MAX_STACK, 5]
     feats = features(frame.pilot_x)
-    for j, (fold, model) in enumerate(zip(pred.folds, pred.models)):
+    for j, (fold, model) in enumerate(zip(pred.plan.folds, pred.models)):
         keep = np.setdiff1d(np.arange(k), fold)
         single = fit_one(LEARNERS[learner], feats[keep], frame.pilot_y[keep], derive_rng(3, 1 + j))
         assert _same_model(model, single), f"fold {j}"
@@ -273,7 +274,7 @@ def test_stacked_scoring_equals_per_model_scoring(learner, plan, n_test):
     pred = _PLANS[plan](frame.pilot_x, frame.pilot_y, LEARNERS[learner])
     feats = features(frame.pilot_x)
     held_out = []
-    for model, fold, got in zip(pred.models, pred.folds, pred.fold_scores):
+    for model, fold, got in zip(pred.models, pred.plan.folds, held_out_scores(pred)):
         want = _reference_scores(model, feats[fold])[np.arange(len(fold)), frame.pilot_y[fold]]
         assert np.array_equal(got, want)
         held_out.append(want)
@@ -282,7 +283,7 @@ def test_stacked_scoring_equals_per_model_scoring(learner, plan, n_test):
         (_reference_scores(model, payload)[:, :, None] <= scores).sum(-1)
         for model, scores in zip(pred.models, held_out)
     )
-    want_mask = counts >= pred.threshold_count
+    want_mask = counts >= conformal.rank_threshold(pred.plan.folds.size, pred.alpha)
     assert np.array_equal(pred.predict_mask(frame.test_x), want_mask)
     # Again on fewer rows.
     assert np.array_equal(pred.predict_mask(frame.test_x[:3]), want_mask[:3])
