@@ -158,6 +158,17 @@ def _reference_data(X, y, arch: ModelArch):
     return np.asarray(X, dtype=np.float64)[order], np.eye(arch.output_dim)[np.asarray(y)[order]]
 
 
+def with_constants(cls, **constants):
+    """A test-only subclass of ``cls`` whose class constants read
+    ``constants``: ``with_constants(GDLearner, steps=25)(ModelArch())`` is a
+    short fit, ``with_constants(ModelArch, hidden=(5, 4, 3))()`` a narrow
+    network.  Only existing attributes may be replaced."""
+    unknown = [name for name in constants if not hasattr(cls, name)]
+    if unknown:
+        raise AttributeError(f"{cls.__name__} has no constant {unknown[0]!r}")
+    return type(cls.__name__, (cls,), constants)
+
+
 def _parameters(w: Weights) -> list[np.ndarray]:
     """A network's parameter arrays in the order w0, b0, w1, b1, ..."""
     return [a for pair in zip(w.ws, w.bs) for a in pair]

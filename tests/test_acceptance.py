@@ -31,7 +31,13 @@ from cpdemod.harness import (
     write_csv,
 )
 from cpdemod.mlp import GDLearner, ModelArch
-from helpers import GOLDEN_KERNEL, blas_kernel, finite_difference_grad, max_rel_grad_error
+from helpers import (
+    GOLDEN_KERNEL,
+    blas_kernel,
+    finite_difference_grad,
+    max_rel_grad_error,
+    with_constants,
+)
 
 GRID_NS = (10, 20, 40, 60)
 CP_METHODS = ("vb", "cv", "kcv")
@@ -116,7 +122,7 @@ def test_criterion_6_numerical_core():
     # a) analytic gradient vs central differences, on five seeds that keep
     # every rectifier input clear of the difference stencil (a kink straddle
     # measures averaged one-sided slopes, not the reported subgradient)
-    arch = ModelArch(hidden=(5, 4, 3), output_dim=3)
+    arch = with_constants(ModelArch, hidden=(5, 4, 3))(output_dim=3)
     grad_ok = True
     for seed in (0, 1, 2, 3, 6):
         rng = np.random.default_rng(seed)

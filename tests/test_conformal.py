@@ -29,7 +29,14 @@ from cpdemod.mlp import (
     log_losses,
     predictive_stack,
 )
-from helpers import certain_weights, fit_one, held_out_scores, stack, zero_weights
+from helpers import (
+    certain_weights,
+    fit_one,
+    held_out_scores,
+    stack,
+    with_constants,
+    zero_weights,
+)
 
 SNR_5DB = 10.0 ** 0.5
 LOG4 = math.log(4.0)
@@ -41,7 +48,7 @@ def _pilot_frame(n_pilots, seed, n_test=1):
 
 
 def _quick_learner(steps=30):
-    return GDLearner(ModelArch(), steps=steps)
+    return with_constants(GDLearner, steps=steps)(ModelArch())
 
 
 # ---------------------------------------------------------------- indices
@@ -405,7 +412,7 @@ class _CentroidLearner:
     positive and negative parts and the next two pass them through.
     """
 
-    arch = ModelArch(hidden=(4, 4, 4))
+    arch = with_constants(ModelArch, hidden=(4, 4, 4))()
     temperature = 0.5
 
     def _model(self, X, y) -> Ensemble:
@@ -599,7 +606,7 @@ def test_ensemble_learner_plugs_into_conformal():
     from cpdemod.mlp import SGLDLearner
 
     frame = _pilot_frame(6, seed=30)
-    learner = SGLDLearner(ModelArch(), burn_in=5, ensemble_size=4)
+    learner = with_constants(SGLDLearner, burn_in=5, ensemble_size=4)(ModelArch())
     pred = CrossValConformalPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, None, 31)
     assert all(isinstance(m, Ensemble) for m in pred.models)
     mask = pred.predict_mask(np.array([0.5 + 0.5j]))

@@ -32,6 +32,7 @@ from cpdemod.harness import (
 )
 from cpdemod.mlp import Ensemble, GDLearner, ModelArch, SGLDLearner, Weights, init_weights
 from cpdemod.seeding import hash64
+from helpers import with_constants
 
 
 def _small_config(**overrides):
@@ -212,8 +213,8 @@ def test_failing_stacked_fit_names_every_job_of_its_block(monkeypatch):
 def _diverging(name, n_labels):
     arch = ModelArch(output_dim=n_labels)
     if name == "frequentist":
-        return GDLearner(arch, steps=20, lr=1e100)
-    return SGLDLearner(arch, burn_in=5, ensemble_size=3, lr=1e100)
+        return with_constants(GDLearner, steps=20, lr=1e100)(arch)
+    return with_constants(SGLDLearner, burn_in=5, ensemble_size=3, lr=1e100)(arch)
 
 
 @pytest.mark.parametrize("learner", LEARNERS)

@@ -28,12 +28,13 @@ from helpers import (
     reference_train_sgld,
     stack,
     weights_equal,
+    with_constants,
 )
 
 SNR_5DB = 10.0 ** 0.5
 LEARNERS = {
-    "gd": GDLearner(ModelArch(), steps=25),
-    "sgld": SGLDLearner(ModelArch(), burn_in=10, ensemble_size=4),
+    "gd": with_constants(GDLearner, steps=25)(ModelArch()),
+    "sgld": with_constants(SGLDLearner, burn_in=10, ensemble_size=4)(ModelArch()),
 }
 # Every fitted model is an Ensemble; a gradient-descent point estimate has one member.
 MEMBERS = {"gd": 1, "sgld": 4}
@@ -141,12 +142,14 @@ def test_trainers_equal_per_network_reference(case, k, m):
     X, y = rng.normal(size=(k, m, 2)) * 2.0, rng.integers(0, 4, size=(k, m))
     arch, kwargs = ModelArch(), _TRAINER_CASES[case]
     if case.startswith("gd"):
-        learner, reference, steps = GDLearner, reference_train_gd, (12,)
+        learner, reference, steps = GDLearner, reference_train_gd, dict(steps=12)
     else:
-        learner, reference, steps = SGLDLearner, reference_train_sgld, (8, 4)
+        learner, reference = SGLDLearner, reference_train_sgld
+        steps = dict(burn_in=8, ensemble_size=4)
+    learner = with_constants(learner, **steps, **kwargs)(arch)
     with np.errstate(all="ignore"):
-        got = learner(arch, *steps, **kwargs).fit(X, y, [derive_rng(9, j) for j in range(k)])
-        want = [reference(X[j], y[j], arch, *steps, rng=derive_rng(9, j), **kwargs)
+        got = learner.fit(X, y, [derive_rng(9, j) for j in range(k)])
+        want = [reference(X[j], y[j], arch, rng=derive_rng(9, j), **steps, **kwargs)
                 for j in range(k)]
     for j, (model, ref) in enumerate(zip(got, want)):
         assert _same_model(model, ref), f"model {j}"
@@ -230,7 +233,7 @@ def test_scoring_holds_one_pass_of_weights(pass_bytes, monkeypatch):
         monkeypatch.setattr(mlp, "MAX_PASS_BYTES", pass_bytes)
     X, y = _pilots(20, seed=6)
     rows = _loo_rows(20)
-    models = SGLDLearner(ModelArch(), burn_in=1).fit(
+    models = with_constants(SGLDLearner, burn_in=1)(ModelArch()).fit(
         X[rows], y[rows], [derive_rng(5, j) for j in range(20)]
     )
     held_out = X[None]
