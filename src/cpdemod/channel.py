@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import class_labels
+from .checks import class_labels, integer, real
 
 #: Upper bound of the relative I/Q gain mismatch.
 AMP_IMB_MAX = 0.15
@@ -129,6 +129,7 @@ def transmit(
     scalar arithmetic, and the noise is added per real component, so every
     sample has the bits a one-symbol call gives it.
     """
+    snr_linear = real("snr_linear", snr_linear)
     if not snr_linear > 0.0:
         raise ValueError(f"snr_linear must be positive, got {snr_linear!r}")
     labels = class_labels(labels, len(constellation))
@@ -180,8 +181,10 @@ def generate_frame(
     """Simulate one frame: draw a channel state, then transmit random labels.
 
     Labels are i.i.d. uniform over the alphabet for pilots and payload alike.
-    All symbols share the single per-frame channel state.
+    All symbols share the single per-frame channel state.  The counts must be
+    Python or numpy integers, at least 1.
     """
+    n_pilots, n_test = integer("n_pilots", n_pilots), integer("n_test", n_test)
     if n_pilots < 1 or n_test < 1:
         raise ValueError("n_pilots and n_test must both be at least 1")
     params = sample_channel_params(rng)

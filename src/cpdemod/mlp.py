@@ -96,12 +96,16 @@ class Ensemble:
 
 
 def features(x) -> np.ndarray:
-    """Stack complex samples into an (n, 2) real matrix of (re, im) rows.
+    """Stack a scalar or 1-D array of complex samples into an (n, 2) real
+    matrix of (re, im) rows.
 
-    Raises ``ValueError`` on a NaN or infinite sample: it would score NaN
-    against every label and silently decide set membership.
+    Raises ``ValueError`` on more dimensions, naming the shape, and on a NaN
+    or infinite sample: it would score NaN against every label and silently
+    decide set membership.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+    if arr.ndim != 1:
+        raise ValueError(f"expected a scalar or 1-D array of samples, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("received samples must be finite")
     return np.column_stack((arr.real, arr.imag))

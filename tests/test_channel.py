@@ -130,6 +130,13 @@ def test_transmit_rejects_nonpositive_snr(snr):
         transmit(0, make_qpsk(), ChannelParams(0.0, 0.0, 0.0), snr, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("snr", [True, "10", None])
+def test_transmit_rejects_snr_that_is_not_real(snr):
+    # True would run the channel at SNR 1.
+    with pytest.raises(ValueError, match="^snr_linear must be a real number"):
+        transmit(0, make_qpsk(), ChannelParams(0.0, 0.0, 0.0), snr, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize(
     "labels,match",
     [([-1, 3], r"must lie in \[0, 4\)"), ([0, 7], r"must lie in \[0, 4\)"),
@@ -195,6 +202,26 @@ def test_generate_frame_shapes_and_label_range():
 def test_generate_frame_rejects_zero_counts(n_pilots, n_test):
     with pytest.raises(ValueError):
         generate_frame(n_pilots, n_test, SNR_5DB, make_qpsk(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "n_pilots,n_test,field",
+    [(True, 3, "n_pilots"), (2.5, 3, "n_pilots"), (3, 3.0, "n_test"), (3, "3", "n_test")],
+)
+def test_generate_frame_rejects_counts_that_are_not_integers(n_pilots, n_test, field):
+    # True would send a one-pilot frame, and 2.5 would fail inside numpy
+    # with a message that names neither count.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        generate_frame(n_pilots, n_test, SNR_5DB, make_qpsk(), np.random.default_rng(0))
+
+
+def test_generate_frame_numpy_integer_counts_give_the_same_frame():
+    a = generate_frame(np.int64(5), np.uint8(3), np.float32(2.0), make_qpsk(),
+                       np.random.default_rng(4))
+    b = generate_frame(5, 3, float(np.float32(2.0)), make_qpsk(), np.random.default_rng(4))
+    assert a.n_pilots == 5 and a.n_test == 3
+    assert all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("pilot_x", "pilot_y", "test_x", "test_y"))
 
 
 def test_generate_frame_same_seed_is_bit_identical():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -383,6 +384,15 @@ def test_features_stacks_real_imag():
 def test_features_rejects_non_finite_samples(bad):
     with pytest.raises(ValueError, match="finite"):
         features(np.array([1.0 + 1.0j, bad]))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (1, 1), (2, 1, 2)])
+def test_features_rejects_samples_with_more_than_one_dimension(shape):
+    # A (3, 2) array would pass as six samples, or fail inside a matrix
+    # product with a message that names no input.
+    message = f"1-D array of samples, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        features(np.ones(shape, dtype=np.complex128))
 
 
 def test_canonical_order_ignores_input_order():
