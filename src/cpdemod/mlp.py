@@ -347,43 +347,37 @@ def predictive_stack(models: Sequence[Ensemble], X) -> np.ndarray:
     if any(len(s.ws[0]) != size for s in stacks):
         raise ValueError("models scored together need equal member counts")
     shape = stacks[0]
-    n, n_nets, n_layers = len(X), size * len(stacks), len(shape.ws)
+    n, n_layers = len(X), len(shape.ws)
     net_bytes = 8 * (
         n * sum(b.shape[-1] for b in shape.bs) + sum(a[0].size for a in shape.ws + shape.bs)
     )
     per_pass = max(1, MAX_PASS_BYTES // net_bytes)
+    # Whole models per pass, or runs of one model's members if they alone exceed it.
+    models_per_pass, members_per_pass = max(1, per_pass // size), min(per_pass, size)
     total = np.zeros((n, len(stacks), shape.bs[-1].shape[-1]))
-    for start in range(0, n_nets, per_pass):
-        stop = min(start + per_pass, n_nets)
-        # Networks are numbered model by model: network u is member
-        # u % size of model u // size.
-        parts = [
-            (stacks[k], max(start - k * size, 0), min(stop - k * size, size))
-            for k in range(start // size, (stop - 1) // size + 1)
-        ]
-        w = Weights(
-            [np.concatenate([s.ws[i][lo:hi] for s, lo, hi in parts]) for i in range(n_layers)],
-            [np.concatenate([s.bs[i][lo:hi] for s, lo, hi in parts]) for i in range(n_layers)],
-        )
-        if X.ndim == 2:
-            rows = np.broadcast_to(X[:, None], (n, stop - start, X.shape[-1]))
-        else:
-            rows = X[:, np.arange(start, stop) // size]
-        probs = _Pass(w, rows).forward()
-        # Add member e of every model in the pass before member e + 1.
-        for member in range(size):
-            pos = (member - start) % size
-            if pos < stop - start:
-                column = probs[:, pos::size]
-                model = (start + pos) // size
-                total[:, model : model + column.shape[1]] += column
-        # Free this pass's weight copy before the next pass concatenates its
-        # own, so a call holds one pass's weights at a time.  ``probs``, the
-        # pass's last activation buffer, stays bound until the next pass
-        # replaces it: it sits above the pass's freed buffers, and freeing it
-        # too can let the allocator trim the heap and fault a whole-payload
-        # pass's pages in again on every pass.
-        del w
+    for k0 in range(0, len(stacks), models_per_pass):
+        group = stacks[k0 : k0 + models_per_pass]
+        k1 = k0 + len(group)
+        for e0 in range(0, size, members_per_pass):
+            e1 = min(e0 + members_per_pass, size)
+            w = Weights(
+                [np.concatenate([s.ws[i][e0:e1] for s in group]) for i in range(n_layers)],
+                [np.concatenate([s.bs[i][e0:e1] for s in group]) for i in range(n_layers)],
+            )
+            if X.ndim == 2:
+                rows = np.broadcast_to(X[:, None], (n, len(w.bs[0]), X.shape[-1]))
+            else:
+                rows = np.repeat(X[:, k0:k1], e1 - e0, axis=1)
+            probs = _Pass(w, rows).forward().reshape(n, k1 - k0, e1 - e0, total.shape[-1])
+            for member in range(e1 - e0):
+                total[:, k0:k1] += probs[:, :, member]
+            # Free this pass's weight copy before the next pass concatenates its
+            # own, so a call holds one pass's weights at a time.  ``probs``, a view
+            # of the pass's last activation buffer, stays bound until the next pass
+            # replaces it: it sits above the pass's freed buffers, and freeing it
+            # too can let the allocator trim the heap and fault a whole-payload
+            # pass's pages in again on every pass.
+            del w
     return np.divide(total, size, out=total)
 
 
