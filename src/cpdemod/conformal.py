@@ -64,6 +64,13 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_n_scores(n_scores: int) -> int:
+    n_scores = integer("n_scores", n_scores)
+    if n_scores < 0:
+        raise ValueError(f"n_scores must be at least 0, got {n_scores}")
+    return n_scores
+
+
 def quantile_index(n_scores: int, alpha: float) -> int:
     """1-based order statistic the calibrated quantile picks from n scores.
 
@@ -73,7 +80,7 @@ def quantile_index(n_scores: int, alpha: float) -> int:
     integer (e.g. 0.9 * 20).  May exceed ``n_scores``, in which case the
     quantile below is infinite.
     """
-    alpha = _check_alpha(alpha)
+    n_scores, alpha = _check_n_scores(n_scores), _check_alpha(alpha)
     return math.ceil((1 - Fraction(alpha)) * (n_scores + 1))
 
 
@@ -83,7 +90,7 @@ def rank_threshold(n_scores: int, alpha: float) -> int:
     ``floor(alpha * (n_scores + 1))``, exact rational arithmetic as above.
     A threshold of 0 makes membership vacuous (every label enters).
     """
-    alpha = _check_alpha(alpha)
+    n_scores, alpha = _check_n_scores(n_scores), _check_alpha(alpha)
     return math.floor(Fraction(alpha) * (n_scores + 1))
 
 
@@ -92,8 +99,11 @@ def empirical_quantile(scores, alpha: float) -> float:
 
     Returns ``inf`` whenever the index points past the last real score, which
     is what makes small calibration sets yield trivial (full) prediction sets.
+    ``scores`` must be 1-D.
     """
     arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected 1-D scores, got shape {arr.shape}")
     k = quantile_index(arr.size, alpha)
     if k > arr.size:
         return math.inf
@@ -147,6 +157,8 @@ def cv_membership(candidate_scores, val_scores, alpha: float) -> np.ndarray:
     """
     cand = np.asarray(candidate_scores, dtype=np.float64)
     val = np.asarray(val_scores, dtype=np.float64)
+    if val.ndim != 1:
+        raise ValueError(f"expected 1-D validation scores, got shape {val.shape}")
     if cand.ndim != 2 or cand.shape[1] != val.size:
         raise ValueError("expected (labels, n) candidate scores and n validation scores")
     return _rank_counts(cand, val[:, None]) >= rank_threshold(val.size, alpha)
@@ -196,6 +208,7 @@ class FoldPlan:
 
 def naive_plan(pilot_x, pilot_y, seed: int = 0) -> FoldPlan:
     """One model on all pilots, nothing held out."""
+    seed = integer("seed", seed)
     feats, y = _pilot_arrays(pilot_x, pilot_y)
     return FoldPlan(feats, y, np.arange(len(y))[None], np.empty((1, 0), dtype=np.intp), seed)
 
@@ -203,6 +216,7 @@ def naive_plan(pilot_x, pilot_y, seed: int = 0) -> FoldPlan:
 def split_plan(pilot_x, pilot_y, seed: int = 0) -> FoldPlan:
     """One model on the first ``ceil(n / 2)`` pilots in calibration order;
     the rest are its one held-out fold."""
+    seed = integer("seed", seed)
     feats, y = _pilot_arrays(pilot_x, pilot_y)
     order = _calibration_order(feats, y, seed)
     n_train = (len(y) + 1) // 2
@@ -212,6 +226,7 @@ def split_plan(pilot_x, pilot_y, seed: int = 0) -> FoldPlan:
 def cross_val_plan(pilot_x, pilot_y, k: int | None = None, seed: int = 0) -> FoldPlan:
     """``k`` contiguous equal folds of the pilots in calibration order, one
     model trained without each; ``k = n`` (the default) is leave-one-out."""
+    seed = integer("seed", seed)
     feats, y = _pilot_arrays(pilot_x, pilot_y)
     order = _calibration_order(feats, y, seed)
     n = len(y)

@@ -34,10 +34,11 @@ from .checks import class_labels, integer
 PROB_FLOOR = 1e-12
 
 #: Most bytes of stacked weights and activations one scoring pass holds.
-#: Networks join a pass while their weights and their rows' activations fit;
-#: a network's rows are never split, so a payload wider than this runs one
-#: network per pass.  A scoring call holds one pass's weight copy at a time,
-#: next to the models it scores.
+#: Whole models join a pass while their networks' weights and activations
+#: fit; a model whose members alone do not fit runs as passes of its own
+#: members.  A network's rows are never split, so a payload wider than this
+#: runs one network per pass.  A scoring call holds one pass's weight copy at
+#: a time, next to the models it scores.
 MAX_PASS_BYTES = 1 << 20
 
 
@@ -328,16 +329,20 @@ def predictive_stack(models: Sequence[Ensemble], X) -> np.ndarray:
 
     ``X`` is one ``(n, d)`` matrix that every model scores, or a sample-major
     ``(n, K, d)`` stack in which model ``k`` scores ``X[:, k]``.  A model
-    averages its members' outputs, added in member order.  The networks of
-    all models (every member of every model) run as stacked passes of at
-    most ``MAX_PASS_BYTES`` each, and every network sees all ``n`` of its rows
-    in one product, so each model's output has the bits it has when scored
-    alone.  Each pass copies its networks' weights into one stack and frees
-    that copy before the next pass builds its own, so the call holds the
-    models plus one pass's weights.  The models need equal member counts.
+    averages its members' outputs, added in member order.  The models run
+    as stacked passes of at most ``MAX_PASS_BYTES`` each: a pass holds
+    consecutive whole models, or, when one model's members alone exceed the
+    budget, a run of that model's members.  Every network sees all ``n`` of
+    its rows in one product, so each model's output has the bits it has when
+    scored alone.  Each pass copies its networks' weights into one stack and
+    frees that copy before the next pass builds its own, so the call holds
+    the models plus one pass's weights.  The models need equal member counts,
+    and there must be at least one.
     """
     X = np.asarray(X, dtype=np.float64)
     stacks = [m.stacked for m in models]
+    if not stacks:
+        raise ValueError("expected at least one model, got an empty model list")
     if X.ndim == 3 and X.shape[1] != len(stacks):
         raise ValueError(
             f"per-model rows (n, K, d) need one column per model, "

@@ -1,6 +1,7 @@
 """Set constructions: quantile indices, membership rules, the four predictors."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,30 @@ def test_alpha_must_be_a_real_number(alpha):
         empirical_quantile([1.0, 2.0], alpha)
     with pytest.raises(ValueError, match="^alpha must be a real number"):
         naive_mask([[0.25, 0.25, 0.25, 0.25]], alpha)
+
+
+@pytest.mark.parametrize("n_scores", [2.5, True, "3", None])
+def test_score_counts_must_be_integers(n_scores):
+    # rank_threshold(2.5, 0.5) and rank_threshold(True, 0.5) read 1.
+    for call in (quantile_index, rank_threshold):
+        with pytest.raises(ValueError, match="^n_scores must be an integer"):
+            call(n_scores, 0.5)
+
+
+def test_score_counts_must_not_be_negative():
+    # quantile_index(-3, 0.1) read -1.
+    for call in (quantile_index, rank_threshold):
+        with pytest.raises(ValueError, match="^n_scores must be at least 0, got -3$"):
+            call(-3, 0.1)
+    assert rank_threshold(np.int64(9), 0.1) == rank_threshold(9, 0.1) == 1
+    assert quantile_index(np.uint8(0), 0.1) == quantile_index(0, 0.1) == 1
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (2, 2), ()])
+def test_empirical_quantile_takes_1d_scores(shape):
+    # A (5, 1) column raised numpy's TypeError, a 2 x 2 array IndexError.
+    with pytest.raises(ValueError, match=re.escape(f"expected 1-D scores, got shape {shape}")):
+        empirical_quantile(np.ones(shape), 0.1)
 
 
 def test_empirical_quantile_against_counting_oracle():
@@ -403,6 +428,16 @@ def test_cv_membership_validates_shapes():
         cv_membership(np.zeros((2, 3)), np.zeros(4), 0.1)
 
 
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1)])
+def test_cv_membership_takes_1d_validation_scores(shape):
+    # A (1, 6) row gave [F, T, T, T] where the 1-D scores give [F, F, T, F].
+    rng = np.random.default_rng(1)
+    cand, val = rng.standard_normal((4, 6)), rng.standard_normal(6)
+    assert np.array_equal(cv_membership(cand, val, 0.3), [False, False, True, False])
+    with pytest.raises(ValueError, match=re.escape(f"validation scores, got shape {shape}")):
+        cv_membership(cand, val.reshape(shape), 0.3)
+
+
 class _CentroidLearner:
     """Cheap deterministic learner: nearest-centroid logits as a ReLU network.
 
@@ -599,6 +634,42 @@ def test_held_out_labels_out_of_range_are_rejected():
     y[fold] = -1
     with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
         SplitConformalPredictor(frame.pilot_x, y, 0.1, _quick_learner(), seed=4)
+
+
+_SEEDED = {
+    "naive_plan": lambda x, y, seed: conformal.naive_plan(x, y, seed),
+    "split_plan": lambda x, y, seed: conformal.split_plan(x, y, seed),
+    "cross_val_plan": lambda x, y, seed: conformal.cross_val_plan(x, y, 5, seed),
+    "naive": lambda x, y, seed: NaiveSetPredictor(x, y, 0.1, _quick_learner(1), seed),
+    "vb": lambda x, y, seed: SplitConformalPredictor(x, y, 0.1, _quick_learner(1), seed),
+    "kcv": lambda x, y, seed: CrossValConformalPredictor(x, y, 0.1, _quick_learner(1), 5, seed),
+}
+
+
+@pytest.mark.parametrize("make", sorted(_SEEDED))
+@pytest.mark.parametrize("seed", [1.5, 2.9, True, "7"])
+def test_plan_seeds_must_be_integers(make, seed):
+    # split_plan(x, y, 1.5) ran as seed 1, split_plan(x, y, "7") as seed 7,
+    # and a kcv predictor seeded 2.9 gave seed 2's masks.
+    frame = _pilot_frame(10, seed=42)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        _SEEDED[make](frame.pilot_x, frame.pilot_y, seed)
+
+
+def test_integer_plan_seeds_keep_their_bits():
+    frame = _pilot_frame(10, seed=42)
+    for seed in (7, -3):
+        want = conformal.cross_val_plan(frame.pilot_x, frame.pilot_y, 5, seed)
+        for same in (np.int64(seed), np.int32(seed)):
+            got = conformal.cross_val_plan(frame.pilot_x, frame.pilot_y, 5, same)
+            assert np.array_equal(got.train, want.train) and np.array_equal(got.folds, want.folds)
+            assert got.seed == seed and type(got.seed) is int
+    # A negative seed is folded into the 64-bit ring, as ``hash64`` documents.
+    folded = conformal.split_plan(frame.pilot_x, frame.pilot_y, np.uint64(2**64 - 3))
+    negative = conformal.split_plan(frame.pilot_x, frame.pilot_y, -3)
+    assert np.array_equal(folded.folds, negative.folds)
+    positive = conformal.split_plan(frame.pilot_x, frame.pilot_y, 3)
+    assert not np.array_equal(positive.folds, negative.folds)
 
 
 def test_ensemble_learner_plugs_into_conformal():

@@ -363,6 +363,14 @@ def test_predictive_stack_rejects_unequal_member_counts():
         predictive_stack([point, ens], features(0.5j))
 
 
+@pytest.mark.parametrize("score", [mlp.predictive_stack, mlp.log_losses])
+@pytest.mark.parametrize("X", [np.zeros((5, 2)), np.zeros((5, 0, 2))], ids=["shared", "per-model"])
+def test_scoring_no_models_names_the_empty_model_list(score, X):
+    # Both raised a bare IndexError from indexing the first model.
+    with pytest.raises(ValueError, match="empty model list"):
+        score([], X)
+
+
 @pytest.mark.parametrize("columns", [1, 3])
 def test_predictive_stack_needs_one_row_column_per_model(columns):
     arch = ModelArch()

@@ -204,8 +204,8 @@ def test_stacked_backprop_equals_per_network_reference(k, m):
 def test_stacked_predictive_equals_per_model_reference(
     pass_bytes, members, per_model_rows, monkeypatch
 ):
-    # Pass budgets of one network, a few networks (pass boundaries falling
-    # inside a model's members) and everything at once.
+    # Pass budgets of one network, a few networks (a model's members split
+    # across passes when they alone exceed the budget) and everything at once.
     if pass_bytes is not None:
         monkeypatch.setattr(mlp, "MAX_PASS_BYTES", pass_bytes)
     rng = np.random.default_rng(members)
@@ -218,6 +218,42 @@ def test_stacked_predictive_equals_per_model_reference(
         for j, model in enumerate(models):
             rows = X[:, j] if per_model_rows else X
             assert np.array_equal(got[:, j], reference_predictive(model, rows), equal_nan=True)
+
+
+@pytest.mark.parametrize("pass_bytes", [1, 20_000, 60_000, None])
+@pytest.mark.parametrize("members", [1, 3, 5])
+@pytest.mark.parametrize("per_model_rows", [False, True])
+def test_scoring_passes_never_split_a_model_that_fits(
+    pass_bytes, members, per_model_rows, monkeypatch
+):
+    # Each pass is a run of consecutive whole models, or a run of one
+    # model's members, and the latter only when no pass can hold a model.
+    if pass_bytes is not None:
+        monkeypatch.setattr(mlp, "MAX_PASS_BYTES", pass_bytes)
+    rng = np.random.default_rng(members)
+    k, n = 4, 5
+    nets = _random_networks(rng, k * members)
+    models = [Ensemble(stack(nets[j * members : (j + 1) * members])) for j in range(k)]
+    X = rng.normal(size=(n, k, 2)) if per_model_rows else rng.normal(size=(n, 2))
+    pass_nets = []
+
+    class Recording(mlp._Pass):
+        def __init__(self, w, *args):
+            pass_nets.append(len(w.ws[0]))
+            super().__init__(w, *args)
+
+    monkeypatch.setattr(mlp, "_Pass", Recording)
+    with np.errstate(all="ignore"):
+        mlp.predictive_stack(models, X)
+    assert sum(pass_nets) == k * members
+    start, split = 0, False
+    for count in pass_nets:
+        whole_models = start % members == 0 and count % members == 0
+        one_model = start // members == (start + count - 1) // members
+        assert whole_models or one_model, pass_nets
+        split = split or not whole_models
+        start += count
+    assert not split or max(pass_nets) < members, pass_nets
 
 
 # ------------------------------------------------------------------ scoring
