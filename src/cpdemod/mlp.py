@@ -357,7 +357,7 @@ def predictive_stack(models: Sequence[Ensemble], X) -> np.ndarray:
         n * sum(b.shape[-1] for b in shape.bs) + sum(a[0].size for a in shape.ws + shape.bs)
     )
     per_pass = max(1, MAX_PASS_BYTES // net_bytes)
-    # Whole models per pass, or runs of one model's members if they alone exceed it.
+    # Whole models per pass, or runs of one model's members if they alone exceed the budget.
     models_per_pass, members_per_pass = max(1, per_pass // size), min(per_pass, size)
     total = np.zeros((n, len(stacks), shape.bs[-1].shape[-1]))
     for k0 in range(0, len(stacks), models_per_pass):
