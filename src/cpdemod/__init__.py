@@ -27,11 +27,9 @@ from .harness import (
     write_csv,
 )
 from .mlp import (
-    Ensemble,
     GDLearner,
     ModelArch,
     SGLDLearner,
-    Weights,
     grad,
     init_weights,
     nll_loss,

@@ -16,7 +16,10 @@ pilots train each model and which pilots it scores; it is a pure function of
 the pilots and the seed, and the naive plan is one model with nothing held
 out.  ``fitted_stacks`` fits the models of any number of plans of equal
 training size in shared stacks, so the frames of one experiment cell can
-train together, and hands over each stack as soon as it is fitted.
+train together, and hands over each stack as soon as it is fitted.  A fitted
+model is its ``(E, n_params)`` block of member parameter rows (``mlp``), and
+a plan's models within a stack are one slice of the stack's ``(K, E,
+n_params)`` array.
 ``PayloadSets`` holds the sets of one plan's payload, and each model adds
 its held-out and payload scores to them the moment its stack arrives: fit,
 score, drop.  The rank rule needs nothing of a fold model beyond those
@@ -37,6 +40,7 @@ changes any output.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,13 +139,15 @@ def _rank_counts(scores: np.ndarray, held_out) -> np.ndarray:
 
     ``scores[..., k]`` are candidate scores under model ``k`` and
     ``held_out[k]`` the held-out scores of model ``k``'s fold.  Each fold is
-    sorted once and counted with ``searchsorted``.  NaN never counts: a NaN
-    held-out score lies at or above nothing, and a NaN candidate score sorts
-    above every held-out score.
+    sorted once and counted with ``searchsorted``.  NaN ranks as the worst
+    score, above every number, +inf included (numpy sorts it last): a NaN
+    held-out score lies at or above every candidate score, and a NaN
+    candidate score counts only the NaN held-out scores.  So a NaN held-out
+    score counts here just as it counts in ``rank_threshold``'s ``n_scores``.
     """
     counts = np.zeros(scores.shape[:-1], dtype=np.int64)
     for k, fold in enumerate(held_out):
-        ranked = np.sort(fold[~np.isnan(fold)])
+        ranked = np.sort(fold)
         counts += len(ranked) - np.searchsorted(ranked, scores[..., k])
     return counts
 
@@ -245,8 +251,9 @@ def fitted_stacks(learner, plans):
     yield each stack as soon as it is fitted.
 
     A stack is a list of ``(p, models)``: the next models of ``plans[p]``,
-    in plan order.  Every model trains from its own generator, so it is
-    bit-identical to its lone fit.  Plans fitted together need equal
+    in plan order, as a slice of the ``(K, E, n_params)`` array
+    ``learner.fit`` returned.  Every model trains from its own generator, so
+    it is bit-identical to its lone fit.  Plans fitted together need equal
     training sizes.  ``learner.fit`` is the only learner call made.  Only
     the caller holds a yielded stack, so a caller that drops it before
     asking for the next one holds one stack of models at a time (every
@@ -264,25 +271,25 @@ def fitted_stacks(learner, plans):
         )
 
 
-def _by_plan(owners, models) -> list[tuple[int, list]]:
-    """``(p, models)`` runs of consecutive models of one plan."""
-    runs = []
-    for p, model in zip(owners, models):
-        if runs and runs[-1][0] == p:
-            runs[-1][1].append(model)
-        else:
-            runs.append((p, [model]))
+def _by_plan(owners, models: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(p, models[start:stop])`` for each run of consecutive models of one
+    plan."""
+    runs, start = [], 0
+    for p, run in itertools.groupby(owners):
+        stop = start + len(list(run))
+        runs.append((p, models[start:stop]))
+        start = stop
     return runs
 
 
-def fit_plans(learner, plans) -> list[list]:
-    """The models of every plan, in plan order, all held at once: the
-    stacks of ``fitted_stacks`` joined."""
+def fit_plans(learner, plans) -> list[np.ndarray]:
+    """The ``(K, E, n_params)`` models of every plan, in plan order, all held
+    at once: the slices of ``fitted_stacks`` joined."""
     fitted = [[] for _ in plans]
     for stack in fitted_stacks(learner, plans):
         for p, models in stack:
-            fitted[p] += models
-    return fitted
+            fitted[p].append(models)
+    return [np.concatenate(parts) for parts in fitted]
 
 
 def vacuous(plan: FoldPlan, alpha: float) -> bool:
@@ -335,10 +342,10 @@ class PayloadSets:
     ``diverged`` counts the added models with non-finite weights,
     ``nan_held_out`` the NaN held-out scores, and ``nan_rows`` marks the
     payload rows with a NaN score under any added model (``None`` while
-    there is none).  A NaN held-out score never counts towards a rank count
-    but still counts in ``threshold_count``, and a NaN predictive decides
-    the mass rule arbitrarily, so each leaves sets that look calibrated and
-    are not.
+    there is none).  A NaN score ranks as the worst score (``_rank_counts``),
+    so NaN held-out scores only widen sets: an all-NaN frame gets full sets.
+    A NaN predictive still decides the mass rule arbitrarily (the set {0}),
+    which leaves a naive set that looks calibrated and is not.
     """
 
     def __init__(self, plan: FoldPlan, alpha: float, x, n_labels: int):
@@ -357,10 +364,9 @@ class PayloadSets:
         feats = mlp.features(self.x)
         first = len(self.plan.train) - self.pending
         self.pending -= len(models)
-        self.diverged += sum(not model.all_finite() for model in models)
+        self.diverged += sum(not np.isfinite(model).all() for model in models)
         if not self.plan.folds.size:
-            (model,) = models
-            probs = mlp.predictive_stack([model], feats)[:, 0]
+            probs = mlp.predictive_stack(models, feats)[:, 0]
             self._note_nan_rows(probs)
             self.mask = naive_mask(probs, self.alpha)
             return

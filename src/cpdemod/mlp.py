@@ -4,16 +4,22 @@ Training is deterministic given an explicit generator, and every data-dependent
 computation first puts the samples into a canonical order, so losses, gradients
 and trained weights are bit-identical under any permutation of the dataset.
 
-Every fitted model is an ``Ensemble``: ``GDLearner`` (gradient descent) fits
-one member, ``SGLDLearner`` (Langevin dynamics) samples many.  Training has one
-API, the learners' ``fit``; scoring one conformity score, ``log_losses``.
+Parameters have one format.  A network is one ``(n_params,)`` row, laid out
+weights then biases, layer by layer (``w0, b0, w1, b1, ...``), and a fitted
+model is its ``(E, n_params)`` block of member rows: ``GDLearner`` (gradient
+descent) fits one member, ``SGLDLearner`` (Langevin dynamics) samples many.  A
+learner's ``fit`` returns the ``(K, E, n_params)`` array it trained.  Every
+layer size but the label count is a ``ModelArch`` constant, so a row's length
+fixes its label count (``_dims``).  Training has one API, the learners'
+``fit``; scoring one conformity score, ``log_losses``.
 
-Networks run as stacks.  Stacked weights carry a leading network axis, and
-activations are laid out sample-major, ``(m, K, width)``: row ``i`` of network
-``k`` sits at ``[i, k]``.  One planned pass (``_Pass``) serves training,
-calibration, payload scoring and the public ``grad``: each fit or scoring pass
-allocates its own buffers and builds its views once, and a training step runs
-its forward and backward calls in place.  A single network is a stack of one.
+Networks run as stacks of ``(K, n_params)`` rows, and activations are laid out
+sample-major, ``(m, K, width)``: row ``i`` of network ``k`` sits at ``[i, k]``.
+One planned pass (``_Pass``) serves training, calibration, payload scoring and
+the public ``grad``, and only it views rows as per-layer arrays: each fit or
+scoring pass allocates its own buffers and builds its views once, and a
+training step runs its forward and backward calls in place.  A single network
+is a stack of one.
 Each network's matrix products see exactly the rows a lone call would give it,
 so every output is bit-identical to running the networks one at a time.
 """
@@ -21,7 +27,6 @@ so every output is bit-identical to running the networks one at a time.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -33,12 +38,12 @@ from .checks import class_labels, integer
 #: log, the softmax output itself is never modified.
 PROB_FLOOR = 1e-12
 
-#: Most bytes of stacked weights and activations one scoring pass holds.
-#: Whole models join a pass while their networks' weights and activations
-#: fit; a model whose members alone do not fit runs as passes of its own
-#: members.  A network's rows are never split, so a payload wider than this
-#: runs one network per pass.  A scoring call holds one pass's weight copy at
-#: a time, next to the models it scores.
+#: Most bytes of weights and activations one scoring pass covers.  Whole
+#: models join a pass while their networks' weights and activations fit; a
+#: model whose members alone do not fit runs as passes of its own members.  A
+#: network's rows are never split, so a payload wider than this runs one
+#: network per pass.  A pass reads its weights in place, so a scoring call
+#: holds one pass's activations next to the models it scores.
 MAX_PASS_BYTES = 1 << 20
 
 
@@ -61,39 +66,6 @@ class ModelArch:
         """(fan_in, fan_out) per layer, input to output."""
         sizes = (self.input_dim, *self.hidden, self.output_dim)
         return list(zip(sizes[:-1], sizes[1:]))
-
-
-@dataclass
-class Weights:
-    """Per-layer weight matrices (fan_out x fan_in) and bias vectors: one
-    network, the type of ``init_weights``, ``grad`` and ``nll_loss``.
-
-    Stacked weights carry a leading model axis on every array: K models train
-    together as ``(K, fan_out, fan_in)`` matrices and ``(K, fan_out)`` biases.
-    """
-
-    ws: list[np.ndarray]
-    bs: list[np.ndarray]
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in self.ws) and all(
-            np.isfinite(a).all() for a in self.bs
-        )
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """A fitted model: member networks as one stack, member axis first; the
-    predictive averages their outputs.  Gradient descent fits one member."""
-
-    stacked: Weights
-
-    def __post_init__(self) -> None:
-        if not len(self.stacked.ws[0]):
-            raise ValueError("ensemble needs at least one member")
-
-    def all_finite(self) -> bool:
-        return self.stacked.all_finite()
 
 
 def features(x) -> np.ndarray:
@@ -142,13 +114,13 @@ def _canonical(X, y) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(X, order[..., None], axis=-2), np.take_along_axis(y, order, axis=-1)
 
 
-def init_weights(arch: ModelArch, rng: np.random.Generator) -> Weights:
-    """Gaussian weights with variance 1/fan_in, zero biases."""
-    ws, bs = [], []
+def init_weights(arch: ModelArch, rng: np.random.Generator) -> np.ndarray:
+    """One network's parameter row: Gaussian weights with variance 1/fan_in,
+    zero biases."""
+    parts = []
     for fan_in, fan_out in arch.dims():
-        ws.append(rng.standard_normal((fan_out, fan_in)) / math.sqrt(fan_in))
-        bs.append(np.zeros(fan_out))
-    return Weights(ws, bs)
+        parts += [rng.standard_normal(fan_out * fan_in) / math.sqrt(fan_in), np.zeros(fan_out)]
+    return np.concatenate(parts)
 
 
 def _fold(op, columns: list[np.ndarray], out: np.ndarray) -> list[tuple]:
@@ -163,7 +135,7 @@ class _Pass:
     """The forward pass of a stack of K networks on fixed arrays and, given
     one-hot targets, the backward pass of their mean cross entropy.
 
-    ``w`` holds ``(K, fan_out, fan_in)`` weights and ``(K, fan_out)`` biases;
+    ``params`` holds the ``(K, n_params)`` parameter rows of the networks;
     ``X`` is ``(m, K, d)`` with network ``k``'s rows at ``X[:, k]`` (a
     zero-stride K axis feeds every network the same rows); ``targets`` is
     ``(m, K, labels)``, each dataset in canonical order.
@@ -172,10 +144,10 @@ class _Pass:
     ``(m, K, width)`` output of every layer, a fresh array the pass owns, and
     its ``(K, m, width)`` transpose, the transposed weights, the softmax's label
     columns with their max and sum, and for the backward pass the ReLU masks
-    and the per-layer views of one flat ``(K, n_params)`` gradient ``grad``,
-    laid out like the learners' parameters (``w0, b0, w1, b1, ...``).  Running
-    the pass is then a fixed list of numpy calls writing through ``out``: it
-    allocates nothing, and sees any in-place change to the weights or rows.
+    and the per-layer views of the ``(K, n_params)`` gradient rows ``grad``.
+    Running the pass is then a fixed list of numpy calls writing through
+    ``out``: it allocates nothing, and sees any in-place change to the weights
+    or rows.
 
     Each product is one matrix product per network, so network k's outputs
     and gradient are the same bits whatever else shares its stack.  The
@@ -189,14 +161,17 @@ class _Pass:
     binds nowhere a gradient step is useful).
     """
 
-    def __init__(self, w: Weights, X: np.ndarray, targets: np.ndarray | None = None) -> None:
+    def __init__(
+        self, params: np.ndarray, X: np.ndarray, targets: np.ndarray | None = None
+    ) -> None:
         m, k = X.shape[:2]
         self.rows = m
-        outs = [np.empty((m, *b.shape)) for b in w.bs]
+        ws, bs = _unflat(params)
+        outs = [np.empty((m, *b.shape)) for b in bs]
         # The input of every layer: the rows, then each hidden ReLU output.
         acts = [X, *outs[:-1]]
         calls = []
-        for a, wi, bi, out in zip(acts, w.ws, w.bs, outs):
+        for a, wi, bi, out in zip(acts, ws, bs, outs):
             product = (a.transpose(1, 0, 2), wi.transpose(0, 2, 1))
             calls.append((np.matmul, product, out.transpose(1, 0, 2)))
             calls.append((np.add, (out, bi), out))
@@ -216,21 +191,19 @@ class _Pass:
         self.probs = logits
         if targets is None:
             return
-        dims = [(wi.shape[-1], wi.shape[-2]) for wi in w.ws]
-        self.grad = np.empty((k, _n_params(dims)))
-        #: Weights-shaped views of ``grad``.
-        self.gradient = _unflat(self.grad, dims)
+        self.grad = np.empty(params.shape)
+        gws, gbs = _unflat(self.grad)
         calls = [(np.subtract, (logits, targets), logits), (np.divide, (logits, m), logits)]
-        for layer in reversed(range(len(w.ws))):
+        for layer in reversed(range(len(ws))):
             a, delta = acts[layer], outs[layer]
-            gw, gb = self.gradient.ws[layer], self.gradient.bs[layer]
+            gw, gb = gws[layer], gbs[layer]
             calls.append((np.matmul, (delta.transpose(1, 2, 0), a.transpose(1, 0, 2)), gw))
             calls.append((np.add.reduce, (delta, 0), gb))
             if layer:
                 # ReLU passes gradient where its output is positive.
                 passes = np.empty(a.shape, dtype=bool)
                 calls.append((np.greater, (a, 0.0), passes))
-                product = (delta.transpose(1, 0, 2), w.ws[layer])
+                product = (delta.transpose(1, 0, 2), ws[layer])
                 calls.append((np.matmul, product, a.transpose(1, 0, 2)))
                 calls.append((np.multiply, (a, passes), a))
         self._backward_calls = calls
@@ -257,55 +230,62 @@ def _one_dataset(X, y, n_labels: int) -> tuple[np.ndarray, np.ndarray]:
     return X, class_labels(y, n_labels)
 
 
-def _stack_of_one(w: Weights) -> Weights:
-    return Weights([a[None] for a in w.ws], [b[None] for b in w.bs])
+def nll_loss(w: np.ndarray, X, y) -> float:
+    """Mean negative log probability of the true labels under the network
+    of parameter row ``w``."""
+    X, y = _one_dataset(X, y, _dims(w.shape[-1])[-1][1])
+    return float(np.mean(log_losses(w[None, None], X)[np.arange(len(y)), 0, y]))
 
 
-def nll_loss(w: Weights, X, y) -> float:
-    """Mean negative log probability of the true labels."""
-    X, y = _one_dataset(X, y, w.bs[-1].size)
-    return float(np.mean(log_losses([Ensemble(_stack_of_one(w))], X)[np.arange(len(y)), 0, y]))
-
-
-def grad(w: Weights, X, y) -> Weights:
-    """Weights-shaped gradient of ``nll_loss`` at ``w``."""
-    X, y = _one_dataset(X, y, w.bs[-1].size)
-    targets = _one_hot(y[:, None], w.bs[-1].size)
-    step = _Pass(_stack_of_one(w), X[:, None, :], targets)
+def grad(w: np.ndarray, X, y) -> np.ndarray:
+    """Gradient of ``nll_loss`` at the parameter row ``w``, as a row like it."""
+    n_labels = _dims(w.shape[-1])[-1][1]
+    X, y = _one_dataset(X, y, n_labels)
+    step = _Pass(w[None], X[:, None, :], _one_hot(y[:, None], n_labels))
     step.forward()
     step.backward()
-    return _unflat(step.grad[0], [(a.shape[-1], a.shape[-2]) for a in w.ws])
+    return step.grad[0]
 
 
 def _one_hot(y: np.ndarray, n_labels: int) -> np.ndarray:
     return np.eye(n_labels)[y]
 
 
-def _n_params(dims: list[tuple[int, int]]) -> int:
-    """Parameters of one network with layers of ``dims`` (fan_in, fan_out)."""
-    return sum(fan_out * fan_in + fan_out for fan_in, fan_out in dims)
+def _dims(n_params: int) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) per layer of a network of ``n_params`` parameters.
+
+    Every layer size but the label count is a ``ModelArch`` constant, and each
+    label adds one output unit, so the row length fixes the label count: the
+    paper's network has ``592 + 17 * labels`` parameters.  A length that no
+    label count gives raises ``ValueError``.
+    """
+    *hidden, (last, _) = ModelArch().dims()
+    fixed = sum(fan_out * fan_in + fan_out for fan_in, fan_out in hidden)
+    labels, rest = divmod(n_params - fixed, last + 1)
+    if rest or labels < 1:
+        raise ValueError(f"no label count gives a parameter row of length {n_params}")
+    return ModelArch(labels).dims()
 
 
-def _unflat(params: np.ndarray, dims: list[tuple[int, int]]) -> Weights:
-    """Weights whose arrays are views into ``params`` (``..., n_params``, laid
-    out weights then biases, layer by layer: ``w0, b0, w1, b1, ...``),
-    keeping its leading axes; ``dims`` are the layers' (fan_in, fan_out)."""
+def _unflat(params: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer ``(..., fan_out, fan_in)`` weight and ``(..., fan_out)`` bias
+    views of the parameter rows ``params`` (``..., n_params``), keeping their
+    leading axes."""
     lead = params.shape[:-1]
     ws, bs, offset = [], [], 0
-    for fan_in, fan_out in dims:
+    for fan_in, fan_out in _dims(params.shape[-1]):
         size = fan_out * fan_in
         ws.append(params[..., offset : offset + size].reshape(*lead, fan_out, fan_in))
         bs.append(params[..., offset + size : offset + size + fan_out])
         offset += size + fan_out
-    return Weights(ws, bs)
+    return ws, bs
 
 
 def _training_stack(X, y, arch: ModelArch, rngs):
-    """The initial parameters of a training stack as one flat ``(K,
-    n_params)`` array, the stack's training pass over canonical sample-major
-    ``(m, K, d)`` data, and the generators.  Updates run on the flat array,
-    one elementwise operation per step for all parameters; fitted models are
-    views of it."""
+    """The initial parameter rows of a training stack, ``(K, n_params)``, the
+    stack's training pass over canonical sample-major ``(m, K, d)`` data, and
+    the generators.  Updates run on the rows, one elementwise operation per
+    step for all parameters; fitted models are views of them."""
     X, y = _canonical(X, y)
     if X.ndim != 3:
         raise ValueError("expected a (K, n, d) stack of datasets and (K, n) labels")
@@ -313,80 +293,60 @@ def _training_stack(X, y, arch: ModelArch, rngs):
     rngs = list(rngs)
     if len(rngs) != len(X):
         raise ValueError(f"a stack of {len(X)} datasets needs {len(X)} generators, got {len(rngs)}")
-    dims = arch.dims()
-    params = np.empty((len(rngs), _n_params(dims)))
-    w = _unflat(params, dims)
-    for j, r in enumerate(rngs):
-        init = init_weights(arch, r)
-        for stacked, own in zip(w.ws + w.bs, init.ws + init.bs):
-            stacked[j] = own
+    params = np.array([init_weights(arch, r) for r in rngs])
     X = np.ascontiguousarray(X.transpose(1, 0, 2))
-    return params, _Pass(w, X, _one_hot(y.T, arch.output_dim)), rngs
+    return params, _Pass(params, X, _one_hot(y.T, arch.output_dim)), rngs
 
 
-def predictive_stack(models: Sequence[Ensemble], X) -> np.ndarray:
+def predictive_stack(models: np.ndarray, X) -> np.ndarray:
     """Predictive class probabilities of K fitted models, ``(n, K, labels)``.
 
-    ``X`` is one ``(n, d)`` matrix that every model scores, or a sample-major
-    ``(n, K, d)`` stack in which model ``k`` scores ``X[:, k]``.  A model
-    averages its members' outputs, added in member order.  The models run
-    as stacked passes of at most ``MAX_PASS_BYTES`` each: a pass holds
+    ``models`` is a ``(K, E, n_params)`` array: each model's block of E member
+    rows.  ``X`` is one ``(n, d)`` matrix that every model scores, or a
+    sample-major ``(n, K, d)`` stack in which model ``k`` scores ``X[:, k]``.
+    A model averages its members' outputs, added in member order.  The models
+    run as stacked passes of at most ``MAX_PASS_BYTES`` each: a pass holds
     consecutive whole models, or, when one model's members alone exceed the
     budget, a run of that model's members.  Every network sees all ``n`` of
     its rows in one product, so each model's output has the bits it has when
-    scored alone.  Each pass copies its networks' weights into one stack and
-    frees that copy before the next pass builds its own, so the call holds
-    the models plus one pass's weights.  The models need equal member counts,
-    and there must be at least one.
+    scored alone.  A pass reads its networks' rows in place (a view of
+    ``models`` as the learners return them), so the call copies no weights.
+    There must be at least one model, and a model needs at least one member.
     """
     X = np.asarray(X, dtype=np.float64)
-    stacks = [m.stacked for m in models]
-    if not stacks:
+    models = np.asarray(models, dtype=np.float64)
+    if not len(models):
         raise ValueError("expected at least one model, got an empty model list")
-    if X.ndim == 3 and X.shape[1] != len(stacks):
+    k, size, n_params = models.shape
+    if X.ndim == 3 and X.shape[1] != k:
         raise ValueError(
-            f"per-model rows (n, K, d) need one column per model, "
-            f"got {X.shape[1]} for {len(stacks)} models"
+            f"per-model rows (n, K, d) need one column per model, got {X.shape[1]} for {k} models"
         )
-    size = len(stacks[0].ws[0])
-    if any(len(s.ws[0]) != size for s in stacks):
-        raise ValueError("models scored together need equal member counts")
-    shape = stacks[0]
-    n, n_layers = len(X), len(shape.ws)
-    net_bytes = 8 * (
-        n * sum(b.shape[-1] for b in shape.bs) + sum(a[0].size for a in shape.ws + shape.bs)
-    )
+    if not size:
+        raise ValueError("a model needs at least one member")
+    dims = _dims(n_params)
+    n = len(X)
+    net_bytes = 8 * (n * sum(fan_out for _, fan_out in dims) + n_params)
     per_pass = max(1, MAX_PASS_BYTES // net_bytes)
     # Whole models per pass, or runs of one model's members if they alone exceed the budget.
     models_per_pass, members_per_pass = max(1, per_pass // size), min(per_pass, size)
-    total = np.zeros((n, len(stacks), shape.bs[-1].shape[-1]))
-    for k0 in range(0, len(stacks), models_per_pass):
-        group = stacks[k0 : k0 + models_per_pass]
-        k1 = k0 + len(group)
+    total = np.zeros((n, k, dims[-1][1]))
+    for k0 in range(0, k, models_per_pass):
+        k1 = min(k0 + models_per_pass, k)
         for e0 in range(0, size, members_per_pass):
             e1 = min(e0 + members_per_pass, size)
-            w = Weights(
-                [np.concatenate([s.ws[i][e0:e1] for s in group]) for i in range(n_layers)],
-                [np.concatenate([s.bs[i][e0:e1] for s in group]) for i in range(n_layers)],
-            )
+            nets = models[k0:k1, e0:e1].reshape(-1, n_params)
             if X.ndim == 2:
-                rows = np.broadcast_to(X[:, None], (n, len(w.bs[0]), X.shape[-1]))
+                rows = np.broadcast_to(X[:, None], (n, len(nets), X.shape[-1]))
             else:
                 rows = np.repeat(X[:, k0:k1], e1 - e0, axis=1)
-            probs = _Pass(w, rows).forward().reshape(n, k1 - k0, e1 - e0, total.shape[-1])
+            probs = _Pass(nets, rows).forward().reshape(n, k1 - k0, e1 - e0, total.shape[-1])
             for member in range(e1 - e0):
                 total[:, k0:k1] += probs[:, :, member]
-            # Free this pass's weight copy before the next pass concatenates its
-            # own, so a call holds one pass's weights at a time.  ``probs``, a view
-            # of the pass's last activation buffer, stays bound until the next pass
-            # replaces it: it sits above the pass's freed buffers, and freeing it
-            # too can let the allocator trim the heap and fault a whole-payload
-            # pass's pages in again on every pass.
-            del w
     return np.divide(total, size, out=total)
 
 
-def log_losses(models: Sequence[Ensemble], X) -> np.ndarray:
+def log_losses(models: np.ndarray, X) -> np.ndarray:
     """``(n, K, labels)`` log loss of every label under each of K fitted models,
     ``-log(max(p, PROB_FLOOR))`` of the predictive; ``X`` as for
     ``predictive_stack``.  It is the conformity score of the conformal sets
@@ -397,23 +357,23 @@ def log_losses(models: Sequence[Ensemble], X) -> np.ndarray:
 
 # Learners share one entry point, ``fit(X, y, rngs)``: a (K, n, d) stack of
 # equal-size datasets with (K, n) labels and a sequence of K generators
-# returns K ``Ensemble`` models (one member each from gradient descent),
-# trained as one batched network; one dataset is a stack of one.  Model j
-# draws its initial weights and noise from generator j alone, so it is the
-# same bits whatever else shares its stack.
+# returns the ``(K, E, n_params)`` array the stack trained, K models of E
+# member rows (one from gradient descent), without a copy; one dataset is a
+# stack of one.  Model j draws its initial weights and noise from generator j
+# alone, so it is the same bits whatever else shares its stack.
 
 
 @dataclass(frozen=True)
 class GDLearner:
     """Point-estimate learner: ``steps`` full-batch gradient descent steps of
-    size ``lr`` on the mean cross entropy, a one-member ensemble out.  The
+    size ``lr`` on the mean cross entropy, a one-member model out.  The
     architecture is its only setting."""
 
     arch: ModelArch
     steps: ClassVar[int] = 120
     lr: ClassVar[float] = 0.2
 
-    def fit(self, X, y, rngs) -> list[Ensemble]:
+    def fit(self, X, y, rngs) -> np.ndarray:
         params, step, _ = _training_stack(X, y, self.arch, rngs)
         g = step.grad
         for _ in range(self.steps):
@@ -421,7 +381,7 @@ class GDLearner:
             step.backward()
             g *= self.lr
             params -= g
-        return [Ensemble(_unflat(p[None], self.arch.dims())) for p in params]
+        return params[:, None]
 
 
 @dataclass(frozen=True)
@@ -439,8 +399,9 @@ class SGLDLearner:
     stable at its learning rate.
 
     The injected noise stream depends only on the generator, never on the
-    data: one flat vector is drawn per step and consumed per parameter array
-    (weights then biases, layer by layer).
+    data: one vector of ``n_params`` normals is drawn per step and added to the
+    parameter row, so it is consumed in the row's order (``w0, b0, w1, b1,
+    ...``).
     """
 
     arch: ModelArch
@@ -449,7 +410,7 @@ class SGLDLearner:
     lr: ClassVar[float] = 0.2
     prior_sigma: ClassVar[float] = 10.0
 
-    def fit(self, X, y, rngs) -> list[Ensemble]:
+    def fit(self, X, y, rngs) -> np.ndarray:
         params, step, rngs = _training_stack(X, y, self.arch, rngs)
         eps = self.lr / step.rows
         root_eps = math.sqrt(eps)
@@ -458,7 +419,7 @@ class SGLDLearner:
         prior_pull = 0.5 * eps / (self.prior_sigma * self.prior_sigma)
         g, pull, noise = step.grad, np.empty_like(params), np.empty_like(params)
         # Kept iterates, (K, ensemble_size, n_params): model j's members are
-        # one contiguous stack, ready for stacked scoring.
+        # one contiguous block, ready for stacked scoring.
         kept = np.empty((len(params), self.ensemble_size, params.shape[1]))
         for i in range(self.burn_in + self.ensemble_size):
             step.forward()
@@ -473,4 +434,4 @@ class SGLDLearner:
             params += g
             if i >= self.burn_in:
                 kept[:, i - self.burn_in] = params
-        return [Ensemble(_unflat(members, self.arch.dims())) for members in kept]
+        return kept

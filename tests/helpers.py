@@ -17,7 +17,7 @@ from cpdemod.channel import (
     apply_iq_imbalance,
     sample_channel_params,
 )
-from cpdemod.mlp import Ensemble, ModelArch, Weights, init_weights
+from cpdemod.mlp import ModelArch, init_weights
 
 
 #: The OpenBLAS kernel that made ``results.csv`` and ``golden_subgrid.csv``.
@@ -41,7 +41,8 @@ def blas_kernel() -> str:
 
 
 def fit_one(learner, X, y, rng):
-    """One model fitted on one (n, d) dataset, as a learner's stack of one."""
+    """One model, its ``(E, n_params)`` member rows, fitted on one (n, d)
+    dataset as a learner's stack of one."""
     (model,) = learner.fit(np.asarray(X)[None], np.asarray(y)[None], [rng])
     return model
 
@@ -52,104 +53,81 @@ def held_out_scores(pred) -> np.ndarray:
     return conformal._held_out_scores(pred.plan, 0, pred.models)
 
 
-def zero_weights(arch: ModelArch) -> Weights:
-    """All-zero weights: uniform predictive regardless of input."""
-    return Weights(
-        [np.zeros((fan_out, fan_in)) for fan_in, fan_out in arch.dims()],
-        [np.zeros(fan_out) for _, fan_out in arch.dims()],
-    )
+def layers(params: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer ``(..., fan_out, fan_in)`` weight and ``(..., fan_out)`` bias
+    views of parameter rows (``..., n_params``), laid out ``w0, b0, w1, b1,
+    ...`` with each weight matrix in row-major order: the one place the
+    reference implementations below read a row's layers.  Only the layer
+    sizes come from ``mlp``; the slicing is independent of ``mlp._unflat``."""
+    dims = mlp._dims(params.shape[-1])
+    sizes = [size for fan_in, fan_out in dims for size in (fan_out * fan_in, fan_out)]
+    parts = np.split(params, np.cumsum(sizes)[:-1], axis=-1)
+    lead = params.shape[:-1]
+    ws = [w.reshape(*lead, fan_out, fan_in) for w, (fan_in, fan_out) in zip(parts[::2], dims)]
+    return ws, parts[1::2]
 
 
-def certain_weights(arch: ModelArch, label: int, scale: float = 1000.0) -> Weights:
-    """Weights whose predictive is exactly one-hot on ``label``.
+def zero_weights(arch: ModelArch) -> np.ndarray:
+    """An all-zero parameter row: uniform predictive regardless of input."""
+    return np.zeros(sum(fan_out * fan_in + fan_out for fan_in, fan_out in arch.dims()))
+
+
+def certain_weights(arch: ModelArch, label: int, scale: float = 1000.0) -> np.ndarray:
+    """A parameter row whose predictive is exactly one-hot on ``label``.
 
     Hidden layers are zero, so logits equal the output bias; a huge logit gap
     underflows every other class probability to exactly 0.0.
     """
     w = zero_weights(arch)
-    w.bs[-1][label] = scale
+    layers(w)[1][-1][label] = scale
     return w
 
 
-def finite_difference_grad(w: Weights, X, y, h: float = 1e-5) -> Weights:
+def finite_difference_grad(w: np.ndarray, X, y, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the mean log loss, every coordinate."""
-    gws = [np.empty_like(a) for a in w.ws]
-    gbs = [np.empty_like(a) for a in w.bs]
-    for params, grads in ((w.ws, gws), (w.bs, gbs)):
-        for arr, garr in zip(params, grads):
-            for idx in np.ndindex(arr.shape):
-                orig = arr[idx]
-                arr[idx] = orig + h
-                up = mlp.nll_loss(w, X, y)
-                arr[idx] = orig - h
-                down = mlp.nll_loss(w, X, y)
-                arr[idx] = orig
-                garr[idx] = (up - down) / (2.0 * h)
-    return Weights(gws, gbs)
+    g = np.empty_like(w)
+    for i, orig in enumerate(w):
+        w[i] = orig + h
+        up = mlp.nll_loss(w, X, y)
+        w[i] = orig - h
+        down = mlp.nll_loss(w, X, y)
+        w[i] = orig
+        g[i] = (up - down) / (2.0 * h)
+    return g
 
 
-def max_rel_grad_error(analytic: Weights, numeric: Weights) -> float:
+def max_rel_grad_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Largest per-coordinate relative disagreement between two gradients."""
-    worst = 0.0
-    for a_arrs, n_arrs in ((analytic.ws, numeric.ws), (analytic.bs, numeric.bs)):
-        for a, n in zip(a_arrs, n_arrs):
-            rel = np.abs(a - n) / (np.abs(a) + 1e-8)
-            worst = max(worst, float(rel.max()))
-    return worst
+    return float((np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8)).max())
 
 
-def copy_weights(w: Weights) -> Weights:
-    """A copy of every weight and bias array."""
-    return Weights([a.copy() for a in w.ws], [b.copy() for b in w.bs])
-
-
-def stack(nets: list[Weights]) -> Weights:
-    """Networks as one stack (copies), network axis first."""
-    return Weights(
-        [np.stack(ws) for ws in zip(*(net.ws for net in nets))],
-        [np.stack(bs) for bs in zip(*(net.bs for net in nets))],
-    )
-
-
-def networks(stacked: Weights) -> list[Weights]:
-    """One network per index of a stack's leading axis (views)."""
-    return [
-        Weights([w[j] for w in stacked.ws], [b[j] for b in stacked.bs])
-        for j in range(len(stacked.ws[0]))
-    ]
-
-
-def weights_equal(a: Weights, b: Weights) -> bool:
-    """Bit-exact equality of two weight sets (NaN equals NaN in the same place)."""
-    return all(
-        np.array_equal(x, y, equal_nan=True) for x, y in zip(a.ws + a.bs, b.ws + b.bs)
-    )
-
-
-def reference_forward(w: Weights, X) -> tuple[list[np.ndarray], np.ndarray]:
+def reference_forward(w: np.ndarray, X) -> tuple[list[np.ndarray], np.ndarray]:
     """One network in plain 2-D numpy: the input of every layer and the
     class probabilities (softmax with numpy's own max and sum)."""
+    ws, bs = layers(w)
     acts = [np.asarray(X, dtype=np.float64)]
-    for wi, bi in zip(w.ws[:-1], w.bs[:-1]):
+    for wi, bi in zip(ws[:-1], bs[:-1]):
         acts.append(np.maximum(acts[-1] @ wi.T + bi, 0.0))
-    logits = acts[-1] @ w.ws[-1].T + w.bs[-1]
+    logits = acts[-1] @ ws[-1].T + bs[-1]
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return acts, e / e.sum(axis=-1, keepdims=True)
 
 
-def reference_grad(w: Weights, X, targets) -> Weights:
+def reference_grad(w: np.ndarray, X, targets) -> np.ndarray:
     """Mean cross-entropy backprop of one network in plain 2-D numpy, on
-    data already in canonical order with one-hot ``targets``."""
+    data already in canonical order with one-hot ``targets``; the gradient
+    is a row laid out like ``w``."""
+    ws = layers(w)[0]
     acts, probs = reference_forward(w, X)
     delta = (probs - targets) / len(acts[0])
-    n_layers = len(w.ws)
-    gws, gbs = [None] * n_layers, [None] * n_layers
-    for layer in reversed(range(n_layers)):
-        gws[layer] = delta.T @ acts[layer]
-        gbs[layer] = delta.sum(axis=0)
+    g = np.empty_like(w)
+    gws, gbs = layers(g)
+    for layer in reversed(range(len(ws))):
+        gws[layer][...] = delta.T @ acts[layer]
+        gbs[layer][...] = delta.sum(axis=0)
         if layer:
-            delta = (delta @ w.ws[layer]) * (acts[layer] > 0)
-    return Weights(gws, gbs)
+            delta = (delta @ ws[layer]) * (acts[layer] > 0)
+    return g
 
 
 def _reference_data(X, y, arch: ModelArch):
@@ -161,30 +139,24 @@ def _reference_data(X, y, arch: ModelArch):
 def with_constants(cls, **constants):
     """A test-only subclass of ``cls`` whose class constants read
     ``constants``: ``with_constants(GDLearner, steps=25)(ModelArch())`` is a
-    short fit, ``with_constants(ModelArch, hidden=(5, 4, 3))()`` a narrow
-    network.  Only existing attributes may be replaced."""
+    short fit.  Only existing attributes may be replaced.  ``mlp`` reads a
+    row's layer sizes from ``ModelArch`` itself, so a test of a narrow
+    network sets ``ModelArch.hidden`` with ``monkeypatch`` instead."""
     unknown = [name for name in constants if not hasattr(cls, name)]
     if unknown:
         raise AttributeError(f"{cls.__name__} has no constant {unknown[0]!r}")
     return type(cls.__name__, (cls,), constants)
 
 
-def _parameters(w: Weights) -> list[np.ndarray]:
-    """A network's parameter arrays in the order w0, b0, w1, b1, ..."""
-    return [a for pair in zip(w.ws, w.bs) for a in pair]
-
-
-def reference_train_gd(X, y, arch: ModelArch, steps: int, lr: float, rng) -> Ensemble:
+def reference_train_gd(X, y, arch: ModelArch, steps: int, lr: float, rng) -> np.ndarray:
     """One network trained by full-batch gradient descent in plain numpy:
-    ``init_weights``, then per step ``reference_grad`` and ``p -= lr * g`` on
-    every parameter array; the network is the one member."""
+    ``init_weights``, then per step ``reference_grad`` and ``w -= lr * g``;
+    the ``(1, n_params)`` model of one member."""
     X, targets = _reference_data(X, y, arch)
     w = init_weights(arch, rng)
     for _ in range(steps):
-        g = reference_grad(w, X, targets)
-        for p, gp in zip(_parameters(w), _parameters(g)):
-            p -= lr * gp
-    return Ensemble(stack([w]))
+        w -= lr * reference_grad(w, X, targets)
+    return w[None]
 
 
 def reference_train_sgld(
@@ -196,12 +168,12 @@ def reference_train_sgld(
     lr: float,
     rng,
     prior_sigma: float = 10.0,
-) -> Ensemble:
+) -> np.ndarray:
     """One network sampled by Langevin dynamics in plain numpy: per step
-    ``reference_grad``, one ``standard_normal(n_params)`` draw consumed in the
-    order w0, b0, w1, b1, ..., and the drift, prior pull and noise added to
-    every parameter array; the last ``ensemble_size`` iterates are the
-    members."""
+    ``reference_grad``, one ``standard_normal(n_params)`` draw added in the
+    row's order, w0, b0, w1, b1, ..., and the drift, prior pull and noise
+    added to the row; the last ``ensemble_size`` iterates are the member
+    rows of the ``(ensemble_size, n_params)`` model."""
     X, targets = _reference_data(X, y, arch)
     w = init_weights(arch, rng)
     eps = lr / len(X)
@@ -210,21 +182,18 @@ def reference_train_sgld(
     members = []
     for step in range(burn_in + ensemble_size):
         g = reference_grad(w, X, targets)
-        noise = rng.standard_normal(sum(p.size for p in _parameters(w)))
-        offset = 0
-        for p, gp in zip(_parameters(w), _parameters(g)):
-            move = (-half_lr) * gp - (0.5 * eps / (prior_sigma * prior_sigma)) * p
-            part = noise[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
-            p += move + root_eps * part
+        noise = rng.standard_normal(w.size)
+        move = (-half_lr) * g - (0.5 * eps / (prior_sigma * prior_sigma)) * w
+        w += move + root_eps * noise
         if step >= burn_in:
-            members.append(copy_weights(w))
-    return Ensemble(stack(members))
+            members.append(w.copy())
+    return np.array(members)
 
 
-def reference_predictive(model: Ensemble, X) -> np.ndarray:
-    """Predictive of one model, one member network at a time."""
-    return np.mean([reference_forward(m, X)[1] for m in networks(model.stacked)], axis=0)
+def reference_predictive(model: np.ndarray, X) -> np.ndarray:
+    """Predictive of one ``(E, n_params)`` model, one member network at a
+    time."""
+    return np.mean([reference_forward(m, X)[1] for m in model], axis=0)
 
 
 def reference_transmit(

@@ -22,10 +22,8 @@ from cpdemod.conformal import (
     rank_threshold,
 )
 from cpdemod.mlp import (
-    Ensemble,
     GDLearner,
     ModelArch,
-    Weights,
     features,
     log_losses,
     predictive_stack,
@@ -34,7 +32,7 @@ from helpers import (
     certain_weights,
     fit_one,
     held_out_scores,
-    stack,
+    layers,
     with_constants,
     zero_weights,
 )
@@ -183,16 +181,16 @@ def test_quantile_and_rank_rules_agree(n, seed, alpha):
 
 
 def test_nc_score_uniform_model():
-    uniform = Ensemble(stack([zero_weights(ModelArch())]))
-    assert log_losses([uniform], features(0.2 + 0.1j))[0, 0, 3] == (
+    uniform = zero_weights(ModelArch())[None, None]
+    assert log_losses(uniform, features(0.2 + 0.1j))[0, 0, 3] == (
         pytest.approx(LOG4, abs=1e-12)
     )
 
 
 def test_nc_score_certain_model():
     arch = ModelArch()
-    sure = Ensemble(stack([certain_weights(arch, 2)]))
-    scores = log_losses([sure], features(0.5 - 0.5j))[0, 0]
+    sure = certain_weights(arch, 2)[None, None]
+    scores = log_losses(sure, features(0.5 - 0.5j))[0, 0]
     assert scores[2] == 0.0
     # Wrong label under a certain model hits the probability floor.
     assert scores[0] == pytest.approx(27.631021115928547, abs=1e-9)
@@ -223,8 +221,8 @@ def test_naive_set_tie_prefers_smaller_label():
 
 
 def test_naive_set_certain_model_is_singleton():
-    sure = Ensemble(stack([certain_weights(ModelArch(), 1)]))
-    probs = predictive_stack([sure], features(1j))[:, 0]
+    sure = certain_weights(ModelArch(), 1)[None, None]
+    probs = predictive_stack(sure, features(1j))[:, 0]
     assert np.array_equal(np.flatnonzero(naive_mask(probs, 0.1)[0]), [1])
 
 
@@ -319,7 +317,7 @@ def test_split_mask_matches_rank_rule():
     masks = pred.predict_mask(xs)
     val_scores = held_out_scores(pred).ravel()
     n_val = val_scores.size
-    scores = log_losses([pred.models[0]], features(xs))[:, 0]
+    scores = log_losses(pred.models[:1], features(xs))[:, 0]
     for i, row in enumerate(scores):
         table = np.repeat(row[:, None], n_val, axis=1)
         assert np.array_equal(masks[i], cv_membership(table, val_scores, 0.1))
@@ -356,14 +354,8 @@ class _DivergedLearner:
 
     arch = ModelArch()
 
-    def _nan_model(self) -> Ensemble:
-        w = zero_weights(self.arch)
-        for a in w.ws + w.bs:
-            a.fill(np.nan)
-        return Ensemble(stack([w]))
-
     def fit(self, X, y, rng):
-        return [self._nan_model() for _ in rng]
+        return np.full((len(rng), 1, zero_weights(self.arch).size), np.nan)
 
 
 @pytest.mark.parametrize(
@@ -410,15 +402,40 @@ def test_cv_membership_matches_direct_count():
 
 def test_rank_counts_match_the_comparison_oracle_with_ties_and_nan():
     # searchsorted over sorted folds must count exactly what comparing every
-    # pair counts: a NaN held-out score never counts, a NaN candidate gets 0.
+    # pair counts, with NaN ranking above every number, +inf included: a NaN
+    # held-out score counts for every candidate, a NaN candidate only for NaN.
     rng = np.random.default_rng(44)
     values = np.array([0.0, 1.0, 1.0, 2.5, np.inf, np.nan])
     for _ in range(200):
         k, f = int(rng.integers(1, 6)), int(rng.integers(1, 8))
         held = rng.choice(values, size=(k, f))
         scores = rng.choice(values, size=(3, 4, k))
-        want = sum((scores[..., j, None] <= held[j]).sum(-1) for j in range(k))
+        want = sum(
+            (np.isnan(held[j]) | (scores[..., j, None] <= held[j])).sum(-1) for j in range(k)
+        )
         assert np.array_equal(conformal._rank_counts(scores, held), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5))
+def test_a_nan_held_out_score_never_removes_a_label(seed, alpha):
+    # NaN ranks as the worst score, so turning any held-out score into NaN
+    # never lowers a rank count, and the threshold counts the score either way.
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, 1.0, 1.0, 2.5, np.inf, np.nan])
+    k, f = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+    held = rng.choice(values, size=(k, f))
+    scores = rng.choice(values, size=(3, 4, k))
+    nan = held.copy()
+    nan[rng.integers(k), rng.integers(f)] = np.nan
+    assert np.all(conformal._rank_counts(scores, nan) >= conformal._rank_counts(scores, held))
+    # The same on one set: cv_membership's threshold_count depends on the
+    # score count alone, so no label leaves the set.
+    cand, val = rng.choice(values, size=(4, k * f)), held.ravel()
+    before = cv_membership(cand, val, alpha)
+    after = cv_membership(cand, nan.ravel(), alpha)
+    assert rank_threshold(val.size, alpha) == rank_threshold(nan.size, alpha)
+    assert np.all(after | ~before)
 
 
 def test_cv_membership_validates_shapes():
@@ -447,20 +464,26 @@ class _CentroidLearner:
     positive and negative parts and the next two pass them through.
     """
 
-    arch = with_constants(ModelArch, hidden=(4, 4, 4))()
+    arch = ModelArch()
+    #: Set as ``ModelArch.hidden`` while the learner is in use.
+    hidden = (4, 4, 4)
     temperature = 0.5
 
-    def _model(self, X, y) -> Ensemble:
+    def _model(self, X, y) -> np.ndarray:
         centroids = np.array([X[y == l].mean(axis=0) if (y == l).any() else [0.0, 0.0]
                               for l in range(4)])
         split = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         out = 2.0 * centroids @ split.T / self.temperature
         bias = -(centroids**2).sum(axis=1) / self.temperature
-        net = Weights([split, np.eye(4), np.eye(4), out], [np.zeros(4)] * 3 + [bias])
-        return Ensemble(stack([net]))
+        net = zero_weights(self.arch)
+        ws, bs = layers(net)
+        for w, value in zip(ws, [split, np.eye(4), np.eye(4), out]):
+            w[...] = value
+        bs[-1][...] = bias
+        return net[None]
 
     def fit(self, X, y, rng):
-        return [self._model(a, b) for a, b in zip(X, y)]
+        return np.array([self._model(a, b) for a, b in zip(X, y)])
 
 
 def _exchangeable_coverage(alpha, trials=300, n_pilots=19, n_test=10):
@@ -481,11 +504,12 @@ def _exchangeable_coverage(alpha, trials=300, n_pilots=19, n_test=10):
     return hits / (trials * n_test)
 
 
-def test_cross_conformal_coverage_bound_on_exchangeable_data():
+def test_cross_conformal_coverage_bound_on_exchangeable_data(monkeypatch):
     # Leave-one-out cross-conformal sets cover at least 1 - 2 alpha (Vovk,
     # "Cross-conformal predictors", 2015; Barber et al., jackknife+, 2021);
     # --alpha-halving runs cv at alpha / 2, which restores 1 - alpha.  Each
     # estimate pools 3000 payload points over 300 independent pilot draws.
+    monkeypatch.setattr(ModelArch, "hidden", _CentroidLearner.hidden)
     alpha = 0.1
     assert _exchangeable_coverage(alpha) >= 1 - 2 * alpha
     assert _exchangeable_coverage(alpha / 2) >= 1 - alpha
@@ -574,11 +598,11 @@ def test_naive_predictor_uses_one_model_on_all_pilots():
     learner = _quick_learner()
     pred = NaiveSetPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, seed=29)
     x = 0.2 + 0.2j
-    direct = naive_mask(predictive_stack([pred.models[0]], features(x))[:, 0], 0.1)
+    direct = naive_mask(predictive_stack(pred.models[:1], features(x))[:, 0], 0.1)
     assert np.array_equal(pred.predict_mask([x]), direct)
-    assert isinstance(pred.models[0], type(fit_one(
+    assert pred.models.shape == (1, *fit_one(
         learner, np.zeros((2, 2)), np.array([0, 1]), np.random.default_rng(0)
-    )))
+    ).shape)
 
 
 _BUILDERS = {
@@ -679,6 +703,6 @@ def test_ensemble_learner_plugs_into_conformal():
     frame = _pilot_frame(6, seed=30)
     learner = with_constants(SGLDLearner, burn_in=5, ensemble_size=4)(ModelArch())
     pred = CrossValConformalPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, None, 31)
-    assert all(isinstance(m, Ensemble) for m in pred.models)
+    assert pred.models.shape == (6, 4, 660)
     mask = pred.predict_mask(np.array([0.5 + 0.5j]))
     assert mask.shape == (1, 4)

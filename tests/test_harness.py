@@ -30,7 +30,7 @@ from cpdemod.harness import (
     tally,
     write_csv,
 )
-from cpdemod.mlp import Ensemble, GDLearner, ModelArch, SGLDLearner, Weights, init_weights
+from cpdemod.mlp import GDLearner, ModelArch, SGLDLearner, init_weights
 from cpdemod.seeding import hash64
 from helpers import with_constants
 
@@ -243,12 +243,7 @@ class _HugeWeights:
         self.arch = ModelArch(output_dim=n_labels)
 
     def fit(self, X, y, rngs):
-        models = []
-        for rng in rngs:
-            w = init_weights(self.arch, rng)
-            stacked = Weights([a[None] * 1e200 for a in w.ws], [b[None] * 1e200 for b in w.bs])
-            models.append(Ensemble(stacked))
-        return models
+        return np.array([init_weights(self.arch, rng)[None] * 1e200 for rng in rngs])
 
 
 @pytest.mark.parametrize(
@@ -277,10 +272,11 @@ def test_nan_scores_log_a_warning_naming_their_frame(monkeypatch, caplog, method
         f"cell {cell!r} frames [{i}]: {expected}" for i in (0, 1, 0, 1)
     )
     # Logging changes no set: a NaN predictive gives the set {0}, and a NaN
-    # score counts towards no rank count, so no label enters.
-    expected_mask = np.zeros((8, 4), dtype=bool)
+    # score ranks as the worst score, so with every score NaN each held-out
+    # score lies at or above every candidate and every label enters.
+    expected_mask = np.ones((8, 4), dtype=bool)
     if method == "naive":
-        expected_mask[:, 0] = True
+        expected_mask[:, 1:] = False
     for mask in masks:
         assert np.array_equal(mask, expected_mask)
 
@@ -441,22 +437,22 @@ def _memory_root(array: np.ndarray) -> np.ndarray:
 
 
 class _StackWatch:
-    """Learner wrapper that asserts, at every fit, that no model it returned
-    from an earlier fit, and no array those models' weights are views of, is
-    still alive."""
+    """Learner wrapper that asserts, at every fit, that no models array it
+    returned from an earlier fit, and no array that one is a view of, is still
+    alive."""
 
     def __init__(self, learner):
         self.learner = learner
         self.refs = []
-        self.fits = 0
+        self.fits = self.models = 0
 
     def fit(self, X, y, rngs):
         alive = sum(ref() is not None for ref in self.refs)
         assert not alive, f"{alive} objects of earlier stacks alive at fit {self.fits}"
         self.fits += 1
         models = self.learner.fit(X, y, rngs)
-        for model in models:
-            self.refs += [weakref.ref(model), weakref.ref(_memory_root(model.stacked.ws[0]))]
+        self.models += len(models)
+        self.refs += [weakref.ref(models), weakref.ref(_memory_root(models))]
         return models
 
 
@@ -480,7 +476,8 @@ def test_a_block_holds_one_stack_of_models_at_a_time(
     )
     (record,) = run_experiment(config)
     assert record.n_frames == n_frames and watch.fits == fits
-    assert len(watch.refs) == 2 * (n_pilots if method == "cv" else n_frames)
+    assert watch.models == (n_pilots if method == "cv" else n_frames)
+    assert len(watch.refs) == 2 * fits
     assert not any(ref() is not None for ref in watch.refs)
 
 

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from cpdemod import mlp
 from cpdemod.channel import generate_frame, make_qpsk
 from cpdemod.mlp import (
-    Ensemble,
     GDLearner,
     ModelArch,
     SGLDLearner,
-    Weights,
     canonical_order,
     features,
     grad,
@@ -26,14 +24,11 @@ from cpdemod.mlp import (
 )
 from helpers import (
     certain_weights,
-    copy_weights,
     finite_difference_grad,
     fit_one,
+    layers,
     max_rel_grad_error,
-    networks,
     reference_forward,
-    stack,
-    weights_equal,
     with_constants,
     zero_weights,
 )
@@ -100,28 +95,41 @@ def test_input_width_and_prior_are_not_settable():
 
 def test_init_weights_shapes_and_zero_biases():
     w = init_weights(ModelArch(), np.random.default_rng(0))
-    assert [a.shape for a in w.ws] == [(16, 2), (16, 16), (16, 16), (4, 16)]
-    assert all(np.all(b == 0.0) for b in w.bs)
+    ws, bs = layers(w)
+    assert w.shape == (592 + 17 * 4,)
+    assert [a.shape for a in ws] == [(16, 2), (16, 16), (16, 16), (4, 16)]
+    assert all(np.all(b == 0.0) for b in bs)
+
+
+def test_init_weights_is_the_per_layer_draws_in_row_order():
+    # One row, w0, b0, w1, b1, ...: each layer's draw, then its zero biases.
+    arch = ModelArch(output_dim=3)
+    rng = np.random.default_rng(31)
+    parts = []
+    for fan_in, fan_out in arch.dims():
+        parts += [rng.standard_normal((fan_out, fan_in)) / math.sqrt(fan_in), np.zeros(fan_out)]
+    want = np.concatenate([a.ravel() for a in parts])
+    assert np.array_equal(init_weights(arch, np.random.default_rng(31)), want)
 
 
 def test_init_weights_deterministic():
     a = init_weights(ModelArch(), np.random.default_rng(9))
     b = init_weights(ModelArch(), np.random.default_rng(9))
-    assert weights_equal(a, b)
+    assert np.array_equal(a, b)
 
 
 def test_init_weights_first_layer_variance():
     # fan_in = 2 for the first layer, so entry variance should be 1/2.
     rng = np.random.default_rng(1)
     entries = np.concatenate(
-        [init_weights(ModelArch(), rng).ws[0].ravel() for _ in range(10_000)]
+        [layers(init_weights(ModelArch(), rng))[0][0].ravel() for _ in range(10_000)]
     )
     assert np.var(entries) == pytest.approx(0.5, rel=0.05)
 
 
 def test_forward_zero_weights_is_uniform():
-    w = Ensemble(stack([zero_weights(ModelArch())]))
-    assert np.array_equal(predictive_stack([w], features(0.3 - 0.7j))[0, 0], np.full(4, 0.25))
+    w = zero_weights(ModelArch())[None, None]
+    assert np.array_equal(predictive_stack(w, features(0.3 - 0.7j))[0, 0], np.full(4, 0.25))
 
 
 @settings(max_examples=50, deadline=None)
@@ -129,9 +137,9 @@ def test_forward_zero_weights_is_uniform():
 def test_forward_rows_sum_to_one(seed):
     rng = np.random.default_rng(seed)
     w = init_weights(ModelArch(), rng)
-    for layer in w.ws:
+    for layer in layers(w)[0]:
         layer *= rng.uniform(0.1, 5.0)
-    probs = predictive_stack([Ensemble(stack([w]))], rng.normal(size=(5, 2)))[:, 0]
+    probs = predictive_stack(w[None, None], rng.normal(size=(5, 2)))[:, 0]
     assert probs.shape == (5, 4)
     assert np.all(probs >= 0.0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -141,17 +149,17 @@ def test_forward_logit_shift_invariance():
     rng = np.random.default_rng(2)
     w = init_weights(ModelArch(), rng)
     X = features(0.5 + 0.25j)
-    base = predictive_stack([Ensemble(stack([w]))], X)[0, 0]
-    w.bs[-1] += 17.5  # same constant on every logit
-    np.testing.assert_allclose(predictive_stack([Ensemble(stack([w]))], X)[0, 0], base, atol=1e-12)
+    base = predictive_stack(w[None, None], X)[0, 0]
+    layers(w)[1][-1] += 17.5  # same constant on every logit
+    np.testing.assert_allclose(predictive_stack(w[None, None], X)[0, 0], base, atol=1e-12)
 
 
 def test_one_label_head_is_certain_and_has_zero_gradient():
     arch = ModelArch(output_dim=1)
     w = init_weights(arch, np.random.default_rng(6))
     X, y = _toy_data(seed=6, n_labels=1)
-    assert np.array_equal(predictive_stack([Ensemble(stack([w]))], X)[:, 0], np.ones((len(X), 1)))
-    assert weights_equal(grad(w, X, y), zero_weights(arch))
+    assert np.array_equal(predictive_stack(w[None, None], X)[:, 0], np.ones((len(X), 1)))
+    assert np.array_equal(grad(w, X, y), zero_weights(arch))
 
 
 def test_nll_zero_weights_is_log_label_count():
@@ -215,12 +223,13 @@ def test_nll_permutation_bit_identical():
     assert nll_loss(w, X, y) == nll_loss(w, X[perm], y[perm])
 
 
-def test_grad_matches_finite_differences():
+def test_grad_matches_finite_differences(monkeypatch):
     # Seeds avoid draws with a pre-activation inside the difference stencil:
     # at a kink of the piecewise-linear activation the two-sided difference
     # measures the average of the one-sided slopes, not the subgradient the
     # backward pass reports (seed 4 lands a unit at exactly zero input).
-    arch = with_constants(ModelArch, hidden=(5, 4, 3))(output_dim=3)
+    monkeypatch.setattr(ModelArch, "hidden", (5, 4, 3))
+    arch = ModelArch(output_dim=3)
     for seed in (0, 1, 2, 3, 6):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(6, 2))
@@ -234,7 +243,7 @@ def test_grad_permutation_bit_identical():
     X, y = _toy_data(seed=6, n=10)
     w = init_weights(ModelArch(), np.random.default_rng(7))
     perm = np.random.default_rng(8).permutation(10)
-    assert weights_equal(grad(w, X, y), grad(w, X[perm], y[perm]))
+    assert np.array_equal(grad(w, X, y), grad(w, X[perm], y[perm]))
 
 
 def test_grad_vanishes_after_convergence_on_one_point():
@@ -247,15 +256,10 @@ def test_grad_vanishes_after_convergence_on_one_point():
     loss = nll_loss(w, X, y)
     for _ in range(500):
         g = grad(w, X, y)
-        norm = math.sqrt(
-            sum(float((a * a).sum()) for a in g.ws) + sum(float((a * a).sum()) for a in g.bs)
-        )
+        norm = math.sqrt(float((g * g).sum()))
         if norm < 1e-6:
             break
-        trial = copy_weights(w)
-        for i in range(len(trial.ws)):
-            trial.ws[i] -= lr * g.ws[i]
-            trial.bs[i] -= lr * g.bs[i]
+        trial = w - lr * g
         trial_loss = nll_loss(trial, X, y)
         if trial_loss <= loss:
             w, loss, lr = trial, trial_loss, lr * 1.5
@@ -267,7 +271,7 @@ def test_grad_vanishes_after_convergence_on_one_point():
 def test_train_gd_does_not_increase_loss():
     X, y = _toy_data(seed=10, n=20)
     w0 = init_weights(ModelArch(), np.random.default_rng(11))
-    (trained,) = networks(fit_one(GDLearner(ModelArch()), X, y, np.random.default_rng(11)).stacked)
+    (trained,) = fit_one(GDLearner(ModelArch()), X, y, np.random.default_rng(11))
     assert nll_loss(trained, X, y) <= nll_loss(w0, X, y)
 
 
@@ -276,7 +280,7 @@ def test_train_gd_permutation_bit_identical():
     perm = np.random.default_rng(13).permutation(15)
     a = fit_one(GDLearner(ModelArch()), X, y, np.random.default_rng(14))
     b = fit_one(GDLearner(ModelArch()), X[perm], y[perm], np.random.default_rng(14))
-    assert weights_equal(a.stacked, b.stacked)
+    assert np.array_equal(a, b)
 
 
 def test_train_gd_fits_separable_clusters():
@@ -287,16 +291,16 @@ def test_train_gd_fits_separable_clusters():
     y = np.array([0] * 10 + [1] * 10)
     arch = ModelArch(output_dim=2)
     w = fit_one(GDLearner(arch), X, y, np.random.default_rng(16))
-    assert np.array_equal(predictive_stack([w], X)[:, 0].argmax(axis=1), y)
+    assert np.array_equal(predictive_stack(w[None], X)[:, 0].argmax(axis=1), y)
 
 
 def test_train_sgld_member_count():
     X, y = _toy_data(seed=17)
     ens = fit_one(SGLDLearner(ModelArch()), X, y, np.random.default_rng(18))
-    assert len(networks(ens.stacked)) == 20
+    assert ens.shape == (20, 660)
     learner = with_constants(SGLDLearner, burn_in=3, ensemble_size=7)(ModelArch())
     ens = fit_one(learner, X, y, np.random.default_rng(18))
-    assert len(networks(ens.stacked)) == 7
+    assert ens.shape == (7, 660)
 
 
 def test_train_sgld_permutation_bit_identical():
@@ -305,29 +309,24 @@ def test_train_sgld_permutation_bit_identical():
     learner = with_constants(SGLDLearner, burn_in=5, ensemble_size=3)(ModelArch())
     a = fit_one(learner, X, y, np.random.default_rng(21))
     b = fit_one(learner, X[perm], y[perm], np.random.default_rng(21))
-    assert all(
-        weights_equal(ma, mb) for ma, mb in zip(networks(a.stacked), networks(b.stacked))
-    )
+    assert np.array_equal(a, b)
 
 
 def test_trainers_stay_finite_at_working_scale():
     frame = generate_frame(100, 1, SNR_5DB, make_qpsk(), np.random.default_rng(24))
     X = features(frame.pilot_x)
     w = fit_one(GDLearner(ModelArch()), X, frame.pilot_y, np.random.default_rng(25))
-    assert w.all_finite()
+    assert np.isfinite(w).all()
     ens = fit_one(SGLDLearner(ModelArch()), X, frame.pilot_y, np.random.default_rng(26))
-    assert all(m.all_finite() for m in networks(ens.stacked))
+    assert np.isfinite(ens).all()
     # Langevin iterates should hover at a moderate scale, not blow up.
-    largest = max(
-        float(np.abs(a).max()) for m in networks(ens.stacked) for a in list(m.ws) + list(m.bs)
-    )
-    assert largest < 50.0
+    assert float(np.abs(ens).max()) < 50.0
 
 
 def test_predictive_single_member_matches_forward():
     w = init_weights(ModelArch(), np.random.default_rng(27))
     X = features(-0.2 + 0.9j)
-    probs = predictive_stack([Ensemble(stack([w]))], X)[0, 0]
+    probs = predictive_stack(w[None, None], X)[0, 0]
     assert np.array_equal(probs, reference_forward(w, X)[1][0])
 
 
@@ -335,32 +334,36 @@ def test_predictive_identical_members_average_to_member():
     w = init_weights(ModelArch(), np.random.default_rng(28))
     X = features(0.6 - 0.1j)
     np.testing.assert_allclose(
-        predictive_stack([Ensemble(stack([w, w, w]))], X)[0, 0],
-        predictive_stack([Ensemble(stack([w]))], X)[0, 0],
+        predictive_stack(np.stack([w, w, w])[None], X)[0, 0],
+        predictive_stack(w[None, None], X)[0, 0],
         atol=1e-15,
     )
 
 
 def test_predictive_averages_one_hot_members():
     arch = ModelArch()
-    ens = Ensemble(stack([certain_weights(arch, 0), certain_weights(arch, 1)]))
-    probs = predictive_stack([ens], features(1.0 + 1.0j))[0, 0]
+    ens = np.stack([certain_weights(arch, 0), certain_weights(arch, 1)])
+    probs = predictive_stack(ens[None], features(1.0 + 1.0j))[0, 0]
     assert np.array_equal(probs, np.array([0.5, 0.5, 0.0, 0.0]))
 
 
 def test_ensemble_rejects_empty_member_list():
-    one = stack([zero_weights(ModelArch())])
-    with pytest.raises(ValueError):
-        Ensemble(Weights([a[:0] for a in one.ws], [b[:0] for b in one.bs]))
+    empty = np.empty((1, 0, zero_weights(ModelArch()).size))
+    with pytest.raises(ValueError, match="at least one member"):
+        predictive_stack(empty, features(0.5j))
 
 
-def test_predictive_stack_rejects_unequal_member_counts():
-    # A GD model has one member; an SGLD model here holds three.
-    arch = ModelArch()
-    point = Ensemble(stack([zero_weights(arch)]))
-    ens = Ensemble(stack([zero_weights(arch)] * 3))
-    with pytest.raises(ValueError, match="models scored together need equal member counts"):
-        predictive_stack([point, ens], features(0.5j))
+@pytest.mark.parametrize("length", [661, 592, 0])
+@pytest.mark.parametrize("call", ["grad", "nll_loss", "predictive_stack"])
+def test_a_row_length_no_label_count_gives_is_named(call, length):
+    # 592 + 17 * labels parameters for labels >= 1: 661 is one too many for
+    # four labels, and 592 leaves none.
+    w, (X, y) = np.zeros(length), _toy_data()
+    with pytest.raises(ValueError, match=f"parameter row of length {length}$"):
+        if call == "predictive_stack":
+            predictive_stack(w[None, None], X)
+        else:
+            getattr(mlp, call)(w, X, y)
 
 
 @pytest.mark.parametrize("score", [mlp.predictive_stack, mlp.log_losses])
@@ -376,7 +379,7 @@ def test_predictive_stack_needs_one_row_column_per_model(columns):
     arch = ModelArch()
     rows = np.zeros((5, columns, arch.input_dim))
     with pytest.raises(ValueError, match=f"one column per model, got {columns} for 2 models"):
-        predictive_stack([Ensemble(stack([zero_weights(arch)]))] * 2, rows)
+        predictive_stack(np.stack([zero_weights(arch)] * 2)[:, None], rows)
 
 
 def test_features_stacks_real_imag():

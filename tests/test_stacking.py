@@ -15,19 +15,17 @@ import pytest
 from cpdemod import conformal, mlp
 from cpdemod.channel import generate_frame, make_qpsk
 from cpdemod.conformal import CrossValConformalPredictor, SplitConformalPredictor
-from cpdemod.mlp import Ensemble, GDLearner, ModelArch, SGLDLearner, features, init_weights
+from cpdemod.mlp import GDLearner, ModelArch, SGLDLearner, features, init_weights
 from cpdemod.seeding import derive_rng
 from helpers import (
     fit_one,
     held_out_scores,
-    networks,
+    layers,
     reference_forward,
     reference_grad,
     reference_predictive,
     reference_train_gd,
     reference_train_sgld,
-    stack,
-    weights_equal,
     with_constants,
 )
 
@@ -36,18 +34,13 @@ LEARNERS = {
     "gd": with_constants(GDLearner, steps=25)(ModelArch()),
     "sgld": with_constants(SGLDLearner, burn_in=10, ensemble_size=4)(ModelArch()),
 }
-# Every fitted model is an Ensemble; a gradient-descent point estimate has one member.
+# A fitted model is its block of member rows; a gradient-descent point estimate has one.
 MEMBERS = {"gd": 1, "sgld": 4}
 
 
 def _pilots(n, seed):
     frame = generate_frame(n, 1, SNR_5DB, make_qpsk(), np.random.default_rng(seed))
     return features(frame.pilot_x), frame.pilot_y
-
-
-def _same_model(a, b) -> bool:
-    a, b = networks(a.stacked), networks(b.stacked)
-    return len(a) == len(b) and all(weights_equal(x, y) for x, y in zip(a, b))
 
 
 def _loo_rows(n):
@@ -65,12 +58,11 @@ def test_stacked_fit_equals_single_fits(learner, rows):
     X, y = _pilots(rows.max() + 1, seed=1)
     fit = LEARNERS[learner].fit
     stacked = fit(X[rows], y[rows], [derive_rng(7, j) for j in range(len(rows))])
-    assert isinstance(stacked, list) and len(stacked) == len(rows)
+    assert stacked.shape == (len(rows), MEMBERS[learner], 660)
     probs = mlp.predictive_stack(stacked, X)
     for j, model in enumerate(stacked):
         single = fit_one(LEARNERS[learner], X[rows[j]], y[rows[j]], derive_rng(7, j))
-        assert _same_model(model, single), f"model {j}"
-        assert isinstance(model, Ensemble) and len(networks(model.stacked)) == MEMBERS[learner]
+        assert np.array_equal(model, single), f"model {j}"
         # A GD model's predictive is the forward pass of its one member, bit for bit.
         assert np.array_equal(probs[:, j], reference_predictive(model, X)), f"model {j}"
 
@@ -94,7 +86,7 @@ def test_fold_count_above_the_stack_cap_fits_in_capped_stacks(learner):
     for j, (fold, model) in enumerate(zip(pred.plan.folds, pred.models)):
         keep = np.setdiff1d(np.arange(k), fold)
         single = fit_one(LEARNERS[learner], feats[keep], frame.pilot_y[keep], derive_rng(3, 1 + j))
-        assert _same_model(model, single), f"fold {j}"
+        assert np.array_equal(model, single), f"fold {j}"
 
 
 @pytest.mark.parametrize("learner", sorted(LEARNERS))
@@ -152,8 +144,8 @@ def test_trainers_equal_per_network_reference(case, k, m):
         want = [reference(X[j], y[j], arch, rng=derive_rng(9, j), **steps, **kwargs)
                 for j in range(k)]
     for j, (model, ref) in enumerate(zip(got, want)):
-        assert _same_model(model, ref), f"model {j}"
-    finite = [model.all_finite() for model in got]
+        assert np.array_equal(model, ref, equal_nan=True), f"model {j}"
+    finite = [np.isfinite(model).all() for model in got]
     assert not any(finite) if case.endswith("diverging") else all(finite)
 
 
@@ -165,14 +157,15 @@ def _random_networks(rng, k, arch=ModelArch()):
     the state a diverged Langevin run leaves behind."""
     nets = [init_weights(arch, rng) for _ in range(k)]
     for j, net in enumerate(nets):
-        for a in net.bs:
+        ws, bs = layers(net)
+        for a in bs:
             a += rng.normal(size=a.shape)
         if j % 3 == 1:
-            net.ws[1] *= 1e200
-            net.ws[2] *= 1e200
+            ws[1] *= 1e200
+            ws[2] *= 1e200
         if j % 4 == 2:
-            net.ws[2][3, 5] = np.inf
-            net.bs[3][1] = np.nan
+            ws[2][3, 5] = np.inf
+            bs[3][1] = np.nan
     return nets
 
 
@@ -182,18 +175,18 @@ def test_stacked_backprop_equals_per_network_reference(k, m):
     nets = _random_networks(rng, k)
     X, y = mlp._canonical(rng.normal(size=(k, m, 2)) * 2.0, rng.integers(0, 4, size=(k, m)))
     targets = np.eye(4)[y]
-    stacked = stack(nets)
+    stacked = np.stack(nets)
     sample_major = np.ascontiguousarray(X.transpose(1, 0, 2))
     step = mlp._Pass(stacked, sample_major, np.ascontiguousarray(targets.transpose(1, 0, 2)))
     with np.errstate(all="ignore"):
         probs = step.forward().copy()
         step.backward()
-        g = step.gradient
+        g = step.grad
         # The pass runs again from the weights, not from its overwritten buffers.
         assert np.array_equal(step.forward(), probs, equal_nan=True)
         for j, net in enumerate(nets):
             assert np.array_equal(probs[:, j], reference_forward(net, X[j])[1], equal_nan=True)
-            assert weights_equal(networks(g)[j], reference_grad(net, X[j], targets[j])), j
+            assert np.array_equal(g[j], reference_grad(net, X[j], targets[j]), equal_nan=True), j
     if k > 2:
         assert np.isnan(probs).any() and not np.isnan(probs).all()
 
@@ -211,7 +204,7 @@ def test_stacked_predictive_equals_per_model_reference(
     rng = np.random.default_rng(members)
     k, n = 4, 5
     nets = _random_networks(rng, k * members)
-    models = [Ensemble(stack(nets[j * members : (j + 1) * members])) for j in range(k)]
+    models = np.reshape(nets, (k, members, -1))
     X = rng.normal(size=(n, k, 2)) if per_model_rows else rng.normal(size=(n, 2))
     with np.errstate(all="ignore"):
         got = mlp.predictive_stack(models, X)
@@ -233,14 +226,14 @@ def test_scoring_passes_never_split_a_model_that_fits(
     rng = np.random.default_rng(members)
     k, n = 4, 5
     nets = _random_networks(rng, k * members)
-    models = [Ensemble(stack(nets[j * members : (j + 1) * members])) for j in range(k)]
+    models = np.reshape(nets, (k, members, -1))
     X = rng.normal(size=(n, k, 2)) if per_model_rows else rng.normal(size=(n, 2))
     pass_nets = []
 
     class Recording(mlp._Pass):
-        def __init__(self, w, *args):
-            pass_nets.append(len(w.ws[0]))
-            super().__init__(w, *args)
+        def __init__(self, params, *args):
+            pass_nets.append(len(params))
+            super().__init__(params, *args)
 
     monkeypatch.setattr(mlp, "_Pass", Recording)
     with np.errstate(all="ignore"):
@@ -262,9 +255,9 @@ def test_scoring_passes_never_split_a_model_that_fits(
 @pytest.mark.parametrize("pass_bytes", [64 << 10, 256 << 10, None])
 def test_scoring_holds_one_pass_of_weights(pass_bytes, monkeypatch):
     # cv's held-out scoring: 20 Langevin ensembles, each on its own pilot.
-    # A pass's stacked weight copy is the largest buffer the call makes, so
-    # holding two at once (the previous pass's beside the next) shows as a
-    # peak of about twice one pass's weights.
+    # A pass reads its weights in place, as a view of the models, so the
+    # call's peak stays below one pass's weights; a copy per pass, let alone
+    # two passes' copies at once, would show as a peak above them.
     if pass_bytes is not None:
         monkeypatch.setattr(mlp, "MAX_PASS_BYTES", pass_bytes)
     X, y = _pilots(20, seed=6)
@@ -276,9 +269,10 @@ def test_scoring_holds_one_pass_of_weights(pass_bytes, monkeypatch):
     pass_weights = []
 
     class Recording(mlp._Pass):
-        def __init__(self, w, *args):
-            pass_weights.append(sum(a.nbytes for a in w.ws + w.bs))
-            super().__init__(w, *args)
+        def __init__(self, params, *args):
+            assert np.shares_memory(params, models)
+            pass_weights.append(params.nbytes)
+            super().__init__(params, *args)
 
     monkeypatch.setattr(mlp, "_Pass", Recording)
     tracemalloc.start()
