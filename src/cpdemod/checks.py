@@ -1,6 +1,6 @@
 """Input checks shared by the package: a size, count or seed is an
-integer, and a level or SNR a real number, never a bool; labels are
-integers, in range where the label count is known."""
+integer, an SNR a real number and alpha one in (0, 1), never a bool;
+labels are integers, in range where the label count is known."""
 
 from __future__ import annotations
 
@@ -24,6 +24,14 @@ def real(name: str, value) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} is out of a float's range, got {value!r}") from None
+
+
+def alpha_level(alpha) -> float:
+    """``alpha`` as a plain float in (0, 1), the open range of a miscoverage level."""
+    alpha = real("alpha", alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    return alpha
 
 
 def class_labels(y, n_labels: int | None = None) -> np.ndarray:

@@ -14,8 +14,9 @@ import numpy as np
 
 from . import harness
 
-#: Environment variable that overrides ``--seed`` when set.
-SEED_ENV_VAR = "CONFORMAL_DEMOD_SEED"
+#: Every option ``ExperimentConfig`` owns takes its default from here, so
+#: ``cpdemod run`` with no flags is ``ExperimentConfig()``.
+_DEFAULTS = harness.ExperimentConfig()
 
 
 def _usable_cpus() -> int:
@@ -26,10 +27,13 @@ def _usable_cpus() -> int:
 
 
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--snr-db", type=float, default=5.0, help="SNR in dB")
-    parser.add_argument("--n-test", type=int, default=100, help="payload symbols per frame")
-    parser.add_argument("--alpha", type=float, default=0.1, help="target miscoverage")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--snr-db", type=float, default=_DEFAULTS.snr_db, help="SNR in dB")
+    parser.add_argument(
+        "--n-test", type=int, default=_DEFAULTS.n_test, help="payload symbols per frame"
+    )
+    parser.add_argument("--alpha", type=float, default=_DEFAULTS.alpha, help="target miscoverage")
+    parser.add_argument("--seed", type=int, default=_DEFAULTS.master_seed, help="master seed")
+    parser.add_argument("--k", type=int, default=_DEFAULTS.k_folds, help="fold count for kcv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,20 +49,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-pilots",
         type=int,
         nargs="+",
-        default=[10, 20, 40, 60],
+        default=list(_DEFAULTS.n_pilots_grid),
         help="pilot counts to sweep",
     )
-    run.add_argument("--n-frames", type=int, default=50, help="frames per cell")
+    run.add_argument("--n-frames", type=int, default=_DEFAULTS.n_frames, help="frames per cell")
     run.add_argument(
-        "--methods", nargs="+", choices=harness.METHODS, default=list(harness.METHODS)
+        "--methods", nargs="+", choices=harness.METHODS, default=list(_DEFAULTS.methods)
     )
     run.add_argument(
-        "--learners", nargs="+", choices=harness.LEARNERS, default=list(harness.LEARNERS)
+        "--learners", nargs="+", choices=harness.LEARNERS, default=list(_DEFAULTS.learners)
     )
-    run.add_argument("--k", type=int, default=5, help="fold count for kcv")
     run.add_argument(
         "--alpha-halving",
         action="store_true",
+        default=_DEFAULTS.alpha_halving,
         help="run cv/kcv at alpha/2 (trades set size for the stronger guarantee)",
     )
     run.add_argument("--out", default="results.csv", help="CSV output path")
@@ -74,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     frame.add_argument("--n-pilots", type=int, default=10)
     frame.add_argument("--method", choices=harness.METHODS, default="cv")
     frame.add_argument("--learner", choices=harness.LEARNERS, default="frequentist")
-    frame.add_argument("--k", type=int, default=5, help="fold count for kcv")
     return parser
 
 
@@ -85,12 +88,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         argv = ["run"]
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            parser.error(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
     if args.command == "frame":
         grid = dict(n_pilots_grid=(args.n_pilots,), n_frames=1,
                     methods=(args.method,), learners=(args.learner,))

@@ -48,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import mlp
-from .checks import class_labels, integer, real
+from .checks import alpha_level, class_labels, integer
 from .seeding import derive_rng
 
 #: Slack used when comparing accumulated probability mass against a target;
@@ -59,13 +59,6 @@ NAIVE_MASS_TOL = 1e-9
 #: several, and so the most fitted models a streamed caller holds at once.
 #: Larger stacks buy little speed and hold more training state in memory.
 MAX_STACK = 20
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = real("alpha", alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    return alpha
 
 
 def _check_n_scores(n_scores: int) -> int:
@@ -84,7 +77,7 @@ def quantile_index(n_scores: int, alpha: float) -> int:
     integer (e.g. 0.9 * 20).  May exceed ``n_scores``, in which case the
     quantile below is infinite.
     """
-    n_scores, alpha = _check_n_scores(n_scores), _check_alpha(alpha)
+    n_scores, alpha = _check_n_scores(n_scores), alpha_level(alpha)
     return math.ceil((1 - Fraction(alpha)) * (n_scores + 1))
 
 
@@ -94,7 +87,7 @@ def rank_threshold(n_scores: int, alpha: float) -> int:
     ``floor(alpha * (n_scores + 1))``, exact rational arithmetic as above.
     A threshold of 0 makes membership vacuous (every label enters).
     """
-    n_scores, alpha = _check_n_scores(n_scores), _check_alpha(alpha)
+    n_scores, alpha = _check_n_scores(n_scores), alpha_level(alpha)
     return math.floor(Fraction(alpha) * (n_scores + 1))
 
 
@@ -123,7 +116,7 @@ def naive_mask(probs, alpha: float) -> np.ndarray:
     row per sample.  No coverage guarantee: the set is exactly as honest as
     the probabilities are.
     """
-    alpha = _check_alpha(alpha)
+    alpha = alpha_level(alpha)
     probs = np.asarray(probs, dtype=np.float64)
     order = np.argsort(-probs, axis=-1, kind="stable")
     cum = np.cumsum(np.take_along_axis(probs, order, axis=-1), axis=-1)
@@ -350,7 +343,7 @@ class PayloadSets:
 
     def __init__(self, plan: FoldPlan, alpha: float, x, n_labels: int):
         self.plan = plan
-        self.alpha = _check_alpha(alpha)
+        self.alpha = alpha_level(alpha)
         self.x = x
         self.threshold_count = rank_threshold(plan.folds.size, self.alpha)
         #: Models still to add; a vacuous plan needs none.
@@ -397,7 +390,7 @@ class _KeptPlan:
     ``PayloadSets``, so both paths share one set of rules."""
 
     def __init__(self, plan: FoldPlan, learner, alpha: float):
-        self.alpha = _check_alpha(alpha)
+        self.alpha = alpha_level(alpha)
         # A split plan's held-out pilots reach no learner, and are scored
         # only by ``predict_mask``: check their labels now.
         self.n_labels = learner.arch.output_dim

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import conformal
 from .channel import Constellation, Frame, generate_frame, make_qpsk
-from .checks import class_labels, integer, real
+from .checks import alpha_level, class_labels, integer, real
 from .mlp import GDLearner, ModelArch, SGLDLearner
 from .seeding import derive_rng, hash64
 
@@ -71,8 +71,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("n_test", "n_frames", "k_folds", "master_seed"):
             object.__setattr__(self, name, integer(name, getattr(self, name)))
-        for name in ("snr_db", "alpha"):
-            object.__setattr__(self, name, real(name, getattr(self, name)))
+        object.__setattr__(self, "snr_db", real("snr_db", self.snr_db))
+        object.__setattr__(self, "alpha", alpha_level(self.alpha))
         if not isinstance(self.alpha_halving, (bool, np.bool_)):
             raise ValueError(f"alpha_halving must be a bool, got {self.alpha_halving!r}")
         object.__setattr__(self, "alpha_halving", bool(self.alpha_halving))
@@ -84,8 +84,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a sequence, got {values!r}") from None
         grid = tuple(integer("n_pilots_grid", n) for n in self.n_pilots_grid)
         object.__setattr__(self, "n_pilots_grid", grid)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
         # +inf is the noiseless channel; any other SNR needs a positive finite
         # noise variance 1 / (2 snr), which NaN, -inf and an SNR that over- or
         # underflows a float do not give.

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from cpdemod import cli
-from cpdemod.cli import SEED_ENV_VAR, main, parse_args
+from cpdemod.cli import main, parse_args
+from cpdemod.harness import ExperimentConfig
 
 SET_LINE = re.compile(r"set=\{([0-9,]*)\} covered=(yes|no)")
 
@@ -20,8 +21,12 @@ def _frame_sets(stdout: str) -> list[set[int]]:
     return out
 
 
-def test_parse_empty_argv_is_full_default_run():
+def test_parse_empty_argv_is_full_default_run(monkeypatch):
+    # --seed is the one way to set the seed: no environment variable reaches
+    # the config.
+    monkeypatch.setenv("CONFORMAL_DEMOD_SEED", "123")
     args = parse_args([])
+    assert args.config == ExperimentConfig()
     assert args.command == "run"
     assert args.n_pilots == [10, 20, 40, 60]
     assert args.n_frames == 50
@@ -34,6 +39,9 @@ def test_parse_empty_argv_is_full_default_run():
     assert args.out == "results.csv"
     assert args.threads >= 1
     assert not args.alpha_halving
+    assert parse_args(["frame"]).config == ExperimentConfig(
+        n_pilots_grid=(10,), n_frames=1, methods=("cv",), learners=("frequentist",)
+    )
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 2, 5}])
@@ -63,26 +71,6 @@ def test_parse_rejects_bad_alpha(bad):
 def test_parse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         parse_args(["calibrate"])
-
-
-def test_env_seed_overrides_flag(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "123")
-    assert parse_args(["run", "--seed", "5"]).seed == 123
-
-
-def test_env_seed_must_be_integer(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "twelve")
-    with pytest.raises(SystemExit):
-        parse_args(["run"])
-
-
-@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
-def test_env_seed_outside_the_seed_range_is_a_usage_error(monkeypatch, capsys, seed):
-    monkeypatch.setenv(SEED_ENV_VAR, seed)
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["frame"])
-    assert exc.value.code == 2
-    assert "master_seed" in capsys.readouterr().err
 
 
 def test_frame_degenerate_cross_val_prints_full_sets(capsys):
