@@ -132,6 +132,7 @@ def test_frame_rejects_pilot_counts_the_method_cannot_use(argv, capsys):
         ["--threads", "0"],
         ["--threads=-2"],
         ["--out", "{tmp}/missing/x.csv"],
+        ["--out", "{tmp}"],
     ],
 )
 def test_run_rejects_grid_values_the_config_cannot_use(argv, tmp_path, capsys):
