@@ -79,9 +79,13 @@ class ExperimentConfig:
         for name in ("n_pilots_grid", "methods", "learners"):
             values = getattr(self, name)
             try:
-                object.__setattr__(self, name, tuple(values))
+                items = None if isinstance(values, str) else tuple(values)
+                hash(items)
             except TypeError:
-                raise ValueError(f"{name} must be a sequence, got {values!r}") from None
+                items = None
+            if items is None:  # a string is one value, not a sequence of values
+                raise ValueError(f"{name} must be a sequence of hashable values, got {values!r}")
+            object.__setattr__(self, name, items)
         grid = tuple(integer("n_pilots_grid", n) for n in self.n_pilots_grid)
         object.__setattr__(self, "n_pilots_grid", grid)
         # +inf is the noiseless channel; any other SNR needs a positive finite

@@ -672,6 +672,8 @@ def test_constellation_is_qpsk_and_not_settable():
         dict(snr_db=10**400),
         dict(alpha="0.1"),
         dict(alpha=None),
+        dict(methods=[["cv"]]),
+        dict(learners=[{}]),
     ],
 )
 def test_config_validation(kwargs):
@@ -680,7 +682,9 @@ def test_config_validation(kwargs):
 
 
 @pytest.mark.parametrize(
-    "name,value", [("n_pilots_grid", 10), ("methods", 5), ("learners", None)]
+    "name,value",
+    [("n_pilots_grid", 10), ("methods", 5), ("learners", None),
+     ("n_pilots_grid", "10 20"), ("methods", "cv"), ("learners", "bayesian")],
 )
 def test_config_names_a_field_that_is_not_a_sequence(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be a sequence"):
