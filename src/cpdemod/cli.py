@@ -99,8 +99,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         # Fail now, not after the whole grid has run.
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             parser.error(f"no directory to write {args.out!r} into")
-        if os.path.isdir(args.out):
-            parser.error(f"--out {args.out!r} is a directory, not a file")
+        if os.path.isdir(args.out) or not os.path.basename(args.out):
+            parser.error(f"--out {args.out!r} names a directory, not a file")
     try:
         args.config = harness.ExperimentConfig(
             snr_db=args.snr_db, n_test=args.n_test, alpha=args.alpha, k_folds=args.k,

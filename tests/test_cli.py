@@ -133,6 +133,7 @@ def test_frame_rejects_pilot_counts_the_method_cannot_use(argv, capsys):
         ["--threads=-2"],
         ["--out", "{tmp}/missing/x.csv"],
         ["--out", "{tmp}"],
+        ["--out", ""],
     ],
 )
 def test_run_rejects_grid_values_the_config_cannot_use(argv, tmp_path, capsys):
