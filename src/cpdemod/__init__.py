@@ -4,19 +4,13 @@ from .channel import (
     ChannelParams,
     Constellation,
     Frame,
-    apply_iq_imbalance,
     generate_frame,
     make_qpsk,
-    sample_channel_params,
-    transmit,
 )
 from .conformal import (
     CrossValConformalPredictor,
     NaiveSetPredictor,
     SplitConformalPredictor,
-    cv_membership,
-    empirical_quantile,
-    quantile_index,
     rank_threshold,
 )
 from .harness import (
@@ -32,7 +26,6 @@ from .mlp import (
     SGLDLearner,
     grad,
     init_weights,
-    nll_loss,
 )
 
 __version__ = "0.1.0"

@@ -61,50 +61,19 @@ NAIVE_MASS_TOL = 1e-9
 MAX_STACK = 20
 
 
-def _check_n_scores(n_scores: int) -> int:
-    n_scores = integer("n_scores", n_scores)
-    if n_scores < 0:
-        raise ValueError(f"n_scores must be at least 0, got {n_scores}")
-    return n_scores
-
-
-def quantile_index(n_scores: int, alpha: float) -> int:
-    """1-based order statistic the calibrated quantile picks from n scores.
-
-    Computed as ``ceil((1 - alpha) * (n_scores + 1))`` in exact rational
-    arithmetic on the binary value of ``alpha``, so results agree with hand
-    calculations even when the float product lands on the wrong side of an
-    integer (e.g. 0.9 * 20).  May exceed ``n_scores``, in which case the
-    quantile below is infinite.
-    """
-    n_scores, alpha = _check_n_scores(n_scores), alpha_level(alpha)
-    return math.ceil((1 - Fraction(alpha)) * (n_scores + 1))
-
-
 def rank_threshold(n_scores: int, alpha: float) -> int:
     """Minimum number of calibration scores a candidate's score must not
     exceed for the candidate to enter a split or cross-conformal set:
-    ``floor(alpha * (n_scores + 1))``, exact rational arithmetic as above.
-    A threshold of 0 makes membership vacuous (every label enters).
+    ``floor(alpha * (n_scores + 1))``, computed in exact rational arithmetic
+    on the binary value of ``alpha``, so results agree with hand calculations
+    even when the float product lands on the wrong side of an integer (e.g.
+    0.3 * 10).  A threshold of 0 makes membership vacuous (every label
+    enters).
     """
-    n_scores, alpha = _check_n_scores(n_scores), alpha_level(alpha)
+    n_scores, alpha = integer("n_scores", n_scores), alpha_level(alpha)
+    if n_scores < 0:
+        raise ValueError(f"n_scores must be at least 0, got {n_scores}")
     return math.floor(Fraction(alpha) * (n_scores + 1))
-
-
-def empirical_quantile(scores, alpha: float) -> float:
-    """k-th smallest of ``scores`` with +inf appended, k = quantile_index.
-
-    Returns ``inf`` whenever the index points past the last real score, which
-    is what makes small calibration sets yield trivial (full) prediction sets.
-    ``scores`` must be 1-D.
-    """
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-D scores, got shape {arr.shape}")
-    k = quantile_index(arr.size, alpha)
-    if k > arr.size:
-        return math.inf
-    return float(np.sort(arr)[k - 1])
 
 
 def naive_mask(probs, alpha: float) -> np.ndarray:
@@ -143,24 +112,6 @@ def _rank_counts(scores: np.ndarray, held_out) -> np.ndarray:
         ranked = np.sort(fold)
         counts += len(ranked) - np.searchsorted(ranked, scores[..., k])
     return counts
-
-
-def cv_membership(candidate_scores, val_scores, alpha: float) -> np.ndarray:
-    """Cross-conformal inclusion rule on a precomputed score table.
-
-    ``candidate_scores[l, i]`` is the score of candidate label ``l`` under the
-    model that did not see calibration point ``i``; ``val_scores[i]`` is that
-    point's own score under the same model.  Label ``l`` enters the set when
-    at least ``rank_threshold(n, alpha)`` calibration points score at or above
-    it.  Returns a boolean vector over labels.
-    """
-    cand = np.asarray(candidate_scores, dtype=np.float64)
-    val = np.asarray(val_scores, dtype=np.float64)
-    if val.ndim != 1:
-        raise ValueError(f"expected 1-D validation scores, got shape {val.shape}")
-    if cand.ndim != 2 or cand.shape[1] != val.size:
-        raise ValueError("expected (labels, n) candidate scores and n validation scores")
-    return _rank_counts(cand, val[:, None]) >= rank_threshold(val.size, alpha)
 
 
 def _pilot_arrays(pilot_x, pilot_y) -> tuple[np.ndarray, np.ndarray]:
@@ -415,7 +366,8 @@ class NaiveSetPredictor(_KeptPlan):
 class SplitConformalPredictor(_KeptPlan):
     """Split conformal sets on the one-fold plan of ``split_plan``: the rank
     count over one fold is the same decision as comparing a score with the
-    ``empirical_quantile`` of the held-out scores."""
+    calibrated quantile of the n held-out scores, their ``ceil((1 - alpha)
+    (n + 1))``-th smallest (+inf past the last)."""
 
     def __init__(self, pilot_x, pilot_y, alpha: float, learner, seed: int = 0):
         super().__init__(split_plan(pilot_x, pilot_y, seed), learner, alpha)

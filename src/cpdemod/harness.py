@@ -141,9 +141,19 @@ class MetricsRecord:
 def frame_seed(
     master_seed: int, method: str, learner: str, n_pilots: int, frame_index: int
 ) -> int:
-    """Seed owned by one frame of one cell; stable across versions."""
+    """Seed owned by one frame of one cell; stable across versions.  The
+    seed, pilot count and frame index must be integers, and the method and
+    learner known; anything else raises ``ValueError`` naming it."""
+    if method not in _METHOD_ID:
+        raise ValueError(f"unknown method {method!r}")
+    if learner not in _LEARNER_ID:
+        raise ValueError(f"unknown learner {learner!r}")
     return hash64(
-        master_seed, _METHOD_ID[method], _LEARNER_ID[learner], n_pilots, frame_index
+        integer("master_seed", master_seed),
+        _METHOD_ID[method],
+        _LEARNER_ID[learner],
+        integer("n_pilots", n_pilots),
+        integer("frame_index", frame_index),
     )
 
 
@@ -402,10 +412,14 @@ def experiment_cells(config: ExperimentConfig) -> list[tuple[str, str, int]]:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[MetricsRecord]:
     """Run every cell of the grid and pool metrics per cell.
 
-    ``workers > 1`` distributes blocks of frames over processes, longest
-    first; results are identical to a serial run because each frame is a
-    pure function of its seed, whatever block it runs in.
+    ``workers`` is an integer of at least 1; more than one distributes
+    blocks of frames over processes, longest first.  Results are identical
+    to a serial run because each frame is a pure function of its seed,
+    whatever block it runs in.
     """
+    workers = integer("workers", workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     blocks = _cell_blocks(config)
     if workers > 1 and len(blocks) > 1:
         by_block = _pool_outcomes(config, blocks, workers)

@@ -221,26 +221,15 @@ class _Pass:
             call(*args, out=out)
 
 
-def _one_dataset(X, y, n_labels: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_canonical`` for exactly one (n, d) dataset with labels in ``[0,
-    n_labels)``."""
+def grad(w: np.ndarray, X, y) -> np.ndarray:
+    """Gradient of the mean log loss of one (n, d) dataset at its true labels
+    (``log_losses``, unclamped) at the parameter row ``w``, as a row like
+    it."""
+    n_labels = _dims(w.shape[-1])[-1][1]
     X, y = _canonical(X, y)
     if X.ndim != 2:
         raise ValueError("expected one (n, d) dataset")
-    return X, class_labels(y, n_labels)
-
-
-def nll_loss(w: np.ndarray, X, y) -> float:
-    """Mean negative log probability of the true labels under the network
-    of parameter row ``w``."""
-    X, y = _one_dataset(X, y, _dims(w.shape[-1])[-1][1])
-    return float(np.mean(log_losses(w[None, None], X)[np.arange(len(y)), 0, y]))
-
-
-def grad(w: np.ndarray, X, y) -> np.ndarray:
-    """Gradient of ``nll_loss`` at the parameter row ``w``, as a row like it."""
-    n_labels = _dims(w.shape[-1])[-1][1]
-    X, y = _one_dataset(X, y, n_labels)
+    y = class_labels(y, n_labels)
     step = _Pass(w[None], X[:, None, :], _one_hot(y[:, None], n_labels))
     step.forward()
     step.backward()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import ctypes
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,29 @@ def held_out_scores(pred) -> np.ndarray:
     return conformal._held_out_scores(pred.plan, 0, pred.models)
 
 
+def rank_rule(candidates, held_out, alpha: float) -> np.ndarray:
+    """The package's set rule on given scores, as ``conformal.PayloadSets``
+    applies it: ``candidates[..., k]`` is a candidate's score under model
+    ``k``, ``held_out[k]`` that model's held-out scores, and a candidate
+    enters when at least ``rank_threshold(n, alpha)`` of all n held-out
+    scores lie at or above its score under their own model."""
+    held_out = np.asarray(held_out, dtype=np.float64)
+    counts = conformal._rank_counts(np.asarray(candidates, dtype=np.float64), held_out)
+    return counts >= conformal.rank_threshold(held_out.size, alpha)
+
+
+def quantile_by_counting(scores, alpha: float) -> float:
+    """Counting oracle of the calibrated quantile: the smallest score with at
+    least ``(1 - alpha) * (n + 1)`` of the n scores at or below it, in exact
+    arithmetic, or +inf when no score has that many."""
+    scores = np.asarray(scores, dtype=np.float64)
+    need = (1 - Fraction(alpha)) * (len(scores) + 1)
+    for q in np.sort(scores):
+        if np.count_nonzero(scores <= q) >= need:
+            return float(q)
+    return math.inf
+
+
 def layers(params: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer ``(..., fan_out, fan_in)`` weight and ``(..., fan_out)`` bias
     views of parameter rows (``..., n_params``), laid out ``w0, b0, w1, b1,
@@ -83,14 +107,22 @@ def certain_weights(arch: ModelArch, label: int, scale: float = 1000.0) -> np.nd
     return w
 
 
+def mean_log_loss(w: np.ndarray, X, y) -> float:
+    """Mean of ``mlp.log_losses`` at the true labels ``y`` of the rows ``X``
+    under the network of parameter row ``w``: the loss ``mlp.grad`` is the
+    gradient of."""
+    losses = mlp.log_losses(w[None, None], X)[:, 0]
+    return float(losses[np.arange(len(y)), y].mean())
+
+
 def finite_difference_grad(w: np.ndarray, X, y, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the mean log loss, every coordinate."""
     g = np.empty_like(w)
     for i, orig in enumerate(w):
         w[i] = orig + h
-        up = mlp.nll_loss(w, X, y)
+        up = mean_log_loss(w, X, y)
         w[i] = orig - h
-        down = mlp.nll_loss(w, X, y)
+        down = mean_log_loss(w, X, y)
         w[i] = orig
         g[i] = (up - down) / (2.0 * h)
     return g

@@ -17,12 +17,7 @@ import pytest
 
 from cpdemod import conformal, mlp
 from cpdemod.channel import generate_frame, make_qpsk
-from cpdemod.conformal import (
-    CrossValConformalPredictor,
-    cv_membership,
-    empirical_quantile,
-    rank_threshold,
-)
+from cpdemod.conformal import CrossValConformalPredictor, rank_threshold
 from cpdemod.harness import (
     LEARNERS,
     ExperimentConfig,
@@ -36,6 +31,8 @@ from helpers import (
     blas_kernel,
     finite_difference_grad,
     max_rel_grad_error,
+    quantile_by_counting,
+    rank_rule,
 )
 
 GRID_NS = (10, 20, 40, 60)
@@ -133,7 +130,9 @@ def test_criterion_6_numerical_core(monkeypatch):
             err = max_rel_grad_error(mlp.grad(w, X, y), finite_difference_grad(w, X, y))
             grad_ok = grad_ok and err < 1e-4
 
-    # b) calibrated quantile vs counting oracle on 1000 random score sets
+    # b) the rank rule on one fold vs the counting oracle's calibrated
+    # quantile on 1000 random score sets: a candidate at, between or beyond
+    # the scores enters exactly when it is at most the quantile
     rng = np.random.default_rng(271828)
     quant_ok = True
     for _ in range(1000):
@@ -144,13 +143,9 @@ def test_criterion_6_numerical_core(monkeypatch):
             if rng.integers(0, 2)
             else rng.integers(0, 5, size=n).astype(float)
         )
-        need = (1 - Fraction(alpha)) * (n + 1)
-        expected = math.inf
-        for q in np.sort(scores):
-            if np.count_nonzero(scores <= q) >= need:
-                expected = float(q)
-                break
-        quant_ok = quant_ok and empirical_quantile(scores, alpha) == expected
+        cand = np.concatenate([scores, scores - 0.25, scores + 0.25, [-math.inf, math.inf]])
+        enters = rank_rule(cand[:, None], [scores], alpha)
+        quant_ok = quant_ok and np.array_equal(enters, cand <= quantile_by_counting(scores, alpha))
 
     # c) membership rule vs a direct double loop on 50 synthetic score tables
     rng = np.random.default_rng(161803)
@@ -161,7 +156,7 @@ def test_criterion_6_numerical_core(monkeypatch):
         alpha = float(rng.uniform(0.02, 0.5))
         cand = rng.integers(0, 5, size=(n_labels, n)).astype(float)
         val = rng.integers(0, 5, size=n).astype(float)
-        got = cv_membership(cand, val, alpha)
+        got = rank_rule(cand, val[:, None], alpha)
         need = math.floor(Fraction(alpha) * (n + 1))
         for l in range(n_labels):
             count = sum(1 for i in range(n) if cand[l, i] <= val[i])

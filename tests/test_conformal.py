@@ -1,7 +1,6 @@
-"""Set constructions: quantile indices, membership rules, the four predictors."""
+"""Set constructions: rank thresholds, membership rules, the four predictors."""
 
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +14,7 @@ from cpdemod.conformal import (
     CrossValConformalPredictor,
     NaiveSetPredictor,
     SplitConformalPredictor,
-    cv_membership,
-    empirical_quantile,
     naive_mask,
-    quantile_index,
     rank_threshold,
 )
 from cpdemod.mlp import (
@@ -33,6 +29,8 @@ from helpers import (
     fit_one,
     held_out_scores,
     layers,
+    quantile_by_counting,
+    rank_rule,
     with_constants,
     zero_weights,
 )
@@ -53,18 +51,6 @@ def _quick_learner(steps=30):
 # ---------------------------------------------------------------- indices
 
 
-def test_quantile_index_examples():
-    assert quantile_index(3, 0.5) == 2
-    assert quantile_index(3, 0.1) == 4  # past the last score
-    # 0.9 * 20 lands at 18.000000000000004 in floats; the exact value of the
-    # double 0.1 is slightly above 1/10, so the true index is 18, not 19.
-    assert quantile_index(19, 0.1) == 18
-    assert quantile_index(9, 0.05) == 10
-    # The double 0.3 sits below 3/10, so the exact index is 8 even though
-    # decimal arithmetic says ceil(0.7 * 10) = 7.
-    assert quantile_index(9, 0.3) == 8
-
-
 def test_rank_threshold_examples():
     assert rank_threshold(5, 0.1) == 0
     assert rank_threshold(9, 0.1) == 1
@@ -76,30 +62,36 @@ def test_rank_threshold_examples():
 
 
 def test_index_identity_covers_all_scores():
-    # The two index rules must split n + 1 between them for every (n, alpha).
+    # The calibrated quantile's 1-based order statistic, ceil((1 - alpha) *
+    # (n + 1)) in exact arithmetic, and the rank threshold split n + 1
+    # between them for every (n, alpha).
     rng = np.random.default_rng(0)
     for _ in range(200):
         n = int(rng.integers(0, 100))
         alpha = float(rng.uniform(0.001, 0.999))
-        assert quantile_index(n, alpha) + rank_threshold(n, alpha) == n + 1
+        index = math.ceil((1 - Fraction(alpha)) * (n + 1))
+        assert index + rank_threshold(n, alpha) == n + 1
 
 
-def test_empirical_quantile_examples():
-    assert empirical_quantile([1.0, 2.0, 3.0], 0.5) == 2.0
-    assert empirical_quantile([3.0, 1.0, 2.0], 0.5) == 2.0
-    assert empirical_quantile([1.0, 2.0, 3.0], 0.1) == math.inf
-    assert empirical_quantile(np.arange(1.0, 20.0), 0.1) == 18.0
-    assert empirical_quantile([], 0.1) == math.inf
+def test_rank_rule_examples():
+    # The highest candidate score that enters is the calibrated quantile of
+    # the held-out scores; +inf when the threshold is 0.
+    for scores, alpha, top in [
+        ([1.0, 2.0, 3.0], 0.5, 2.0),
+        ([3.0, 1.0, 2.0], 0.5, 2.0),
+        ([1.0, 2.0, 3.0], 0.1, math.inf),
+        (np.arange(1.0, 20.0), 0.1, 18.0),
+        ([], 0.1, math.inf),
+    ]:
+        candidates = np.array([top - 0.5, top, top + 0.5, math.inf])
+        enters = rank_rule(candidates[:, None], [scores], alpha)
+        assert np.array_equal(enters, candidates <= top)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5])
 def test_alpha_domain_is_enforced(alpha):
     with pytest.raises(ValueError):
-        quantile_index(5, alpha)
-    with pytest.raises(ValueError):
         rank_threshold(5, alpha)
-    with pytest.raises(ValueError):
-        empirical_quantile([1.0, 2.0], alpha)
     with pytest.raises(ValueError):
         naive_mask([0.5, 0.5], alpha)
 
@@ -107,11 +99,8 @@ def test_alpha_domain_is_enforced(alpha):
 @pytest.mark.parametrize("alpha", ["0.1", True, None])
 def test_alpha_must_be_a_real_number(alpha):
     # float("0.1") would accept a string, and float(True) is 1.0.
-    for call in (quantile_index, rank_threshold):
-        with pytest.raises(ValueError, match="^alpha must be a real number"):
-            call(10, alpha)
     with pytest.raises(ValueError, match="^alpha must be a real number"):
-        empirical_quantile([1.0, 2.0], alpha)
+        rank_threshold(10, alpha)
     with pytest.raises(ValueError, match="^alpha must be a real number"):
         naive_mask([[0.25, 0.25, 0.25, 0.25]], alpha)
 
@@ -119,62 +108,38 @@ def test_alpha_must_be_a_real_number(alpha):
 @pytest.mark.parametrize("n_scores", [2.5, True, "3", None])
 def test_score_counts_must_be_integers(n_scores):
     # rank_threshold(2.5, 0.5) and rank_threshold(True, 0.5) read 1.
-    for call in (quantile_index, rank_threshold):
-        with pytest.raises(ValueError, match="^n_scores must be an integer"):
-            call(n_scores, 0.5)
+    with pytest.raises(ValueError, match="^n_scores must be an integer"):
+        rank_threshold(n_scores, 0.5)
 
 
 def test_score_counts_must_not_be_negative():
-    # quantile_index(-3, 0.1) read -1.
-    for call in (quantile_index, rank_threshold):
-        with pytest.raises(ValueError, match="^n_scores must be at least 0, got -3$"):
-            call(-3, 0.1)
+    # rank_threshold(-3, 0.1) read -1.
+    with pytest.raises(ValueError, match="^n_scores must be at least 0, got -3$"):
+        rank_threshold(-3, 0.1)
     assert rank_threshold(np.int64(9), 0.1) == rank_threshold(9, 0.1) == 1
-    assert quantile_index(np.uint8(0), 0.1) == quantile_index(0, 0.1) == 1
+    assert rank_threshold(np.uint8(0), 0.1) == rank_threshold(0, 0.1) == 0
 
 
-@pytest.mark.parametrize("shape", [(5, 1), (2, 2), ()])
-def test_empirical_quantile_takes_1d_scores(shape):
-    # A (5, 1) column raised numpy's TypeError, a 2 x 2 array IndexError.
-    with pytest.raises(ValueError, match=re.escape(f"expected 1-D scores, got shape {shape}")):
-        empirical_quantile(np.ones(shape), 0.1)
-
-
-def test_empirical_quantile_against_counting_oracle():
-    # Independent characterisation: the quantile is the smallest score with at
-    # least (1 - alpha) * (n + 1) scores at or below it, in exact arithmetic.
-    rng = np.random.default_rng(42)
-    for _ in range(300):
-        n = int(rng.integers(0, 30))
-        alpha = float(rng.uniform(0.01, 0.99))
-        if rng.integers(0, 2):
-            scores = rng.normal(size=n)
-        else:
-            scores = rng.integers(0, 4, size=n).astype(float)
-        need = (1 - Fraction(alpha)) * (n + 1)
-        expected = math.inf
-        for q in np.sort(scores):
-            if np.count_nonzero(scores <= q) >= need:
-                expected = float(q)
-                break
-        assert empirical_quantile(scores, alpha) == expected
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(1, 25),
+    n=st.integers(0, 30),
     seed=st.integers(0, 2**32 - 1),
     alpha=st.floats(0.01, 0.99),
 )
 def test_quantile_and_rank_rules_agree(n, seed, alpha):
     # Comparing against the calibrated quantile and counting scores at or
-    # above the candidate are the same decision, ties included.
+    # above the candidate are the same decision, ties included: on normal
+    # and on tied integer scores, a candidate at, between or beyond the
+    # scores enters the rank rule exactly when it is at most the counting
+    # oracle's quantile.
     rng = np.random.default_rng(seed)
-    scores = rng.integers(0, 6, size=n).astype(float)
-    candidate = float(rng.integers(-1, 8)) / (2.0 if rng.integers(0, 2) else 1.0)
-    via_quantile = candidate <= empirical_quantile(scores, alpha)
-    via_rank = bool(cv_membership(np.full((1, n), candidate), scores, alpha)[0])
-    assert via_quantile == via_rank
+    if rng.integers(0, 2):
+        scores = rng.normal(size=n)
+    else:
+        scores = rng.integers(0, 6, size=n).astype(float)
+    candidates = np.concatenate([scores, scores - 0.25, scores + 0.25, [-math.inf, math.inf]])
+    enters = rank_rule(candidates[:, None], [scores], alpha)
+    assert np.array_equal(enters, candidates <= quantile_by_counting(scores, alpha))
 
 
 # ---------------------------------------------------------------- scores
@@ -272,7 +237,6 @@ def test_split_small_calibration_set_gives_full_sets():
     pred = SplitConformalPredictor(
         frame.pilot_x, frame.pilot_y, 0.1, _quick_learner(), seed=3
     )
-    assert math.isinf(empirical_quantile(held_out_scores(pred).ravel(), 0.1))
     assert rank_threshold(pred.plan.folds.size, pred.alpha) == 0
     assert np.array_equal(np.flatnonzero(pred.predict_mask([0.3 + 0.3j])[0]), ALL_LABELS)
 
@@ -294,14 +258,14 @@ def test_vacuous_plans_are_those_with_a_zero_rank_threshold():
 
 
 def test_split_validation_points_cover_themselves():
-    # 9 held-out scores put the quantile at their maximum, so every held-out
-    # pilot's own label must be in the set at its location.
+    # 9 held-out scores need one at or above a candidate's, so every held-out
+    # pilot's own label, which its own score meets, must be in the set at
+    # its location.
     frame = _pilot_frame(18, seed=2)
     pred = SplitConformalPredictor(
         frame.pilot_x, frame.pilot_y, 0.1, _quick_learner(), seed=4
     )
-    val_scores = held_out_scores(pred).ravel()
-    assert empirical_quantile(val_scores, 0.1) == val_scores.max()
+    assert rank_threshold(pred.plan.folds.size, pred.alpha) == 1
     held_out = pred.plan.folds[0]
     mask = pred.predict_mask(frame.pilot_x[held_out])
     assert mask[np.arange(len(held_out)), frame.pilot_y[held_out]].all()
@@ -316,13 +280,12 @@ def test_split_mask_matches_rank_rule():
     xs = rng.normal(size=5) + 1j * rng.normal(size=5)
     masks = pred.predict_mask(xs)
     val_scores = held_out_scores(pred).ravel()
-    n_val = val_scores.size
+    need = math.floor(Fraction(0.1) * (val_scores.size + 1))
     scores = log_losses(pred.models[:1], features(xs))[:, 0]
-    for i, row in enumerate(scores):
-        table = np.repeat(row[:, None], n_val, axis=1)
-        assert np.array_equal(masks[i], cv_membership(table, val_scores, 0.1))
+    counts = (val_scores >= scores[..., None]).sum(axis=-1)
+    assert np.array_equal(masks, counts >= need)
     # The reference form of the one-fold rule: compare with the quantile.
-    assert np.array_equal(masks, scores <= empirical_quantile(val_scores, 0.1))
+    assert np.array_equal(masks, scores <= quantile_by_counting(val_scores, 0.1))
 
 
 @pytest.mark.parametrize("n,expected_val", [(10, 5), (11, 5), (18, 9)])
@@ -385,7 +348,9 @@ def test_cross_threshold_count_value():
     assert held_out_scores(pred).ravel().size == 9
 
 
-def test_cv_membership_matches_direct_count():
+def test_rank_rule_matches_direct_count():
+    # Leave-one-out tables: cand[l, i] is label l's score under the model
+    # that left out pilot i, val[i] that pilot's own score.
     rng = np.random.default_rng(15)
     for _ in range(50):
         n_labels = int(rng.integers(2, 6))
@@ -393,7 +358,7 @@ def test_cv_membership_matches_direct_count():
         alpha = float(rng.uniform(0.02, 0.5))
         cand = rng.integers(0, 5, size=(n_labels, n)).astype(float)
         val = rng.integers(0, 5, size=n).astype(float)
-        got = cv_membership(cand, val, alpha)
+        got = rank_rule(cand, val[:, None], alpha)
         need = math.floor(Fraction(alpha) * (n + 1))
         for l in range(n_labels):
             count = sum(1 for i in range(n) if cand[l, i] <= val[i])
@@ -429,30 +394,9 @@ def test_a_nan_held_out_score_never_removes_a_label(seed, alpha):
     nan = held.copy()
     nan[rng.integers(k), rng.integers(f)] = np.nan
     assert np.all(conformal._rank_counts(scores, nan) >= conformal._rank_counts(scores, held))
-    # The same on one set: cv_membership's threshold_count depends on the
-    # score count alone, so no label leaves the set.
-    cand, val = rng.choice(values, size=(4, k * f)), held.ravel()
-    before = cv_membership(cand, val, alpha)
-    after = cv_membership(cand, nan.ravel(), alpha)
-    assert rank_threshold(val.size, alpha) == rank_threshold(nan.size, alpha)
-    assert np.all(after | ~before)
-
-
-def test_cv_membership_validates_shapes():
-    with pytest.raises(ValueError):
-        cv_membership(np.zeros(4), np.zeros(4), 0.1)
-    with pytest.raises(ValueError):
-        cv_membership(np.zeros((2, 3)), np.zeros(4), 0.1)
-
-
-@pytest.mark.parametrize("shape", [(1, 6), (6, 1)])
-def test_cv_membership_takes_1d_validation_scores(shape):
-    # A (1, 6) row gave [F, T, T, T] where the 1-D scores give [F, F, T, F].
-    rng = np.random.default_rng(1)
-    cand, val = rng.standard_normal((4, 6)), rng.standard_normal(6)
-    assert np.array_equal(cv_membership(cand, val, 0.3), [False, False, True, False])
-    with pytest.raises(ValueError, match=re.escape(f"validation scores, got shape {shape}")):
-        cv_membership(cand, val.reshape(shape), 0.3)
+    # The same on the sets: the rank threshold depends on the score count
+    # alone, so no label leaves a set.
+    assert np.all(rank_rule(scores, nan, alpha) | ~rank_rule(scores, held, alpha))
 
 
 class _CentroidLearner:

@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import types
 import warnings
 import weakref
 from pathlib import Path
@@ -99,6 +100,35 @@ def test_frame_seed_is_frozen():
     assert frame_seed(1, "kcv", "bayesian", 60, 49) == 3084536795981530267
 
 
+@pytest.mark.parametrize("bad", [10.7, True, "3"])
+@pytest.mark.parametrize("part", ["master_seed", "n_pilots", "frame_index"])
+def test_frame_seed_parts_must_be_integers(part, bad):
+    # frame_seed(0, "cv", "frequentist", 10.7, 0) was the seed for 10 pilots,
+    # and a frame index of 1.5 or True gave frame 1.
+    parts = dict(master_seed=0, n_pilots=10, frame_index=1)
+    parts[part] = bad
+    with pytest.raises(ValueError, match=f"^{part} must be an integer"):
+        frame_seed(parts["master_seed"], "cv", "frequentist", parts["n_pilots"],
+                   parts["frame_index"])
+    assert frame_seed(np.uint64(0), "cv", "frequentist", np.int64(10), np.int32(0)) == (
+        frame_seed(0, "cv", "frequentist", 10, 0)
+    )
+
+
+def test_frame_seed_names_an_unknown_method_or_learner():
+    with pytest.raises(ValueError, match="^unknown method 'cp'$"):
+        frame_seed(0, "cp", "frequentist", 10, 0)
+    with pytest.raises(ValueError, match="^unknown learner 'gd'$"):
+        frame_seed(0, "cv", "gd", 10, 0)
+
+
+@pytest.mark.parametrize("frame_index", [1.5, True])
+def test_simulate_frame_rejects_a_frame_index_that_is_not_an_integer(frame_index):
+    config = _small_config(methods=("naive",), learners=("frequentist",), n_test=2)
+    with pytest.raises(RuntimeError, match="frame_index must be an integer"):
+        simulate_frame(config, ("naive", "frequentist", 10), frame_index)
+
+
 def test_frame_seeds_do_not_collide_across_cells():
     seeds = {
         frame_seed(0, m, l, n, i)
@@ -173,6 +203,14 @@ def test_run_experiment_is_deterministic_and_parallel_safe(tmp_path):
     write_csv(parallel, path_b)
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
+def test_run_experiment_workers_must_be_a_positive_integer(monkeypatch, workers):
+    # 0, -3, True and 2.5 ran serially, and "2" raised a bare TypeError.
+    monkeypatch.setattr(harness, "_block_job", None)  # nothing may run
+    with pytest.raises(ValueError, match="^workers must be"):
+        run_experiment(_small_config(), workers=workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -313,6 +351,22 @@ def test_a_shared_naming_set_logs_each_warning_once_over_several_scopes(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "cell ('cv', 'frequentist', 20) frames [0]: overflow encountered in multiply"
     ] * 2
+
+
+def test_the_package_exports_its_public_api_only():
+    # Test-only helpers and the channel's internal steps stay in their modules.
+    exported = {
+        name
+        for name, value in vars(cpdemod).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == {
+        "ChannelParams", "Constellation", "Frame", "generate_frame", "make_qpsk",
+        "CrossValConformalPredictor", "NaiveSetPredictor", "SplitConformalPredictor",
+        "rank_threshold",
+        "ExperimentConfig", "MetricsRecord", "run_experiment", "simulate_frame", "write_csv",
+        "GDLearner", "ModelArch", "SGLDLearner", "grad", "init_weights",
+    }
 
 
 def test_import_does_not_load_the_process_pool():

@@ -19,7 +19,7 @@ from cpdemod.mlp import (
     features,
     grad,
     init_weights,
-    nll_loss,
+    log_losses,
     predictive_stack,
 )
 from helpers import (
@@ -28,6 +28,7 @@ from helpers import (
     fit_one,
     layers,
     max_rel_grad_error,
+    mean_log_loss,
     reference_forward,
     with_constants,
     zero_weights,
@@ -163,19 +164,20 @@ def test_one_label_head_is_certain_and_has_zero_gradient():
 
 
 def test_nll_zero_weights_is_log_label_count():
-    X, y = _toy_data()
-    assert nll_loss(zero_weights(ModelArch()), X, y) == pytest.approx(LOG4, abs=1e-12)
+    X, _ = _toy_data()
+    losses = log_losses(zero_weights(ModelArch())[None, None], X)
+    assert losses == pytest.approx(np.full((len(X), 1, 4), LOG4), abs=1e-12)
 
 
 def test_nll_single_point_even_odds():
     # Two-label head with zero weights puts probability 1/2 on the true label.
     arch = ModelArch(output_dim=2)
-    loss = nll_loss(zero_weights(arch), np.array([[0.4, -1.2]]), np.array([1]))
+    loss = log_losses(zero_weights(arch)[None, None], np.array([[0.4, -1.2]]))[0, 0, 1]
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(3, 3, 2), (2, 5, 2)])
-@pytest.mark.parametrize("fn", [nll_loss, grad], ids=["nll_loss", "grad"])
+@pytest.mark.parametrize("fn", [grad], ids=["grad"])
 def test_loss_and_grad_reject_a_stack_of_datasets(fn, shape):
     rng = np.random.default_rng(34)
     X, y = rng.normal(size=shape), rng.integers(0, 4, size=shape[:-1])
@@ -191,12 +193,11 @@ def _fit_one_step(learner):
 @pytest.mark.parametrize(
     "fn",
     [
-        nll_loss,
         grad,
         _fit_one_step(with_constants(GDLearner, steps=1)(ModelArch())),
         _fit_one_step(with_constants(SGLDLearner, burn_in=0, ensemble_size=1)(ModelArch())),
     ],
-    ids=["nll_loss", "grad", "gd-fit", "sgld-fit"],
+    ids=["grad", "gd-fit", "sgld-fit"],
 )
 def test_labels_outside_the_output_width_are_rejected(fn, bad):
     # -1 would pick label 3's one-hot row and train and score as label 3;
@@ -213,14 +214,15 @@ def test_float_labels_are_rejected_not_truncated():
         with pytest.raises(ValueError, match="labels must be integers"):
             mlp._canonical(X, labels)
         with pytest.raises(ValueError, match="labels must be integers"):
-            nll_loss(zero_weights(ModelArch()), X, labels)
+            grad(zero_weights(ModelArch()), X, labels)
 
 
 def test_nll_permutation_bit_identical():
-    X, y = _toy_data(seed=3, n=12)
-    w = init_weights(ModelArch(), np.random.default_rng(4))
+    # Each row's losses are the same bits wherever the row sits.
+    X, _ = _toy_data(seed=3, n=12)
+    w = init_weights(ModelArch(), np.random.default_rng(4))[None, None]
     perm = np.random.default_rng(5).permutation(12)
-    assert nll_loss(w, X, y) == nll_loss(w, X[perm], y[perm])
+    assert np.array_equal(log_losses(w, X)[perm], log_losses(w, X[perm]))
 
 
 def test_grad_matches_finite_differences(monkeypatch):
@@ -253,14 +255,14 @@ def test_grad_vanishes_after_convergence_on_one_point():
     X, y = np.array([[0.3, -0.8]]), np.array([2])
     w = init_weights(arch, np.random.default_rng(0))
     lr = 1.0
-    loss = nll_loss(w, X, y)
+    loss = mean_log_loss(w, X, y)
     for _ in range(500):
         g = grad(w, X, y)
         norm = math.sqrt(float((g * g).sum()))
         if norm < 1e-6:
             break
         trial = w - lr * g
-        trial_loss = nll_loss(trial, X, y)
+        trial_loss = mean_log_loss(trial, X, y)
         if trial_loss <= loss:
             w, loss, lr = trial, trial_loss, lr * 1.5
         else:
@@ -272,7 +274,7 @@ def test_train_gd_does_not_increase_loss():
     X, y = _toy_data(seed=10, n=20)
     w0 = init_weights(ModelArch(), np.random.default_rng(11))
     (trained,) = fit_one(GDLearner(ModelArch()), X, y, np.random.default_rng(11))
-    assert nll_loss(trained, X, y) <= nll_loss(w0, X, y)
+    assert mean_log_loss(trained, X, y) <= mean_log_loss(w0, X, y)
 
 
 def test_train_gd_permutation_bit_identical():
@@ -354,7 +356,7 @@ def test_ensemble_rejects_empty_member_list():
 
 
 @pytest.mark.parametrize("length", [661, 592, 0])
-@pytest.mark.parametrize("call", ["grad", "nll_loss", "predictive_stack"])
+@pytest.mark.parametrize("call", ["grad", "predictive_stack"])
 def test_a_row_length_no_label_count_gives_is_named(call, length):
     # 592 + 17 * labels parameters for labels >= 1: 661 is one too many for
     # four labels, and 592 leaves none.
@@ -363,7 +365,7 @@ def test_a_row_length_no_label_count_gives_is_named(call, length):
         if call == "predictive_stack":
             predictive_stack(w[None, None], X)
         else:
-            getattr(mlp, call)(w, X, y)
+            grad(w, X, y)
 
 
 @pytest.mark.parametrize("score", [mlp.predictive_stack, mlp.log_losses])
