@@ -11,10 +11,10 @@ which labels enter a set.
 * leave-one-out cross conformal: one model per left-out pilot;
 * leave-fold-out (k-fold) cross conformal: one model per left-out fold.
 
-Each set construction is three steps.  A plan (``FoldPlan``) says which
-pilots train each model and which pilots it scores; it is a pure function of
-the pilots and the seed, and the naive plan is one model with nothing held
-out.  ``fitted_stacks`` fits the models of any number of plans of equal
+Each set construction is three steps.  A plan (``fold_plan``, one for each
+of the four methods) is the held-out fold of each model; the model trains on
+every other pilot.  It is a pure function of the pilots and the seed, and
+the naive plan is one model with nothing held out.  ``fitted_stacks`` fits the models of any number of plans of equal
 training size in shared stacks, so the frames of one experiment cell can
 train together, and hands over each stack as soon as it is fitted.  A fitted
 model is its ``(E, n_params)`` block of member parameter rows (``mlp``), and
@@ -27,9 +27,9 @@ scores, so a caller that drops every stack once it is scored holds one
 stack of models and one scoring pass's weights
 (``mlp.predictive_stack``) at a time, whatever the number of pilots.
 A plan whose rank threshold is 0 is ``vacuous``: its sets are the full
-alphabet, so its models need not be fitted.  ``fit_plans`` instead keeps
-every model of a plan, and the predictor classes add those kept models to
-a ``PayloadSets`` of any payload later: the per-frame reference.
+alphabet, so its models need not be fitted.  The predictor classes instead
+keep every model of their plan and add those kept models to a
+``PayloadSets`` of any payload later: the per-frame reference.
 
 The score of a candidate label is its log loss under the predictive
 (``mlp.log_losses``), so lower means more conforming.  All randomness
@@ -114,80 +114,61 @@ def _rank_counts(scores: np.ndarray, held_out) -> np.ndarray:
     return counts
 
 
-def _pilot_arrays(pilot_x, pilot_y) -> tuple[np.ndarray, np.ndarray]:
-    feats = mlp.features(pilot_x)
-    y = np.atleast_1d(class_labels(pilot_y))
-    if len(feats) != len(y):
-        raise ValueError("pilot samples and labels must have matching lengths")
-    if len(y) == 0:
-        raise ValueError("need at least one pilot")
-    return feats, y
-
-
-def _calibration_order(feats: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
-    """Canonical sort followed by a seeded shuffle.
-
-    The result depends only on the pilot multiset and the seed, so splits and
-    fold assignments are invariant to pilot arrival order.  Calibration needs
-    at least two pilots: one to train on and one to hold out.
-    """
-    if len(y) < 2:
-        raise ValueError("need at least two pilots")
-    base = mlp.canonical_order(feats, y)
-    perm = derive_rng(seed, 0).permutation(len(base))
-    return base[perm]
-
-
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
-    """Which pilots train each model of a predictor, and which it scores.
+    """Which pilots each model of a predictor holds out, and so trains on.
 
-    Model ``j`` trains on the pilot rows ``train[j]`` of ``feats`` and ``y``
-    from the generator ``derive_rng(seed, 1 + j)`` and scores the rows
-    ``folds[j]``, which it never saw.  A plan is a pure function of the
-    pilots and the seed.  The naive plan is one model on all pilots with an
-    empty fold: nothing is held out, and its sets follow the mass rule.
+    Model ``j`` scores the pilot rows ``folds[j]`` of ``feats`` and ``y``,
+    which it never saw: it trains on every pilot outside ``folds[j]``, from
+    the generator ``derive_rng(seed, 1 + j)``.  A plan is a pure function of
+    the pilots and the seed.  The naive plan is one model with an empty
+    fold: it trains on all pilots, and its sets follow the mass rule.
     """
 
     feats: np.ndarray
     y: np.ndarray
-    train: np.ndarray
     folds: np.ndarray
     seed: int
 
 
-def naive_plan(pilot_x, pilot_y, seed: int = 0) -> FoldPlan:
-    """One model on all pilots, nothing held out."""
+def fold_plan(method: str, pilot_x, pilot_y, seed: int = 0, k: int | None = None) -> FoldPlan:
+    """The fold plan of ``method`` on a frame's pilots.
+
+    * ``"naive"``: one model, nothing held out;
+    * ``"vb"``: one fold, the last ``floor(n / 2)`` pilots in calibration
+      order, so its model trains on the first ``ceil(n / 2)``;
+    * ``"kcv"``: ``k`` contiguous equal folds of the pilots in calibration
+      order;
+    * ``"cv"``: ``n`` folds of one pilot (leave-one-out); ``k`` is ignored.
+
+    The calibration order is the canonical sort followed by a seeded
+    shuffle.  It depends only on the pilot multiset and the seed, so pilot
+    arrival order never changes a plan.  Calibration needs at least two
+    pilots: one to train on and one to hold out.
+    """
+    if method not in ("naive", "vb", "cv", "kcv"):
+        raise ValueError(f"unknown method {method!r}")
     seed = integer("seed", seed)
-    feats, y = _pilot_arrays(pilot_x, pilot_y)
-    return FoldPlan(feats, y, np.arange(len(y))[None], np.empty((1, 0), dtype=np.intp), seed)
-
-
-def split_plan(pilot_x, pilot_y, seed: int = 0) -> FoldPlan:
-    """One model on the first ``ceil(n / 2)`` pilots in calibration order;
-    the rest are its one held-out fold."""
-    seed = integer("seed", seed)
-    feats, y = _pilot_arrays(pilot_x, pilot_y)
-    order = _calibration_order(feats, y, seed)
-    n_train = (len(y) + 1) // 2
-    return FoldPlan(feats, y, order[None, :n_train], order[None, n_train:], seed)
-
-
-def cross_val_plan(pilot_x, pilot_y, k: int | None = None, seed: int = 0) -> FoldPlan:
-    """``k`` contiguous equal folds of the pilots in calibration order, one
-    model trained without each; ``k = n`` (the default) is leave-one-out."""
-    seed = integer("seed", seed)
-    feats, y = _pilot_arrays(pilot_x, pilot_y)
-    order = _calibration_order(feats, y, seed)
+    feats = mlp.features(pilot_x)
+    y = np.atleast_1d(class_labels(pilot_y))
     n = len(y)
-    k = n if k is None else integer("k", k)
+    if len(feats) != n:
+        raise ValueError("pilot samples and labels must have matching lengths")
+    if n == 0:
+        raise ValueError("need at least one pilot")
+    if method == "naive":
+        return FoldPlan(feats, y, np.empty((1, 0), dtype=np.intp), seed)
+    if n < 2:
+        raise ValueError("need at least two pilots")
+    order = mlp.canonical_order(feats, y)[derive_rng(seed, 0).permutation(n)]
+    if method == "vb":
+        return FoldPlan(feats, y, order[None, (n + 1) // 2 :], seed)
+    k = n if method == "cv" else integer("k", k)
     if not 2 <= k <= n:
         raise ValueError(f"fold count must be in [2, {n}], got {k}")
     if n % k:
         raise ValueError(f"{n} pilots cannot be cut into {k} equal folds")
-    folds = order.reshape(k, n // k)
-    train = np.array([np.delete(folds, j, axis=0).ravel() for j in range(k)])
-    return FoldPlan(feats, y, train, folds, seed)
+    return FoldPlan(feats, y, order.reshape(k, n // k), seed)
 
 
 def fitted_stacks(learner, plans):
@@ -203,10 +184,18 @@ def fitted_stacks(learner, plans):
     asking for the next one holds one stack of models at a time (every
     model is a view of its stack's weights).
     """
-    X = np.concatenate([p.feats[p.train] for p in plans])
-    y = np.concatenate([p.y[p.train] for p in plans])
-    rngs = [derive_rng(p.seed, 1 + j) for p in plans for j in range(len(p.train))]
-    owners = [i for i, p in enumerate(plans) for _ in p.train]
+    X, y = [], []
+    for p in plans:
+        # Model j trains on every pilot outside fold j, in pilot order: the
+        # learner sorts each training set, so only which rows enter matters.
+        outside = np.ones((len(p.folds), len(p.y)), dtype=bool)
+        np.put_along_axis(outside, p.folds, False, axis=1)
+        rows = np.nonzero(outside)[1].reshape(len(p.folds), -1)
+        X.append(p.feats[rows])
+        y.append(p.y[rows])
+    X, y = np.concatenate(X), np.concatenate(y)
+    rngs = [derive_rng(p.seed, 1 + j) for p in plans for j in range(len(p.folds))]
+    owners = [i for i, p in enumerate(plans) for _ in p.folds]
     for start in range(0, len(rngs), MAX_STACK):
         stop = start + MAX_STACK
         # Yielded unnamed, so this generator keeps no reference to the stack.
@@ -224,16 +213,6 @@ def _by_plan(owners, models: np.ndarray) -> list[tuple[int, np.ndarray]]:
         runs.append((p, models[start:stop]))
         start = stop
     return runs
-
-
-def fit_plans(learner, plans) -> list[np.ndarray]:
-    """The ``(K, E, n_params)`` models of every plan, in plan order, all held
-    at once: the slices of ``fitted_stacks`` joined."""
-    fitted = [[] for _ in plans]
-    for stack in fitted_stacks(learner, plans):
-        for p, models in stack:
-            fitted[p].append(models)
-    return [np.concatenate(parts) for parts in fitted]
 
 
 def vacuous(plan: FoldPlan, alpha: float) -> bool:
@@ -298,7 +277,7 @@ class PayloadSets:
         self.x = x
         self.threshold_count = rank_threshold(plan.folds.size, self.alpha)
         #: Models still to add; a vacuous plan needs none.
-        self.pending = 0 if vacuous(plan, self.alpha) else len(plan.train)
+        self.pending = 0 if vacuous(plan, self.alpha) else len(plan.folds)
         self.counts = None
         self.diverged, self.nan_held_out, self.nan_rows = 0, 0, None
         n_rows = len(mlp.features(x))
@@ -306,7 +285,7 @@ class PayloadSets:
 
     def add(self, models) -> None:
         feats = mlp.features(self.x)
-        first = len(self.plan.train) - self.pending
+        first = len(self.plan.folds) - self.pending
         self.pending -= len(models)
         self.diverged += sum(not np.isfinite(model).all() for model in models)
         if not self.plan.folds.size:
@@ -347,7 +326,9 @@ class _KeptPlan:
         self.n_labels = learner.arch.output_dim
         class_labels(plan.y, self.n_labels)
         self.plan = plan
-        self.models = fit_plans(learner, [plan])[0]
+        self.models = np.concatenate(
+            [models for stack in fitted_stacks(learner, [plan]) for _, models in stack]
+        )
 
     def predict_mask(self, x) -> np.ndarray:
         sets = PayloadSets(self.plan, self.alpha, x, self.n_labels)
@@ -360,24 +341,26 @@ class NaiveSetPredictor(_KeptPlan):
     """Probability-mass sets from one model trained on all pilots."""
 
     def __init__(self, pilot_x, pilot_y, alpha: float, learner, seed: int = 0):
-        super().__init__(naive_plan(pilot_x, pilot_y, seed), learner, alpha)
+        super().__init__(fold_plan("naive", pilot_x, pilot_y, seed), learner, alpha)
 
 
 class SplitConformalPredictor(_KeptPlan):
-    """Split conformal sets on the one-fold plan of ``split_plan``: the rank
-    count over one fold is the same decision as comparing a score with the
-    calibrated quantile of the n held-out scores, their ``ceil((1 - alpha)
-    (n + 1))``-th smallest (+inf past the last)."""
+    """Split conformal sets on the one-fold ``"vb"`` plan of ``fold_plan``:
+    the rank count over one fold is the same decision as comparing a score
+    with the calibrated quantile of the n held-out scores, their ``ceil((1 -
+    alpha) (n + 1))``-th smallest (+inf past the last)."""
 
     def __init__(self, pilot_x, pilot_y, alpha: float, learner, seed: int = 0):
-        super().__init__(split_plan(pilot_x, pilot_y, seed), learner, alpha)
+        super().__init__(fold_plan("vb", pilot_x, pilot_y, seed), learner, alpha)
 
 
 class CrossValConformalPredictor(_KeptPlan):
-    """Leave-fold-out conformal sets on the plan of ``cross_val_plan``; ``k =
-    n`` (the default) is leave-one-out."""
+    """Leave-fold-out conformal sets on the ``"kcv"`` plan of ``fold_plan``
+    with ``k`` folds; ``k = None`` (the default) is the leave-one-out
+    ``"cv"`` plan."""
 
     def __init__(
         self, pilot_x, pilot_y, alpha: float, learner, k: int | None = None, seed: int = 0
     ):
-        super().__init__(cross_val_plan(pilot_x, pilot_y, k, seed), learner, alpha)
+        method = "cv" if k is None else "kcv"
+        super().__init__(fold_plan(method, pilot_x, pilot_y, seed, k), learner, alpha)

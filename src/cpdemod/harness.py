@@ -166,17 +166,6 @@ def _make_learner(name: str, n_labels: int):
     raise ValueError(f"unknown learner {name!r}")
 
 
-def _plan(method: str, pilot_x, pilot_y, k: int, seed: int) -> conformal.FoldPlan:
-    """The fold plan of a method on a frame's pilots."""
-    if method == "naive":
-        return conformal.naive_plan(pilot_x, pilot_y, seed)
-    if method == "vb":
-        return conformal.split_plan(pilot_x, pilot_y, seed)
-    if method in ("cv", "kcv"):
-        return conformal.cross_val_plan(pilot_x, pilot_y, None if method == "cv" else k, seed)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def tally(mask: np.ndarray, y_true: np.ndarray) -> tuple[int, np.ndarray]:
     """Hits (true label in set) and per-point set sizes from a membership mask.
 
@@ -229,7 +218,7 @@ def _warn_unsound(cell, frame_index, frame_sets) -> None:
     where, plan = _describe(cell, [frame_index]), frame_sets.plan
     if frame_sets.diverged:
         log.warning("%s: %d of %d models hold non-finite weights", where, frame_sets.diverged,
-                    len(plan.train))
+                    len(plan.folds))
     found = []
     if frame_sets.nan_held_out:
         found.append(f"{frame_sets.nan_held_out} of {plan.folds.size} held-out scores are NaN")
@@ -277,7 +266,9 @@ def _simulate_block(
                 n_pilots, config.n_test, config.snr_linear, constellation, derive_rng(fseed, 0)
             )
             frames.append(frame)
-            plan = _plan(method, frame.pilot_x, frame.pilot_y, config.k_folds, hash64(fseed, 1))
+            plan = conformal.fold_plan(
+                method, frame.pilot_x, frame.pilot_y, hash64(fseed, 1), config.k_folds
+            )
             sets.append(conformal.PayloadSets(plan, alpha, frame.test_x, len(constellation)))
     # Every plan of a block has the same shape, so all or none are vacuous.
     if sets[0].pending:
@@ -341,8 +332,8 @@ def _cell_blocks(config: ExperimentConfig) -> list[tuple[int, tuple[str, str, in
         method, _, n_pilots = cell
         # Plans of one cell all have the shape of a plan on placeholder pilots.
         zeros = np.zeros(n_pilots, dtype=np.int64)
-        plan = _plan(method, zeros, zeros, config.k_folds, 0)
-        models, rows = plan.train.shape
+        plan = conformal.fold_plan(method, zeros, zeros, 0, config.k_folds)
+        models, rows = len(plan.folds), n_pilots - plan.folds.shape[1]
         if conformal.vacuous(plan, _alpha(config, method)):
             rows = 0
         size = max(1, conformal.MAX_STACK // models)

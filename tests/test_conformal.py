@@ -259,13 +259,13 @@ def test_split_small_calibration_set_gives_full_sets():
 def test_vacuous_plans_are_those_with_a_zero_rank_threshold():
     frame = _pilot_frame(10, seed=1)
     x, y = frame.pilot_x, frame.pilot_y
-    assert conformal.vacuous(conformal.split_plan(x, y), 0.1)  # floor(0.1 * 6) = 0
-    assert not conformal.vacuous(conformal.split_plan(x, y), 0.2)  # floor(0.2 * 6) = 1
-    assert not conformal.vacuous(conformal.cross_val_plan(x, y), 0.1)  # floor(0.1 * 11) = 1
-    assert conformal.vacuous(conformal.cross_val_plan(x, y, 5), 0.05)  # floor(0.05 * 11) = 0
-    assert not conformal.vacuous(conformal.naive_plan(x, y), 0.1)
+    assert conformal.vacuous(conformal.fold_plan("vb", x, y), 0.1)  # floor(0.1 * 6) = 0
+    assert not conformal.vacuous(conformal.fold_plan("vb", x, y), 0.2)  # floor(0.2 * 6) = 1
+    assert not conformal.vacuous(conformal.fold_plan("cv", x, y), 0.1)  # floor(0.1 * 11) = 1
+    assert conformal.vacuous(conformal.fold_plan("kcv", x, y, k=5), 0.05)  # floor(0.05 * 11) = 0
+    assert not conformal.vacuous(conformal.fold_plan("naive", x, y), 0.1)
     # A vacuous plan's sets need no model, but its payload is still checked.
-    plan = conformal.split_plan(x, y)
+    plan = conformal.fold_plan("vb", x, y)
     mask = conformal.PayloadSets(plan, 0.1, [0.3 + 0.3j, -1j], len(ALL_LABELS)).mask
     assert mask.dtype == bool and mask.shape == (2, len(ALL_LABELS)) and mask.all()
     with pytest.raises(ValueError, match="finite"):
@@ -505,13 +505,20 @@ def test_kfold_rejects_bad_fold_counts():
         CrossValConformalPredictor(frame.pilot_x[:1], frame.pilot_y[:1], 0.1, learner)
 
 
-@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_an_unknown_method_is_named():
+    frame = _pilot_frame(10, seed=20)
+    with pytest.raises(ValueError, match="^unknown method 'loo'$"):
+        conformal.fold_plan("loo", frame.pilot_x, frame.pilot_y)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
 def test_fold_count_must_be_an_integer(k):
-    # int() would cut 2.5 folds into 2, and True into 1.
+    # int() would cut 2.5 folds into 2, and True into 1; a kcv plan has no
+    # default fold count.
     frame = _pilot_frame(10, seed=20)
     with pytest.raises(ValueError, match="^k must be an integer"):
-        conformal.cross_val_plan(frame.pilot_x, frame.pilot_y, k)
-    assert len(conformal.cross_val_plan(frame.pilot_x, frame.pilot_y, np.int64(2)).folds) == 2
+        conformal.fold_plan("kcv", frame.pilot_x, frame.pilot_y, k=k)
+    assert len(conformal.fold_plan("kcv", frame.pilot_x, frame.pilot_y, k=np.int64(2)).folds) == 2
 
 
 def test_calibrated_predictors_ignore_pilot_order():
@@ -612,7 +619,7 @@ def test_held_out_labels_out_of_range_are_rejected():
     # labels are checked where they index the scores: -1 would score as the
     # last label.
     frame = _pilot_frame(18, seed=2)
-    (fold,) = conformal.split_plan(frame.pilot_x, frame.pilot_y, seed=4).folds
+    (fold,) = conformal.fold_plan("vb", frame.pilot_x, frame.pilot_y, seed=4).folds
     y = frame.pilot_y.copy()
     y[fold] = -1
     with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
@@ -620,9 +627,9 @@ def test_held_out_labels_out_of_range_are_rejected():
 
 
 _SEEDED = {
-    "naive_plan": lambda x, y, seed: conformal.naive_plan(x, y, seed),
-    "split_plan": lambda x, y, seed: conformal.split_plan(x, y, seed),
-    "cross_val_plan": lambda x, y, seed: conformal.cross_val_plan(x, y, 5, seed),
+    "fold_plan_naive": lambda x, y, seed: conformal.fold_plan("naive", x, y, seed),
+    "fold_plan_vb": lambda x, y, seed: conformal.fold_plan("vb", x, y, seed),
+    "fold_plan_kcv": lambda x, y, seed: conformal.fold_plan("kcv", x, y, seed, 5),
     "naive": lambda x, y, seed: NaiveSetPredictor(x, y, 0.1, _quick_learner(1), seed),
     "vb": lambda x, y, seed: SplitConformalPredictor(x, y, 0.1, _quick_learner(1), seed),
     "kcv": lambda x, y, seed: CrossValConformalPredictor(x, y, 0.1, _quick_learner(1), 5, seed),
@@ -632,8 +639,8 @@ _SEEDED = {
 @pytest.mark.parametrize("make", sorted(_SEEDED))
 @pytest.mark.parametrize("seed", [1.5, 2.9, True, "7"])
 def test_plan_seeds_must_be_integers(make, seed):
-    # split_plan(x, y, 1.5) ran as seed 1, split_plan(x, y, "7") as seed 7,
-    # and a kcv predictor seeded 2.9 gave seed 2's masks.
+    # A vb plan seeded 1.5 ran as seed 1, one seeded "7" as seed 7, and a kcv
+    # predictor seeded 2.9 gave seed 2's masks.
     frame = _pilot_frame(10, seed=42)
     with pytest.raises(ValueError, match="^seed must be an integer"):
         _SEEDED[make](frame.pilot_x, frame.pilot_y, seed)
@@ -642,16 +649,16 @@ def test_plan_seeds_must_be_integers(make, seed):
 def test_integer_plan_seeds_keep_their_bits():
     frame = _pilot_frame(10, seed=42)
     for seed in (7, -3):
-        want = conformal.cross_val_plan(frame.pilot_x, frame.pilot_y, 5, seed)
+        want = conformal.fold_plan("kcv", frame.pilot_x, frame.pilot_y, seed, 5)
         for same in (np.int64(seed), np.int32(seed)):
-            got = conformal.cross_val_plan(frame.pilot_x, frame.pilot_y, 5, same)
-            assert np.array_equal(got.train, want.train) and np.array_equal(got.folds, want.folds)
+            got = conformal.fold_plan("kcv", frame.pilot_x, frame.pilot_y, same, 5)
+            assert np.array_equal(got.folds, want.folds)
             assert got.seed == seed and type(got.seed) is int
     # A negative seed is folded into the 64-bit ring, as ``hash64`` documents.
-    folded = conformal.split_plan(frame.pilot_x, frame.pilot_y, np.uint64(2**64 - 3))
-    negative = conformal.split_plan(frame.pilot_x, frame.pilot_y, -3)
+    folded = conformal.fold_plan("vb", frame.pilot_x, frame.pilot_y, np.uint64(2**64 - 3))
+    negative = conformal.fold_plan("vb", frame.pilot_x, frame.pilot_y, -3)
     assert np.array_equal(folded.folds, negative.folds)
-    positive = conformal.split_plan(frame.pilot_x, frame.pilot_y, 3)
+    positive = conformal.fold_plan("vb", frame.pilot_x, frame.pilot_y, 3)
     assert not np.array_equal(positive.folds, negative.folds)
 
 

@@ -26,7 +26,6 @@ from cpdemod.harness import (
     ExperimentConfig,
     _cell_blocks,
     _make_learner,
-    _plan,
     frame_seed,
     tally,
 )
@@ -55,15 +54,22 @@ def pooled_coverage():
             )
             frames.append(frame)
             plans.append(
-                _plan(method, frame.pilot_x, frame.pilot_y, CONFIG.k_folds, hash64(fseed, 1))
+                conformal.fold_plan(
+                    method, frame.pilot_x, frame.pilot_y, hash64(fseed, 1), CONFIG.k_folds
+                )
             )
-        fitted = conformal.fit_plans(_make_learner(learner, len(constellation)), plans)
-        for frame, plan, models in zip(frames, plans, fitted):
-            for alpha in ALPHAS:
+        sets = [
+            [conformal.PayloadSets(plan, a, frame.test_x, len(constellation)) for a in ALPHAS]
+            for frame, plan in zip(frames, plans)
+        ]
+        for stack in conformal.fitted_stacks(_make_learner(learner, len(constellation)), plans):
+            for p, models in stack:
+                for alpha_sets in sets[p]:
+                    alpha_sets.add(models)
+        for frame, plan, frame_sets in zip(frames, plans, sets):
+            for alpha, alpha_sets in zip(ALPHAS, frame_sets):
                 assert conformal.rank_threshold(plan.folds.size, alpha) >= 1
-                sets = conformal.PayloadSets(plan, alpha, frame.test_x, len(constellation))
-                sets.add(models)
-                h, _ = tally(sets.mask, frame.test_y)
+                h, _ = tally(alpha_sets.mask, frame.test_y)
                 key = (method, learner, alpha)
                 hits[key] = hits.get(key, 0) + h
     return {key: h / N_SYMBOLS for key, h in hits.items()}
