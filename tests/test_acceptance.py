@@ -8,14 +8,13 @@ asserts.  Coverage thresholds leave ~2.8 binomial standard errors of slack on
 """
 
 import math
-import os
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cpdemod import conformal, mlp
+from cpdemod import cli, conformal, mlp
 from cpdemod.channel import generate_frame, make_qpsk
 from cpdemod.conformal import CrossValConformalPredictor, rank_threshold
 from cpdemod.harness import (
@@ -44,7 +43,8 @@ COMMITTED_RESULTS = Path(__file__).resolve().parents[1] / "results.csv"
 @pytest.fixture(scope="session")
 def grid():
     config = ExperimentConfig()
-    records = run_experiment(config, workers=os.cpu_count() or 1)
+    # The worker count ``cpdemod run`` defaults to: the CPUs this process may run on.
+    records = run_experiment(config, workers=cli._usable_cpus())
     return {(r.method, r.learner, r.n_pilots): r for r in records}
 
 

@@ -297,6 +297,29 @@ _PLANS = {
 }
 
 
+_METHODS = {
+    "naive": lambda x, y, learner: conformal.NaiveSetPredictor(x, y, 0.2, learner, seed=8),
+    "vb": _PLANS["vb"],
+    "cv": _PLANS["loo"],
+    "kcv": _PLANS["kfold"],
+}
+
+
+@pytest.mark.parametrize("learner", sorted(LEARNERS))
+@pytest.mark.parametrize("method", sorted(_METHODS))
+def test_model_j_equals_a_lone_fit_outside_fold_j(learner, method):
+    # A plan stores only its folds: the training rows of every method rest on
+    # this rule.
+    frame = generate_frame(10, 1, SNR_5DB, make_qpsk(), np.random.default_rng(6))
+    pred = _METHODS[method](frame.pilot_x, frame.pilot_y, LEARNERS[learner])
+    feats = features(frame.pilot_x)
+    assert len(pred.models) == len(pred.plan.folds)
+    for j, (fold, model) in enumerate(zip(pred.plan.folds, pred.models)):
+        keep = np.setdiff1d(np.arange(10), fold)
+        single = fit_one(LEARNERS[learner], feats[keep], frame.pilot_y[keep], derive_rng(8, 1 + j))
+        assert np.array_equal(model, single), f"model {j}"
+
+
 @pytest.mark.parametrize("learner", sorted(LEARNERS))
 @pytest.mark.parametrize("plan", sorted(_PLANS))
 @pytest.mark.parametrize("n_test", [7, 2600])
