@@ -11,12 +11,13 @@ which labels enter a set.
 * leave-one-out cross conformal: one model per left-out pilot;
 * leave-fold-out (k-fold) cross conformal: one model per left-out fold.
 
-Each set construction is three steps.  A plan (``fold_plan``, one for each
-of the four methods) is the held-out fold of each model; the model trains on
+Each set construction is three steps.  A plan (``fold_plan``, one function
+for all four methods) is the held-out fold of each model, which trains on
 every other pilot.  It is a pure function of the pilots and the seed, and
-the naive plan is one model with nothing held out.  ``fitted_stacks`` fits the models of any number of plans of equal
-training size in shared stacks, so the frames of one experiment cell can
-train together, and hands over each stack as soon as it is fitted.  A fitted
+the naive plan is one model with nothing held out.  ``fitted_stacks`` fits
+the models of any number of plans of equal training size in shared stacks,
+so the frames of one experiment cell can train together, and hands over
+each stack as soon as it is fitted.  A fitted
 model is its ``(E, n_params)`` block of member parameter rows (``mlp``), and
 a plan's models within a stack are one slice of the stack's ``(K, E,
 n_params)`` array.
