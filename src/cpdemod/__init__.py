@@ -1,12 +1,6 @@
 """Set-valued demodulation with conformal calibration over a simulated channel."""
 
-from .channel import (
-    ChannelParams,
-    Constellation,
-    Frame,
-    generate_frame,
-    make_qpsk,
-)
+from .channel import QPSK, ChannelParams, Frame, generate_frame
 from .conformal import (
     CrossValConformalPredictor,
     NaiveSetPredictor,

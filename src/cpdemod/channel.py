@@ -1,8 +1,10 @@
 """Simulated baseband channel: phase fading, transmitter I/Q imbalance, AWGN.
 
-A frame is one coherence block.  The channel state (carrier phase, amplitude
-imbalance, phase skew) is drawn once per frame and applied to every symbol in
-it; the receiver sees pilots and payload symbols distorted by the same state.
+The alphabet is data: label ``i`` sends the point ``QPSK[i]``, a read-only
+module constant.  A frame is one coherence block.  The channel state (carrier
+phase, amplitude imbalance, phase skew) is drawn once per frame and applied to
+every symbol in it; the receiver sees pilots and payload symbols distorted by
+the same state.
 """
 
 from __future__ import annotations
@@ -23,35 +25,11 @@ PHASE_IMB_MAX = 0.15 * math.pi / 180.0
 _BETA_A, _BETA_B = 5.0, 2.0
 
 
-@dataclass(frozen=True)
-class Constellation:
-    """Ordered symbol alphabet; label ``i`` transmits ``points[i]``."""
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.complex128)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("constellation needs at least two points")
-        if len(set(pts.tolist())) != pts.size:
-            raise ValueError("constellation points must be distinct")
-        energy = float(np.mean(np.abs(pts) ** 2))
-        if abs(energy - 1.0) > 1e-9:
-            raise ValueError(f"average symbol energy must be 1, got {energy!r}")
-
-    def __len__(self) -> int:
-        return int(self.points.size)
-
-
-def make_qpsk() -> Constellation:
-    """Unit-energy QPSK with Gray-coded labels.
-
-    Label order walks the quadrants so that neighbouring labels differ in one
-    bit: 0 -> (+,+), 1 -> (-,+), 2 -> (-,-), 3 -> (+,-).
-    """
-    s = 1.0 / math.sqrt(2.0)
-    return Constellation(np.array([s + s * 1j, -s + s * 1j, -s - s * 1j, s - s * 1j]))
+#: Unit-energy QPSK, the one alphabet; label ``i`` transmits ``QPSK[i]``.  The
+#: labels are Gray-coded, walking the quadrants so that neighbouring labels
+#: differ in one bit: 0 -> (+,+), 1 -> (-,+), 2 -> (-,-), 3 -> (+,-).
+QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0)
+QPSK.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -109,16 +87,15 @@ def apply_iq_imbalance(y: complex, amp_imb: float, phase_imb: float) -> complex:
 
 def transmit(
     labels: np.ndarray,
-    constellation: Constellation,
     params: ChannelParams,
     snr_linear: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Send symbols through the channel and return the received samples, a
-    complex128 array shaped like ``labels``; a label that is not an integer
-    in ``[0, len(constellation))`` raises ``ValueError``.
+    """Send QPSK symbols through the channel and return the received samples,
+    a complex128 array shaped like ``labels``; a label that is not an integer
+    in ``[0, 4)`` raises ``ValueError``.
 
-    Each constellation point is I/Q-distorted, rotated by the frame's carrier
+    Each point ``QPSK[label]`` is I/Q-distorted, rotated by the frame's carrier
     phase, and hit by circular complex Gaussian noise of total power
     ``1 / snr_linear`` (variance ``1 / (2 * snr_linear)`` per component).
     ``snr_linear=inf`` yields a noiseless channel.
@@ -132,12 +109,12 @@ def transmit(
     snr_linear = real("snr_linear", snr_linear)
     if not snr_linear > 0.0:
         raise ValueError(f"snr_linear must be positive, got {snr_linear!r}")
-    labels = class_labels(labels, len(constellation))
+    labels = class_labels(labels, len(QPSK))
     rotation = cmath.exp(1j * params.phase)
     clean = np.array(
         [
             rotation * apply_iq_imbalance(point, params.amp_imb, params.phase_imb)
-            for point in constellation.points.tolist()
+            for point in QPSK.tolist()
         ]
     )
     scale = math.sqrt(1.0 / (2.0 * snr_linear))
@@ -175,21 +152,28 @@ def generate_frame(
     n_pilots: int,
     n_test: int,
     snr_linear: float,
-    constellation: Constellation,
+    alphabet: np.ndarray,
     rng: np.random.Generator,
 ) -> Frame:
     """Simulate one frame: draw a channel state, then transmit random labels.
 
-    Labels are i.i.d. uniform over the alphabet for pilots and payload alike.
+    Labels are i.i.d. uniform over QPSK's labels for pilots and payload alike.
     All symbols share the single per-frame channel state.  The counts must be
     Python or numpy integers, at least 1.
+
+    ``alphabet`` must hold the ``QPSK`` points in label order; anything else
+    raises ``ValueError``.
     """
+    # Not a choice: QPSK is the only alphabet.  Kept as an argument because the
+    # benchmark script passes ``harness.make_constellation("qpsk")``.
+    if not np.array_equal(alphabet, QPSK):
+        raise ValueError(f"the alphabet must be QPSK, {QPSK.tolist()}, got {alphabet!r}")
     n_pilots, n_test = integer("n_pilots", n_pilots), integer("n_test", n_test)
     if n_pilots < 1 or n_test < 1:
         raise ValueError("n_pilots and n_test must both be at least 1")
     params = sample_channel_params(rng)
-    labels = rng.integers(0, len(constellation), size=n_pilots + n_test)
-    xs = transmit(labels, constellation, params, snr_linear, rng)
+    labels = rng.integers(0, len(QPSK), size=n_pilots + n_test)
+    xs = transmit(labels, params, snr_linear, rng)
     return Frame(
         params,
         xs[:n_pilots],

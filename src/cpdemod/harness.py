@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import conformal
-from .channel import Constellation, Frame, generate_frame, make_qpsk
+from .channel import QPSK, Frame, generate_frame
 from .checks import alpha_level, class_labels, integer, real
 from .mlp import GDLearner, ModelArch, SGLDLearner
 from .seeding import derive_rng, hash64
@@ -43,11 +43,11 @@ _LEARNER_ID = {l: i for i, l in enumerate(LEARNERS)}
 CSV_HEADER = "method,learner,n_pilots,alpha,coverage,inefficiency,n_frames,seed"
 
 
-def make_constellation(name: str) -> Constellation:
-    """QPSK, the only alphabet, by name; the benchmark script still names it."""
+def make_constellation(name: str) -> np.ndarray:
+    """``QPSK``, the only alphabet, by name; the benchmark script still names it."""
     if name != "qpsk":
         raise ValueError(f"unknown constellation {name!r}")
-    return make_qpsk()
+    return QPSK
 
 
 @dataclass(frozen=True)
@@ -256,25 +256,24 @@ def _simulate_block(
     ``_naming``).
     """
     method, learner, n_pilots = cell
-    constellation = make_qpsk()
     alpha = _alpha(config, method)
     frames, sets = [], []
     for frame_index in frame_indices:
         with _naming(cell, [frame_index]):
             fseed = frame_seed(config.master_seed, *cell, frame_index)
             frame = generate_frame(
-                n_pilots, config.n_test, config.snr_linear, constellation, derive_rng(fseed, 0)
+                n_pilots, config.n_test, config.snr_linear, QPSK, derive_rng(fseed, 0)
             )
             frames.append(frame)
             plan = conformal.fold_plan(
                 method, frame.pilot_x, frame.pilot_y, hash64(fseed, 1), config.k_folds
             )
-            sets.append(conformal.PayloadSets(plan, alpha, frame.test_x, len(constellation)))
+            sets.append(conformal.PayloadSets(plan, alpha, frame.test_x, len(QPSK)))
     # Every plan of a block has the same shape, so all or none are vacuous.
     if sets[0].pending:
         fit_logged, score_logged = set(), [set() for _ in sets]
         plans = [frame_sets.plan for frame_sets in sets]
-        stacks = conformal.fitted_stacks(_make_learner(learner, len(constellation)), plans)
+        stacks = conformal.fitted_stacks(_make_learner(learner, len(QPSK)), plans)
         while True:
             with _naming(cell, frame_indices, fit_logged):
                 stack = next(stacks, None)

@@ -12,8 +12,8 @@ import numpy as np
 
 from cpdemod import conformal, mlp
 from cpdemod.channel import (
+    QPSK,
     ChannelParams,
-    Constellation,
     Frame,
     apply_iq_imbalance,
     sample_channel_params,
@@ -230,7 +230,6 @@ def reference_predictive(model: np.ndarray, X) -> np.ndarray:
 
 def reference_transmit(
     y_label: int,
-    constellation: Constellation,
     params: ChannelParams,
     snr_linear: float,
     rng: np.random.Generator,
@@ -238,9 +237,7 @@ def reference_transmit(
     """One symbol through the channel in scalar arithmetic, two noise draws."""
     if not snr_linear > 0.0:
         raise ValueError(f"snr_linear must be positive, got {snr_linear!r}")
-    distorted = apply_iq_imbalance(
-        complex(constellation.points[y_label]), params.amp_imb, params.phase_imb
-    )
+    distorted = apply_iq_imbalance(complex(QPSK[y_label]), params.amp_imb, params.phase_imb)
     clean = cmath.exp(1j * params.phase) * distorted
     scale = math.sqrt(1.0 / (2.0 * snr_linear))
     noise = rng.standard_normal(2)
@@ -251,17 +248,14 @@ def reference_frame(
     n_pilots: int,
     n_test: int,
     snr_linear: float,
-    constellation: Constellation,
     rng: np.random.Generator,
 ) -> Frame:
     """A frame simulated one symbol at a time with ``reference_transmit``."""
     if n_pilots < 1 or n_test < 1:
         raise ValueError("n_pilots and n_test must both be at least 1")
     params = sample_channel_params(rng)
-    labels = rng.integers(0, len(constellation), size=n_pilots + n_test)
-    xs = np.array(
-        [reference_transmit(int(lab), constellation, params, snr_linear, rng) for lab in labels]
-    )
+    labels = rng.integers(0, len(QPSK), size=n_pilots + n_test)
+    xs = np.array([reference_transmit(int(lab), params, snr_linear, rng) for lab in labels])
     return Frame(
         params,
         xs[:n_pilots],

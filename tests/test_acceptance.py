@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cpdemod import cli, conformal, mlp
-from cpdemod.channel import generate_frame, make_qpsk
+from cpdemod.channel import QPSK, generate_frame
 from cpdemod.conformal import CrossValConformalPredictor, rank_threshold
 from cpdemod.harness import (
     LEARNERS,
@@ -163,7 +163,7 @@ def test_criterion_6_numerical_core(monkeypatch):
             member_ok = member_ok and bool(got[l]) == (count >= need)
 
     # d) leave-fold-out with one-point folds is exactly leave-one-out
-    frame = generate_frame(6, 10, SNR_5DB, make_qpsk(), np.random.default_rng(55))
+    frame = generate_frame(6, 10, SNR_5DB, QPSK, np.random.default_rng(55))
     learner = GDLearner(ModelArch())
     loo = CrossValConformalPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, None, 8)
     kn = CrossValConformalPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, 6, 8)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdemod import conformal
-from cpdemod.channel import generate_frame, make_qpsk
+from cpdemod.channel import QPSK, generate_frame
 from cpdemod.conformal import (
     CrossValConformalPredictor,
     NaiveSetPredictor,
@@ -41,7 +41,7 @@ ALL_LABELS = np.arange(4)
 
 
 def _pilot_frame(n_pilots, seed, n_test=1):
-    return generate_frame(n_pilots, n_test, SNR_5DB, make_qpsk(), np.random.default_rng(seed))
+    return generate_frame(n_pilots, n_test, SNR_5DB, QPSK, np.random.default_rng(seed))
 
 
 def _quick_learner(steps=30):
@@ -448,13 +448,12 @@ class _CentroidLearner:
 def _exchangeable_coverage(alpha, trials=300, n_pilots=19, n_test=10):
     """Pooled coverage of leave-one-out cross-conformal sets over ``trials``
     independent draws of i.i.d. pilots and payload from noisy QPSK."""
-    points = make_qpsk().points
     rng = np.random.default_rng(2015)
     hits = 0
     for trial in range(trials):
         labels = rng.integers(0, 4, size=n_pilots + n_test)
         noise = rng.normal(scale=0.6, size=(n_pilots + n_test, 2))
-        x = points[labels] + noise[:, 0] + 1j * noise[:, 1]
+        x = QPSK[labels] + noise[:, 0] + 1j * noise[:, 1]
         pred = CrossValConformalPredictor(
             x[:n_pilots], labels[:n_pilots], alpha, _CentroidLearner(), None, trial
         )

@@ -21,7 +21,7 @@ import math
 import pytest
 
 from cpdemod import conformal
-from cpdemod.channel import generate_frame, make_qpsk
+from cpdemod.channel import QPSK, generate_frame
 from cpdemod.harness import (
     ExperimentConfig,
     _cell_blocks,
@@ -42,7 +42,6 @@ N_SYMBOLS = CONFIG.n_frames * CONFIG.n_test
 def pooled_coverage():
     """Pooled coverage of every cell at every level in ``ALPHAS``, keyed by
     (method, learner, alpha)."""
-    constellation = make_qpsk()
     hits = {}
     for _, cell, frame_indices in _cell_blocks(CONFIG):
         method, learner, n_pilots = cell
@@ -50,7 +49,7 @@ def pooled_coverage():
         for frame_index in frame_indices:
             fseed = frame_seed(CONFIG.master_seed, *cell, frame_index)
             frame = generate_frame(
-                n_pilots, CONFIG.n_test, CONFIG.snr_linear, constellation, derive_rng(fseed, 0)
+                n_pilots, CONFIG.n_test, CONFIG.snr_linear, QPSK, derive_rng(fseed, 0)
             )
             frames.append(frame)
             plans.append(
@@ -59,10 +58,10 @@ def pooled_coverage():
                 )
             )
         sets = [
-            [conformal.PayloadSets(plan, a, frame.test_x, len(constellation)) for a in ALPHAS]
+            [conformal.PayloadSets(plan, a, frame.test_x, len(QPSK)) for a in ALPHAS]
             for frame, plan in zip(frames, plans)
         ]
-        for stack in conformal.fitted_stacks(_make_learner(learner, len(constellation)), plans):
+        for stack in conformal.fitted_stacks(_make_learner(learner, len(QPSK)), plans):
             for p, models in stack:
                 for alpha_sets in sets[p]:
                     alpha_sets.add(models)

@@ -17,6 +17,7 @@ import pytest
 
 import cpdemod
 from cpdemod import conformal, harness
+from cpdemod.channel import QPSK
 from cpdemod.harness import (
     CSV_HEADER,
     LEARNERS,
@@ -361,7 +362,7 @@ def test_the_package_exports_its_public_api_only():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == {
-        "ChannelParams", "Constellation", "Frame", "generate_frame", "make_qpsk",
+        "QPSK", "ChannelParams", "Frame", "generate_frame",
         "CrossValConformalPredictor", "NaiveSetPredictor", "SplitConformalPredictor",
         "rank_threshold",
         "ExperimentConfig", "MetricsRecord", "run_experiment", "simulate_frame", "write_csv",
@@ -667,7 +668,7 @@ def test_writers_reject_empty_record_lists(tmp_path):
 
 
 def test_make_constellation():
-    assert len(make_constellation("qpsk")) == 4
+    assert make_constellation("qpsk") is QPSK
     with pytest.raises(ValueError):
         make_constellation("64apsk")
 

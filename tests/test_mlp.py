@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdemod import mlp
-from cpdemod.channel import generate_frame, make_qpsk
+from cpdemod.channel import QPSK, generate_frame
 from cpdemod.mlp import (
     GDLearner,
     ModelArch,
@@ -315,7 +315,7 @@ def test_train_sgld_permutation_bit_identical():
 
 
 def test_trainers_stay_finite_at_working_scale():
-    frame = generate_frame(100, 1, SNR_5DB, make_qpsk(), np.random.default_rng(24))
+    frame = generate_frame(100, 1, SNR_5DB, QPSK, np.random.default_rng(24))
     X = features(frame.pilot_x)
     w = fit_one(GDLearner(ModelArch()), X, frame.pilot_y, np.random.default_rng(25))
     assert np.isfinite(w).all()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cpdemod import conformal, mlp
-from cpdemod.channel import generate_frame, make_qpsk
+from cpdemod.channel import QPSK, generate_frame
 from cpdemod.conformal import CrossValConformalPredictor, SplitConformalPredictor
 from cpdemod.mlp import GDLearner, ModelArch, SGLDLearner, features, init_weights
 from cpdemod.seeding import derive_rng
@@ -39,7 +39,7 @@ MEMBERS = {"gd": 1, "sgld": 4}
 
 
 def _pilots(n, seed):
-    frame = generate_frame(n, 1, SNR_5DB, make_qpsk(), np.random.default_rng(seed))
+    frame = generate_frame(n, 1, SNR_5DB, QPSK, np.random.default_rng(seed))
     return features(frame.pilot_x), frame.pilot_y
 
 
@@ -70,7 +70,7 @@ def test_stacked_fit_equals_single_fits(learner, rows):
 @pytest.mark.parametrize("learner", sorted(LEARNERS))
 def test_fold_count_above_the_stack_cap_fits_in_capped_stacks(learner):
     k = conformal.MAX_STACK + 5
-    frame = generate_frame(k, 3, SNR_5DB, make_qpsk(), np.random.default_rng(2))
+    frame = generate_frame(k, 3, SNR_5DB, QPSK, np.random.default_rng(2))
     stack_sizes = []
 
     class Counting:
@@ -310,7 +310,7 @@ _METHODS = {
 def test_model_j_equals_a_lone_fit_outside_fold_j(learner, method):
     # A plan stores only its folds: the training rows of every method rest on
     # this rule.
-    frame = generate_frame(10, 1, SNR_5DB, make_qpsk(), np.random.default_rng(6))
+    frame = generate_frame(10, 1, SNR_5DB, QPSK, np.random.default_rng(6))
     pred = _METHODS[method](frame.pilot_x, frame.pilot_y, LEARNERS[learner])
     feats = features(frame.pilot_x)
     assert len(pred.models) == len(pred.plan.folds)
@@ -326,7 +326,7 @@ def test_model_j_equals_a_lone_fit_outside_fold_j(learner, method):
 def test_stacked_scoring_equals_per_model_scoring(learner, plan, n_test):
     # 2600 payload rows need more than MAX_PASS_BYTES for one network alone,
     # so every pass scores a single network on the whole payload.
-    frame = generate_frame(10, n_test, SNR_5DB, make_qpsk(), np.random.default_rng(9))
+    frame = generate_frame(10, n_test, SNR_5DB, QPSK, np.random.default_rng(9))
     pred = _PLANS[plan](frame.pilot_x, frame.pilot_y, LEARNERS[learner])
     feats = features(frame.pilot_x)
     held_out = []
@@ -349,7 +349,7 @@ def test_stacked_scoring_equals_per_model_scoring(learner, plan, n_test):
 @pytest.mark.parametrize("plan", ["naive", *sorted(_PLANS)])
 def test_one_predictor_scores_payloads_of_any_size_in_turn(learner, plan):
     # 2600 rows run one network per pass, 7 rows one pass for every network.
-    frame = generate_frame(10, 2600, SNR_5DB, make_qpsk(), np.random.default_rng(4))
+    frame = generate_frame(10, 2600, SNR_5DB, QPSK, np.random.default_rng(4))
     payloads = [frame.test_x[:7], frame.test_x, frame.test_x[7:14]]
 
     def predictor():
