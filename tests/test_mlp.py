@@ -225,6 +225,29 @@ def test_nll_permutation_bit_identical():
     assert np.array_equal(log_losses(w, X)[perm], log_losses(w, X[perm]))
 
 
+def test_per_model_rows_keep_their_scoring_bits_wherever_they_sit():
+    # Model k scores its own rows X[:, k]; moving a row moves its bits.
+    rng = np.random.default_rng(30)
+    models = np.array([[init_weights(ModelArch(), rng) for _ in range(3)] for _ in range(5)])
+    X = rng.normal(size=(203, 5, 2))
+    perm = rng.permutation(203)
+    got = predictive_stack(models, X[perm])
+    assert got.tobytes() == predictive_stack(models, X)[perm].tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [5000, 5003])
+def test_wide_payload_rows_keep_their_scoring_bits_wherever_they_sit(n_rows):
+    # One network's rows fill a pass, so the 20 members run as 20 passes,
+    # each product n_rows deep; 5003 is no multiple of a kernel's width.
+    rng = np.random.default_rng(31)
+    model = np.array([[init_weights(ModelArch(), rng) for _ in range(20)]])
+    X = features(generate_frame(1, n_rows, SNR_5DB, QPSK, rng).test_x)
+    assert 8 * n_rows * sum(fan_out for _, fan_out in ModelArch().dims()) > mlp.MAX_PASS_BYTES
+    perm = rng.permutation(n_rows)
+    got = predictive_stack(model, X[perm])
+    assert got.tobytes() == predictive_stack(model, X)[perm].tobytes()
+
+
 def test_grad_matches_finite_differences(monkeypatch):
     # Seeds avoid draws with a pre-activation inside the difference stencil:
     # at a kink of the piecewise-linear activation the two-sided difference
