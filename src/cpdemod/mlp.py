@@ -46,6 +46,14 @@ PROB_FLOOR = 1e-12
 #: holds one pass's activations next to the models it scores.
 MAX_PASS_BYTES = 1 << 20
 
+#: Scoring pads two or more rows with zero rows to a multiple of this.
+#: OpenBLAS's Haswell dgemm can give the rows past a product's last multiple
+#: of 8 other bits than the same rows elsewhere; padded, every real row runs
+#: in a full block, so a row's scores do not depend on where it sits.  One
+#: row has no position, and runs unpadded: numpy scores it as a
+#: matrix-vector product, whose bits a padded matrix product would not keep.
+ROW_BLOCK = 8
+
 
 @dataclass(frozen=True)
 class ModelArch:
@@ -297,9 +305,11 @@ def predictive_stack(models: np.ndarray, X) -> np.ndarray:
     run as stacked passes of at most ``MAX_PASS_BYTES`` each: a pass holds
     consecutive whole models, or, when one model's members alone exceed the
     budget, a run of that model's members.  Every network sees all ``n`` of
-    its rows in one product, so each model's output has the bits it has when
-    scored alone.  A pass reads its networks' rows in place (a view of
-    ``models`` as the learners return them), so the call copies no weights.
+    its rows in one product, two or more padded to a multiple of
+    ``ROW_BLOCK``, so each model's output has the bits it has when scored
+    alone, and each row the bits it has wherever it sits.  A pass reads its networks' rows in
+    place (a view of ``models`` as the learners return them), so the call
+    copies no weights.
     There must be at least one model, and a model needs at least one member.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -315,7 +325,10 @@ def predictive_stack(models: np.ndarray, X) -> np.ndarray:
         raise ValueError("a model needs at least one member")
     dims = _dims(n_params)
     n = len(X)
-    net_bytes = 8 * (n * sum(fan_out for _, fan_out in dims) + n_params)
+    if n > 1 and n % ROW_BLOCK:
+        X = np.concatenate([X, np.zeros((-n % ROW_BLOCK, *X.shape[1:]))])
+    m = len(X)
+    net_bytes = 8 * (m * sum(fan_out for _, fan_out in dims) + n_params)
     per_pass = max(1, MAX_PASS_BYTES // net_bytes)
     # Whole models per pass, or runs of one model's members if they alone exceed the budget.
     models_per_pass, members_per_pass = max(1, per_pass // size), min(per_pass, size)
@@ -326,10 +339,10 @@ def predictive_stack(models: np.ndarray, X) -> np.ndarray:
             e1 = min(e0 + members_per_pass, size)
             nets = models[k0:k1, e0:e1].reshape(-1, n_params)
             if X.ndim == 2:
-                rows = np.broadcast_to(X[:, None], (n, len(nets), X.shape[-1]))
+                rows = np.broadcast_to(X[:, None], (m, len(nets), X.shape[-1]))
             else:
                 rows = np.repeat(X[:, k0:k1], e1 - e0, axis=1)
-            probs = _Pass(nets, rows).forward().reshape(n, k1 - k0, e1 - e0, total.shape[-1])
+            probs = _Pass(nets, rows).forward()[:n].reshape(n, k1 - k0, e1 - e0, -1)
             for member in range(e1 - e0):
                 total[:, k0:k1] += probs[:, :, member]
     return np.divide(total, size, out=total)

@@ -224,8 +224,13 @@ def reference_train_sgld(
 
 def reference_predictive(model: np.ndarray, X) -> np.ndarray:
     """Predictive of one ``(E, n_params)`` model, one member network at a
-    time."""
-    return np.mean([reference_forward(m, X)[1] for m in model], axis=0)
+    time, each on ``X`` padded as scoring pads it: two or more rows take
+    zero rows up to a multiple of ``mlp.ROW_BLOCK``."""
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    pad = -n % mlp.ROW_BLOCK if n > 1 else 0
+    padded = np.concatenate([X, np.zeros((pad, X.shape[-1]))])
+    return np.mean([reference_forward(m, padded)[1][:n] for m in model], axis=0)
 
 
 def reference_transmit(

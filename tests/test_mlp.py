@@ -225,27 +225,41 @@ def test_nll_permutation_bit_identical():
     assert np.array_equal(log_losses(w, X)[perm], log_losses(w, X[perm]))
 
 
-def test_per_model_rows_keep_their_scoring_bits_wherever_they_sit():
-    # Model k scores its own rows X[:, k]; moving a row moves its bits.
-    rng = np.random.default_rng(30)
-    models = np.array([[init_weights(ModelArch(), rng) for _ in range(3)] for _ in range(5)])
-    X = rng.normal(size=(203, 5, 2))
-    perm = rng.permutation(203)
-    got = predictive_stack(models, X[perm])
-    assert got.tobytes() == predictive_stack(models, X)[perm].tobytes()
+@pytest.mark.parametrize(
+    "models, members, n_rows, per_model_rows, passes",
+    [
+        (1, 1, 13, False, 1),
+        (5, 3, 203, True, 2),
+        (1, 20, 5000, False, 20),
+        (1, 20, 5003, False, 20),
+    ],
+    ids=["one-network-13", "per-model-203", "wide-5000", "wide-5003"],
+)
+def test_rows_keep_their_scoring_bits_wherever_they_sit(
+    models, members, n_rows, per_model_rows, passes, monkeypatch
+):
+    # Shared rows, per-model (n, K, d) rows, and a payload so wide that one
+    # network fills a pass, so the 20 members run as 20 passes.  Every pass
+    # runs a multiple of ROW_BLOCK rows: OpenBLAS's Haswell dgemm can give
+    # the rows past a product's last multiple of 8 other bits.
+    rng = np.random.default_rng(n_rows)
+    nets = np.array(
+        [[init_weights(ModelArch(), rng) for _ in range(members)] for _ in range(models)]
+    )
+    X = rng.normal(size=(n_rows, models, 2) if per_model_rows else (n_rows, 2))
+    pass_rows = []
 
+    class Recording(mlp._Pass):
+        def __init__(self, params, rows, *args):
+            pass_rows.append(len(rows))
+            super().__init__(params, rows, *args)
 
-@pytest.mark.parametrize("n_rows", [5000, 5003])
-def test_wide_payload_rows_keep_their_scoring_bits_wherever_they_sit(n_rows):
-    # One network's rows fill a pass, so the 20 members run as 20 passes,
-    # each product n_rows deep; 5003 is no multiple of a kernel's width.
-    rng = np.random.default_rng(31)
-    model = np.array([[init_weights(ModelArch(), rng) for _ in range(20)]])
-    X = features(generate_frame(1, n_rows, SNR_5DB, QPSK, rng).test_x)
-    assert 8 * n_rows * sum(fan_out for _, fan_out in ModelArch().dims()) > mlp.MAX_PASS_BYTES
+    monkeypatch.setattr(mlp, "_Pass", Recording)
     perm = rng.permutation(n_rows)
-    got = predictive_stack(model, X[perm])
-    assert got.tobytes() == predictive_stack(model, X)[perm].tobytes()
+    got = predictive_stack(nets, X[perm])
+    assert len(pass_rows) == passes
+    assert all(m % mlp.ROW_BLOCK == 0 for m in pass_rows), pass_rows
+    assert got.tobytes() == predictive_stack(nets, X)[perm].tobytes()
 
 
 def test_grad_matches_finite_differences(monkeypatch):
