@@ -1,12 +1,7 @@
 """Set-valued demodulation with conformal calibration over a simulated channel."""
 
 from .channel import QPSK, ChannelParams, Frame, generate_frame
-from .conformal import (
-    CrossValConformalPredictor,
-    NaiveSetPredictor,
-    SplitConformalPredictor,
-    rank_threshold,
-)
+from .conformal import rank_threshold
 from .harness import (
     ExperimentConfig,
     MetricsRecord,

@@ -42,9 +42,7 @@ changes any output.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -65,16 +63,17 @@ MAX_STACK = 20
 def rank_threshold(n_scores: int, alpha: float) -> int:
     """Minimum number of calibration scores a candidate's score must not
     exceed for the candidate to enter a split or cross-conformal set:
-    ``floor(alpha * (n_scores + 1))``, computed in exact rational arithmetic
-    on the binary value of ``alpha``, so results agree with hand calculations
-    even when the float product lands on the wrong side of an integer (e.g.
-    0.3 * 10).  A threshold of 0 makes membership vacuous (every label
-    enters).
+    ``floor(alpha * (n_scores + 1))``, computed in integer arithmetic on the
+    exact binary value ``num / den`` of ``alpha``, so results agree with hand
+    calculations even when the float product lands on the wrong side of an
+    integer (e.g. 0.3 * 10).  A threshold of 0 makes membership vacuous
+    (every label enters).
     """
     n_scores, alpha = integer("n_scores", n_scores), alpha_level(alpha)
     if n_scores < 0:
         raise ValueError(f"n_scores must be at least 0, got {n_scores}")
-    return math.floor(Fraction(alpha) * (n_scores + 1))
+    num, den = alpha.as_integer_ratio()
+    return num * (n_scores + 1) // den
 
 
 def naive_mask(probs, alpha: float) -> np.ndarray:
@@ -239,13 +238,6 @@ def _held_out_scores(plan: FoldPlan, first: int, models) -> np.ndarray:
     return np.take_along_axis(scores, y[:, :, None], axis=-1)[..., 0].T
 
 
-def _payload_scores(models, feats: np.ndarray) -> np.ndarray:
-    """``(payload, labels, len(models))`` scores of every label of every
-    payload row, each model scoring the one payload matrix ``feats``: the
-    candidate scores of ``_rank_counts``."""
-    return mlp.log_losses(models, feats).transpose(0, 2, 1)
-
-
 class PayloadSets:
     """The sets of the payload ``x`` over ``n_labels`` labels under one plan,
     built stack by stack; the payload is checked on construction (a
@@ -259,9 +251,11 @@ class PayloadSets:
     when at least ``threshold_count = rank_threshold(n_cal, alpha)`` of the
     ``n_cal`` held-out pilots score at or above it under their own model; a
     threshold of 0 (a ``vacuous`` plan) admits every label at once.  Under
-    the mass rule, the one model's predictive decides.  Payload features and
-    counts exist only while models are added, so sets waiting for their
-    first model hold nothing the size of the payload but ``x`` itself.
+    the mass rule, the one model's predictive decides.  The payload is
+    featurized once, on construction, and its features (``feats``, as many
+    bytes as the complex samples) are kept only while models are pending;
+    the counts exist only while models are added.  So a vacuous plan and
+    finished sets hold nothing the size of the payload but ``mask``.
 
     ``diverged`` counts the added models with non-finite weights,
     ``nan_held_out`` the NaN held-out scores, and ``nan_rows`` marks the
@@ -275,19 +269,21 @@ class PayloadSets:
     def __init__(self, plan: FoldPlan, alpha: float, x, n_labels: int):
         self.plan = plan
         self.alpha = alpha_level(alpha)
-        self.x = x
         self.threshold_count = rank_threshold(plan.folds.size, self.alpha)
         #: Models still to add; a vacuous plan needs none.
         self.pending = 0 if vacuous(plan, self.alpha) else len(plan.folds)
         self.counts = None
         self.diverged, self.nan_held_out, self.nan_rows = 0, 0, None
-        n_rows = len(mlp.features(x))
-        self.mask = None if self.pending else np.ones((n_rows, n_labels), dtype=bool)
+        feats = mlp.features(x)
+        self.feats = feats if self.pending else None
+        self.mask = None if self.pending else np.ones((len(feats), n_labels), dtype=bool)
 
     def add(self, models) -> None:
-        feats = mlp.features(self.x)
+        feats = self.feats
         first = len(self.plan.folds) - self.pending
         self.pending -= len(models)
+        if not self.pending:
+            self.feats = None
         self.diverged += sum(not np.isfinite(model).all() for model in models)
         if not self.plan.folds.size:
             probs = mlp.predictive_stack(models, feats)[:, 0]
@@ -295,7 +291,8 @@ class PayloadSets:
             self.mask = naive_mask(probs, self.alpha)
             return
         held_out = _held_out_scores(self.plan, first, models)
-        scores = _payload_scores(models, feats)
+        # (payload, labels, models): the candidate scores of ``_rank_counts``.
+        scores = mlp.log_losses(models, feats).transpose(0, 2, 1)
         if not np.isfinite(held_out.sum()):
             self.nan_held_out += int(np.isnan(held_out).sum())
         self._note_nan_rows(scores)
@@ -306,8 +303,7 @@ class PayloadSets:
 
     def _note_nan_rows(self, scores: np.ndarray) -> None:
         # A finite sum has no NaN term.  Testing it first makes no array of
-        # flags for a frame without NaN: flagging every stack's scores raised
-        # the peak resident size of a cv benchmark run by ~0.7 MB.
+        # flags, the size of the scores, for a frame without NaN.
         if np.isfinite(scores.sum()):
             return
         rows = np.isnan(scores).reshape(len(scores), -1).any(axis=1)

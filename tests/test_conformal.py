@@ -61,6 +61,14 @@ def test_rank_threshold_examples():
     assert rank_threshold(9, 0.3) == 2
 
 
+def test_rank_threshold_is_the_rational_floor():
+    # The oracle is the rational product on the exact binary value of alpha.
+    alphas = [0.1, 0.3, 0.05, 0.2, 0.7, 1 / 3, *np.random.default_rng(29).uniform(0, 1, 200)]
+    for alpha in map(float, alphas):
+        for n in range(301):
+            assert rank_threshold(n, alpha) == math.floor(Fraction(alpha) * (n + 1)), (n, alpha)
+
+
 def test_index_identity_covers_all_scores():
     # The calibrated quantile's 1-based order statistic, ceil((1 - alpha) *
     # (n + 1)) in exact arithmetic, and the rank threshold split n + 1

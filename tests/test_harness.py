@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import cpdemod
-from cpdemod import conformal, harness
+from cpdemod import conformal, harness, mlp
 from cpdemod.channel import QPSK
 from cpdemod.harness import (
     CSV_HEADER,
@@ -92,6 +92,22 @@ def test_simulate_frame_degenerate_cross_val_covers_everything():
     hits, sizes = tally(mask, frame.test_y)
     assert hits == 12
     assert np.array_equal(sizes, np.full(12, 4))
+
+
+def test_a_frame_featurizes_its_pilots_and_its_payload_once(monkeypatch):
+    # 30 leave-one-out models fit in two stacks, and neither stack featurizes
+    # the payload again.
+    featurized = []
+    features = mlp.features
+
+    def counted(x):
+        featurized.append(np.size(x))
+        return features(x)
+
+    monkeypatch.setattr(mlp, "features", counted)
+    config = _small_config(methods=("cv",), learners=("frequentist",), n_pilots_grid=(30,))
+    simulate_frame(config, ("cv", "frequentist", 30), 0)
+    assert featurized == [30, config.n_test]
 
 
 def test_frame_seed_is_frozen():
@@ -363,7 +379,6 @@ def test_the_package_exports_its_public_api_only():
     }
     assert exported == {
         "QPSK", "ChannelParams", "Frame", "generate_frame",
-        "CrossValConformalPredictor", "NaiveSetPredictor", "SplitConformalPredictor",
         "rank_threshold",
         "ExperimentConfig", "MetricsRecord", "run_experiment", "simulate_frame", "write_csv",
         "GDLearner", "ModelArch", "SGLDLearner", "grad", "init_weights",
@@ -372,11 +387,14 @@ def test_the_package_exports_its_public_api_only():
 
 def test_import_does_not_load_the_process_pool():
     # The pool module loads multiprocessing; only a pooled run needs it.
+    # Integer arithmetic gives the rank threshold, so nothing loads
+    # fractions (which loads decimal).
     code = (
         "import sys, cpdemod\n"
         "from cpdemod.harness import ExperimentConfig\n"
         "ExperimentConfig()\n"
-        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('multiprocessing') or m in ('fractions', 'decimal')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cpdemod.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
