@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy import stats
 
 from cpdemod.channel import (
@@ -13,6 +11,7 @@ from cpdemod.channel import (
     PHASE_IMB_MAX,
     QPSK,
     ChannelParams,
+    Frame,
     apply_iq_imbalance,
     generate_frame,
     sample_channel_params,
@@ -74,13 +73,15 @@ def test_channel_params_rejects_out_of_range(kwargs):
         ChannelParams(**kwargs)
 
 
-@given(
-    st.complex_numbers(
-        min_magnitude=0.0, max_magnitude=10.0, allow_nan=False, allow_infinity=False
-    )
-)
-def test_iq_imbalance_identity_when_disabled(y):
-    assert apply_iq_imbalance(y, 0.0, 0.0) == y
+def test_iq_imbalance_identity_when_disabled():
+    # Signed zeros, the smallest subnormals and the largest magnitude, then
+    # 100 draws of magnitude up to 10, half of them log-uniform down to 1e-300.
+    rng = np.random.default_rng(31)
+    radius = np.concatenate([10.0 * rng.uniform(size=50), 10.0 ** rng.uniform(-300, 1, size=50)])
+    drawn = radius * np.exp(2j * math.pi * rng.uniform(size=100))
+    edges = [0j, complex(-0.0, -0.0), complex(5e-324, -5e-324), 10 + 0j, -10j]
+    for y in edges + [complex(y) for y in drawn]:
+        assert apply_iq_imbalance(y, 0.0, 0.0) == y, f"y = {y!r}"
 
 
 def test_iq_imbalance_pure_gain_mismatch():
@@ -185,6 +186,14 @@ def test_generate_frame_equals_per_symbol_reference(snr):
 def test_generate_frame_rejects_any_alphabet_but_qpsk(alphabet):
     with pytest.raises(ValueError, match="alphabet must be QPSK"):
         generate_frame(10, 5, SNR_5DB, alphabet, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("pilots, payload", [(3, 1), (1, 3)], ids=["pilots", "payload"])
+def test_frame_rejects_samples_and_labels_of_different_lengths(pilots, payload):
+    params = sample_channel_params(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^sample and label arrays must have matching lengths$"):
+        Frame(params, np.zeros(pilots, complex), np.zeros(2, np.int64),
+              np.zeros(payload, complex), np.zeros(2, np.int64))
 
 
 def test_generate_frame_shapes_and_label_range():

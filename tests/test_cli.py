@@ -50,6 +50,15 @@ def test_threads_default_follows_cpu_affinity(monkeypatch, cpus):
     assert parse_args(["run"]).threads == len(cpus)
 
 
+@pytest.mark.parametrize("cpus, usable", [(7, 7), (None, 1)])
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch, cpus, usable):
+    # Platforms without sched_getaffinity (macOS, Windows) use os.cpu_count(),
+    # and a count the platform cannot tell (None) means one CPU.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert cli._usable_cpus() == usable
+
+
 def test_parse_overrides():
     args = parse_args(
         ["run", "--n-pilots", "10", "20", "--methods", "cv", "--alpha", "0.2",

@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cpdemod import conformal
 from cpdemod.channel import QPSK, generate_frame
@@ -148,21 +146,28 @@ def test_empirical_quantile_against_counting_oracle():
         assert np.array_equal(enters, candidates <= quantile_by_counting(scores, alpha))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    n=st.integers(1, 25),
-    seed=st.integers(0, 2**32 - 1),
-    alpha=st.floats(0.01, 0.99),
-)
-def test_quantile_and_rank_rules_agree(n, seed, alpha):
+def test_quantile_and_rank_rules_agree():
     # Comparing against the calibrated quantile and counting scores at or
-    # above the candidate are the same decision, ties included.
-    rng = np.random.default_rng(seed)
-    scores = rng.integers(0, 6, size=n).astype(float)
-    candidate = float(rng.integers(-1, 8)) / (2.0 if rng.integers(0, 2) else 1.0)
-    via_quantile = candidate <= quantile_by_counting(scores, alpha)
-    via_rank = bool(rank_rule([[candidate]], [scores], alpha)[0])
-    assert via_quantile == via_rank
+    # above the candidate are the same decision, ties included.  Besides 200
+    # random (n, alpha) draws, every n in 1-25 is tried at the ends of the
+    # alpha range and at each alpha = j / (n + 1), where the threshold steps,
+    # and at the float on either side of it.
+    rng = np.random.default_rng(16)
+    cases = [(n, alpha) for n in range(1, 26) for alpha in (0.01, 0.99)]
+    for n in range(1, 26):
+        for j in range(1, n + 1):
+            step = j / (n + 1)
+            cases += [(n, np.nextafter(step, 0.0)), (n, step), (n, np.nextafter(step, 1.0))]
+    cases += [(int(rng.integers(1, 26)), rng.uniform(0.01, 0.99)) for _ in range(200)]
+    candidates = np.arange(-2, 15) / 2.0
+    for n, alpha in cases:
+        scores = rng.integers(0, 6, size=n).astype(float)
+        via_quantile = candidates <= quantile_by_counting(scores, float(alpha))
+        via_rank = rank_rule(candidates[:, None], [scores], float(alpha))
+        assert np.array_equal(via_quantile, via_rank), (
+            f"n = {n}, alpha = {float(alpha)!r}, scores = {scores}: "
+            f"the rules disagree on {candidates[via_quantile != via_rank]}"
+        )
 
 
 # ---------------------------------------------------------------- scores
@@ -214,13 +219,14 @@ def test_naive_set_certain_model_is_singleton():
     assert np.array_equal(np.flatnonzero(naive_mask(probs, 0.1)[0]), [1])
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_naive_set_shrinks_as_alpha_grows(seed):
-    rng = np.random.default_rng(seed)
-    probs = rng.dirichlet(np.ones(4))
-    lo, hi = np.sort(rng.uniform(0.01, 0.99, size=2))
-    assert np.all(naive_mask(probs, float(lo)) | ~naive_mask(probs, float(hi)))
+def test_naive_set_shrinks_as_alpha_grows():
+    rng = np.random.default_rng(17)
+    for draw in range(100):
+        probs = rng.dirichlet(np.ones(4))
+        lo, hi = np.sort(rng.uniform(0.01, 0.99, size=2))
+        assert np.all(naive_mask(probs, float(lo)) | ~naive_mask(probs, float(hi))), (
+            f"draw {draw}: probs = {probs}, alphas = {lo!r}, {hi!r}"
+        )
 
 
 def _naive_row_oracle(probs, alpha):
@@ -404,22 +410,25 @@ def test_rank_counts_match_the_comparison_oracle_with_ties_and_nan():
         assert np.array_equal(conformal._rank_counts(scores, held), want)
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5))
-def test_a_nan_held_out_score_never_removes_a_label(seed, alpha):
+def test_a_nan_held_out_score_never_removes_a_label():
     # NaN ranks as the worst score, so turning any held-out score into NaN
     # never lowers a rank count, and the threshold counts the score either way.
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(18)
     values = np.array([0.0, 1.0, 1.0, 2.5, np.inf, np.nan])
-    k, f = int(rng.integers(1, 6)), int(rng.integers(1, 8))
-    held = rng.choice(values, size=(k, f))
-    scores = rng.choice(values, size=(3, 4, k))
-    nan = held.copy()
-    nan[rng.integers(k), rng.integers(f)] = np.nan
-    assert np.all(conformal._rank_counts(scores, nan) >= conformal._rank_counts(scores, held))
-    # The same on the sets: the rank threshold depends on the score count
-    # alone, so no label leaves a set.
-    assert np.all(rank_rule(scores, nan, alpha) | ~rank_rule(scores, held, alpha))
+    for alpha in [0.05, 0.5, *rng.uniform(0.05, 0.5, size=200)]:
+        k, f = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        held = rng.choice(values, size=(k, f))
+        scores = rng.choice(values, size=(3, 4, k))
+        nan = held.copy()
+        nan[rng.integers(k), rng.integers(f)] = np.nan
+        draw = (f"alpha = {float(alpha)!r}, held = {held.tolist()}, nan = {nan.tolist()}, "
+                f"scores = {scores.tolist()}")
+        assert np.all(
+            conformal._rank_counts(scores, nan) >= conformal._rank_counts(scores, held)
+        ), draw
+        # The same on the sets: the rank threshold depends on the score count
+        # alone, so no label leaves a set.
+        assert np.all(rank_rule(scores, nan, alpha) | ~rank_rule(scores, held, alpha)), draw
 
 
 class _CentroidLearner:
@@ -516,6 +525,12 @@ def test_an_unknown_method_is_named():
     frame = _pilot_frame(10, seed=20)
     with pytest.raises(ValueError, match="^unknown method 'loo'$"):
         conformal.fold_plan("loo", frame.pilot_x, frame.pilot_y)
+
+
+@pytest.mark.parametrize("method", ["naive", "vb", "cv", "kcv"])
+def test_a_plan_without_pilots_names_the_missing_pilot(method):
+    with pytest.raises(ValueError, match="^need at least one pilot$"):
+        conformal.fold_plan(method, [], [])
 
 
 @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])

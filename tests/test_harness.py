@@ -680,6 +680,17 @@ def test_writers_never_touch_the_process_umask(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["out.csv"]
 
 
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    # The rename onto a directory fails after the temporary file is written;
+    # the writer removes that file before the error propagates.
+    records = [MetricsRecord("naive", "frequentist", 20, 0.1, 0.5, 2.25, 5, 1)]
+    (tmp_path / "out.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_csv(records, str(tmp_path / "out.csv"))
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert os.listdir(tmp_path / "out.csv") == []
+
+
 def test_writers_reject_empty_record_lists(tmp_path):
     with pytest.raises(ValueError):
         write_csv([], str(tmp_path / "x.csv"))
