@@ -139,14 +139,6 @@ class Frame:
         if len(self.pilot_x) != len(self.pilot_y) or len(self.test_x) != len(self.test_y):
             raise ValueError("sample and label arrays must have matching lengths")
 
-    @property
-    def n_pilots(self) -> int:
-        return int(len(self.pilot_y))
-
-    @property
-    def n_test(self) -> int:
-        return int(len(self.test_y))
-
 
 def generate_frame(
     n_pilots: int,

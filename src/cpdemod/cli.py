@@ -140,7 +140,7 @@ def cmd_frame(args: argparse.Namespace) -> int:
         f"channel: phase={frame.params.phase:.4f} rad, "
         f"amp_imb={frame.params.amp_imb:.4f}, phase_imb={frame.params.phase_imb:.6f} rad"
     )
-    for i in range(frame.n_test):
+    for i in range(len(frame.test_y)):
         x = frame.test_x[i]
         labels = np.flatnonzero(mask[i])
         set_text = "{" + ",".join(str(l) for l in labels) + "}"
@@ -149,7 +149,7 @@ def cmd_frame(args: argparse.Namespace) -> int:
             f"test {i:03d}: x=({x.real:+.3f},{x.imag:+.3f}) true={frame.test_y[i]} "
             f"set={set_text} covered={covered}"
         )
-    print(f"coverage {hits}/{frame.n_test}, mean set size {sizes.mean():.2f}")
+    print(f"coverage {hits}/{len(frame.test_y)}, mean set size {sizes.mean():.2f}")
     return 0
 
 

@@ -39,6 +39,7 @@ LEARNERS = ("frequentist", "bayesian")
 # Stable integer ids folded into frame seeds; changing them changes results.
 _METHOD_ID = {m: i for i, m in enumerate(METHODS)}
 _LEARNER_ID = {l: i for i, l in enumerate(LEARNERS)}
+_LEARNER_CLASS = {"frequentist": GDLearner, "bayesian": SGLDLearner}
 
 CSV_HEADER = "method,learner,n_pilots,alpha,coverage,inefficiency,n_frames,seed"
 
@@ -157,13 +158,9 @@ def frame_seed(
     )
 
 
-def _make_learner(name: str, n_labels: int):
-    arch = ModelArch(output_dim=n_labels)
-    if name == "frequentist":
-        return GDLearner(arch)
-    if name == "bayesian":
-        return SGLDLearner(arch)
-    raise ValueError(f"unknown learner {name!r}")
+def _make_learner(name: str):
+    """The learner of a cell's ``learner`` name, one output per QPSK label."""
+    return _LEARNER_CLASS[name](ModelArch(output_dim=len(QPSK)))
 
 
 def tally(mask: np.ndarray, y_true: np.ndarray) -> tuple[int, np.ndarray]:
@@ -273,7 +270,7 @@ def _simulate_block(
     if sets[0].pending:
         fit_logged, score_logged = set(), [set() for _ in sets]
         plans = [frame_sets.plan for frame_sets in sets]
-        stacks = conformal.fitted_stacks(_make_learner(learner, len(QPSK)), plans)
+        stacks = conformal.fitted_stacks(_make_learner(learner), plans)
         while True:
             with _naming(cell, frame_indices, fit_logged):
                 stack = next(stacks, None)

@@ -58,8 +58,8 @@ ROW_BLOCK = 8
 @dataclass(frozen=True)
 class ModelArch:
     """Layer sizes: the paper's three ReLU hidden layers of 16 units, and one
-    output per label, the only size that is set.  The input is always the
-    two (re, im) columns of ``features``."""
+    output per label, the only size that is set (at least two labels).  The
+    input is always the two (re, im) columns of ``features``."""
 
     input_dim: ClassVar[int] = 2
     hidden: ClassVar[tuple[int, int, int]] = (16, 16, 16)
@@ -67,8 +67,8 @@ class ModelArch:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "output_dim", integer("output_dim", self.output_dim))
-        if self.output_dim < 1:
-            raise ValueError(f"output_dim must be at least 1, got {self.output_dim}")
+        if self.output_dim < 2:
+            raise ValueError(f"output_dim must be at least 2, got {self.output_dim}")
 
     def dims(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per layer, input to output."""
@@ -132,10 +132,9 @@ def init_weights(arch: ModelArch, rng: np.random.Generator) -> np.ndarray:
 
 
 def _fold(op, columns: list[np.ndarray], out: np.ndarray) -> list[tuple]:
-    """Calls that fold the binary ufunc ``op`` over ``columns`` left to right
-    into ``out``: the order and bits of ``functools.reduce(op, columns)``."""
-    if len(columns) == 1:
-        return [(np.positive, (columns[0],), out)]
+    """Calls that fold the binary ufunc ``op`` over two or more ``columns``
+    left to right into ``out``: the order and bits of
+    ``functools.reduce(op, columns)``."""
     return [(op, tuple(columns[:2]), out)] + [(op, (out, c), out) for c in columns[2:]]
 
 
@@ -254,12 +253,12 @@ def _dims(n_params: int) -> list[tuple[int, int]]:
     Every layer size but the label count is a ``ModelArch`` constant, and each
     label adds one output unit, so the row length fixes the label count: the
     paper's network has ``592 + 17 * labels`` parameters.  A length that no
-    label count gives raises ``ValueError``.
+    label count of at least 2 gives raises ``ValueError``.
     """
     *hidden, (last, _) = ModelArch().dims()
     fixed = sum(fan_out * fan_in + fan_out for fan_in, fan_out in hidden)
     labels, rest = divmod(n_params - fixed, last + 1)
-    if rest or labels < 1:
+    if rest or labels < 2:
         raise ValueError(f"no label count gives a parameter row of length {n_params}")
     return ModelArch(labels).dims()
 

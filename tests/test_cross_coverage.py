@@ -61,7 +61,7 @@ def pooled_coverage():
             [conformal.PayloadSets(plan, a, frame.test_x, len(QPSK)) for a in ALPHAS]
             for frame, plan in zip(frames, plans)
         ]
-        for stack in conformal.fitted_stacks(_make_learner(learner, len(QPSK)), plans):
+        for stack in conformal.fitted_stacks(_make_learner(learner), plans):
             for p, models in stack:
                 for alpha_sets in sets[p]:
                     alpha_sets.add(models)

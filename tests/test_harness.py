@@ -255,7 +255,7 @@ def test_failing_stacked_fit_names_every_job_of_its_block(monkeypatch):
 
     # vb at 20 pilots holds 10 out, enough for a nonzero rank threshold, so
     # its models are fitted (at 10 pilots nothing would be).
-    monkeypatch.setattr(harness, "_make_learner", lambda name, n_labels: Diverging())
+    monkeypatch.setattr(harness, "_make_learner", lambda name: Diverging())
     config = _small_config(
         methods=("vb",), learners=("frequentist",), n_frames=3, n_pilots_grid=(20,)
     )
@@ -265,8 +265,8 @@ def test_failing_stacked_fit_names_every_job_of_its_block(monkeypatch):
     assert "diverged" in str(excinfo.value)
 
 
-def _diverging(name, n_labels):
-    arch = ModelArch(output_dim=n_labels)
+def _diverging(name):
+    arch = ModelArch()
     if name == "frequentist":
         return with_constants(GDLearner, steps=20, lr=1e100)(arch)
     return with_constants(SGLDLearner, burn_in=5, ensemble_size=3, lr=1e100)(arch)
@@ -294,8 +294,8 @@ class _HugeWeights:
     """Finite weights of about 1e200: every product overflows, the scores are
     NaN, and no weight is non-finite."""
 
-    def __init__(self, name, n_labels):
-        self.arch = ModelArch(output_dim=n_labels)
+    def __init__(self, name):
+        self.arch = ModelArch()
 
     def fit(self, X, y, rngs):
         return np.array([init_weights(self.arch, rng)[None] * 1e200 for rng in rngs])
@@ -475,7 +475,7 @@ def _predictor_mask(config, cell, frame_index, frame):
     seed = hash64(frame_seed(config.master_seed, *cell, frame_index), 1)
     halved = config.alpha_halving and method in ("cv", "kcv")
     alpha = config.alpha / (2 if halved else 1)
-    args = (frame.pilot_x, frame.pilot_y, alpha, harness._make_learner(learner, 4))
+    args = (frame.pilot_x, frame.pilot_y, alpha, harness._make_learner(learner))
     if method == "naive":
         predictor = conformal.NaiveSetPredictor(*args, seed)
     elif method == "vb":
@@ -542,8 +542,8 @@ def test_a_block_holds_one_stack_of_models_at_a_time(
     # naive at a cap of 2 runs blocks of 2, 2 and 1 frames, one stack each,
     # and the one watch sees the fits of every block.
     monkeypatch.setattr(conformal, "MAX_STACK", max_stack)
-    watch = _StackWatch(harness._make_learner(learner, 4))
-    monkeypatch.setattr(harness, "_make_learner", lambda name, n_labels: watch)
+    watch = _StackWatch(harness._make_learner(learner))
+    monkeypatch.setattr(harness, "_make_learner", lambda name: watch)
     config = _small_config(
         methods=(method,), learners=(learner,), n_pilots_grid=(n_pilots,), n_frames=n_frames
     )
@@ -574,7 +574,7 @@ class _Unfittable:
 
 @pytest.mark.parametrize("method,halving", VACUOUS)
 def test_vacuous_cells_fit_nothing_and_admit_every_label(monkeypatch, method, halving):
-    monkeypatch.setattr(harness, "_make_learner", lambda name, n_labels: _Unfittable())
+    monkeypatch.setattr(harness, "_make_learner", lambda name: _Unfittable())
     config = _small_config(methods=(method,), alpha_halving=halving, n_frames=3)
     for _, cell, frame_indices in harness._cell_blocks(config):
         for frame, mask in harness._simulate_block(config, cell, frame_indices):
@@ -605,7 +605,7 @@ def test_vacuous_frame_still_rejects_a_non_finite_payload(monkeypatch):
         return frame
 
     monkeypatch.setattr(harness, "generate_frame", nan_in_second_payload)
-    monkeypatch.setattr(harness, "_make_learner", lambda name, n_labels: _Unfittable())
+    monkeypatch.setattr(harness, "_make_learner", lambda name: _Unfittable())
     config = _small_config(methods=("vb",), learners=("frequentist",), n_frames=3)
     with pytest.raises(RuntimeError) as excinfo:
         run_experiment(config)

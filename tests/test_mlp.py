@@ -42,10 +42,11 @@ def _toy_data(seed=0, n=8, n_labels=4):
 
 
 def test_arch_requires_three_hidden_layers():
-    # Three hidden layers, then the output; the label count must be positive.
+    # Three hidden layers, then the output; a network tells at least two labels apart.
     assert len(ModelArch().dims()) == 4
-    with pytest.raises(ValueError, match="output_dim must be at least 1"):
-        ModelArch(output_dim=0)
+    for labels in (1, 0):
+        with pytest.raises(ValueError, match=f"output_dim must be at least 2, got {labels}$"):
+            ModelArch(output_dim=labels)
 
 
 @pytest.mark.parametrize(
@@ -152,12 +153,14 @@ def test_forward_logit_shift_invariance():
     np.testing.assert_allclose(predictive_stack(w[None, None], X)[0, 0], base, atol=1e-12)
 
 
-def test_one_label_head_is_certain_and_has_zero_gradient():
-    arch = ModelArch(output_dim=1)
-    w = init_weights(arch, np.random.default_rng(6))
-    X, y = _toy_data(seed=6, n_labels=1)
-    assert np.array_equal(predictive_stack(w[None, None], X)[:, 0], np.ones((len(X), 1)))
-    assert np.array_equal(grad(w, X, y), zero_weights(arch))
+def test_one_label_head_is_rejected():
+    # A one-label row has 609 parameters; no call takes it for a network.
+    with pytest.raises(ValueError, match="at least 2"):
+        ModelArch(output_dim=1)
+    w, (X, y) = np.zeros(609), _toy_data(seed=6, n_labels=1)
+    for call in (lambda: predictive_stack(w[None, None], X), lambda: grad(w, X, y)):
+        with pytest.raises(ValueError, match="parameter row of length 609$"):
+            call()
 
 
 def test_nll_zero_weights_is_log_label_count():
@@ -395,11 +398,11 @@ def test_ensemble_rejects_empty_member_list():
         predictive_stack(empty, features(0.5j))
 
 
-@pytest.mark.parametrize("length", [661, 592, 0])
+@pytest.mark.parametrize("length", [661, 609, 592, 0])
 @pytest.mark.parametrize("call", ["grad", "predictive_stack"])
 def test_a_row_length_no_label_count_gives_is_named(call, length):
-    # 592 + 17 * labels parameters for labels >= 1: 661 is one too many for
-    # four labels, and 592 leaves none.
+    # 592 + 17 * labels parameters for labels >= 2: 661 is one too many for
+    # four labels, 609 has one label and 592 none.
     w, (X, y) = np.zeros(length), _toy_data()
     with pytest.raises(ValueError, match=f"parameter row of length {length}$"):
         if call == "predictive_stack":
