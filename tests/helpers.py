@@ -54,6 +54,18 @@ def held_out_scores(pred) -> np.ndarray:
     return conformal._held_out_scores(pred.plan, 0, pred.models)
 
 
+def predictor(method: str, pilot_x, pilot_y, alpha: float, learner, seed, k=None):
+    """The per-frame reference predictor of ``method``, which fits and keeps
+    every model of its plan: naive, vb, cv (leave-one-out) or kcv with ``k``
+    folds."""
+    if method == "naive":
+        return conformal.NaiveSetPredictor(pilot_x, pilot_y, alpha, learner, seed)
+    if method == "vb":
+        return conformal.SplitConformalPredictor(pilot_x, pilot_y, alpha, learner, seed)
+    folds = {"cv": None, "kcv": k}[method]
+    return conformal.CrossValConformalPredictor(pilot_x, pilot_y, alpha, learner, folds, seed)
+
+
 def rank_rule(candidates, held_out, alpha: float) -> np.ndarray:
     """The package's set rule on given scores, as ``conformal.PayloadSets``
     applies it: ``candidates[..., k]`` is a candidate's score under model

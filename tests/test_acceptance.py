@@ -6,21 +6,21 @@ each criterion prints one PASS/FAIL line (visible with ``pytest -s``) and then
 asserts.  Coverage thresholds leave ~2.8 binomial standard errors of slack on
 5000 pooled points, so seed-to-seed noise cannot flip a healthy build.
 Criteria 1-4 are also checked, with the same thresholds, on the 100 seeds
-whose outcomes ``bench/reference.json`` stores.
+whose outcomes ``bench/reference.json`` stores.  Criteria 6 (the numerical
+core) and 7 (same seed, same bytes) are checked by the unit tests that own
+those layers; README's criteria list names them.
 """
 
 import dataclasses
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cpdemod import cli, conformal, mlp
-from cpdemod.channel import QPSK, generate_frame
-from cpdemod.conformal import CrossValConformalPredictor, rank_threshold
+from cpdemod import cli, conformal
+from cpdemod.conformal import rank_threshold
 from cpdemod.harness import (
     LEARNERS,
     ExperimentConfig,
@@ -28,19 +28,10 @@ from cpdemod.harness import (
     run_experiment,
     write_csv,
 )
-from cpdemod.mlp import GDLearner, ModelArch
-from helpers import (
-    GOLDEN_KERNEL,
-    blas_kernel,
-    finite_difference_grad,
-    max_rel_grad_error,
-    quantile_by_counting,
-    rank_rule,
-)
+from helpers import GOLDEN_KERNEL, blas_kernel
 
 GRID_NS = (10, 20, 40, 60)
 CP_METHODS = ("vb", "cv", "kcv")
-SNR_5DB = 10.0 ** 0.5
 COMMITTED_RESULTS = Path(__file__).resolve().parents[1] / "results.csv"
 STORED_OUTCOMES = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
@@ -190,79 +181,6 @@ def test_criterion_5_exchangeable_scores_coverage_band():
         results.append((n_val, alpha, coverage, low <= coverage <= high))
     ok = _report(5, "rank rule hits its exact coverage band", all(r[3] for r in results))
     assert ok, f"out-of-band coverage: {results}"
-
-
-def test_criterion_6_numerical_core(monkeypatch):
-    # a) analytic gradient vs central differences, on five seeds that keep
-    # every rectifier input clear of the difference stencil (a kink straddle
-    # measures averaged one-sided slopes, not the reported subgradient)
-    grad_ok = True
-    with monkeypatch.context() as patch:
-        patch.setattr(ModelArch, "hidden", (5, 4, 3))
-        arch = ModelArch(output_dim=3)
-        for seed in (0, 1, 2, 3, 6):
-            rng = np.random.default_rng(seed)
-            X = rng.normal(size=(6, 2))
-            y = rng.integers(0, 3, size=6)
-            w = mlp.init_weights(arch, rng)
-            err = max_rel_grad_error(mlp.grad(w, X, y), finite_difference_grad(w, X, y))
-            grad_ok = grad_ok and err < 1e-4
-
-    # b) the rank rule on one fold vs the counting oracle's calibrated
-    # quantile on 1000 random score sets: a candidate at, between or beyond
-    # the scores enters exactly when it is at most the quantile
-    rng = np.random.default_rng(271828)
-    quant_ok = True
-    for _ in range(1000):
-        n = int(rng.integers(0, 40))
-        alpha = float(rng.uniform(0.01, 0.99))
-        scores = (
-            rng.normal(size=n)
-            if rng.integers(0, 2)
-            else rng.integers(0, 5, size=n).astype(float)
-        )
-        cand = np.concatenate([scores, scores - 0.25, scores + 0.25, [-math.inf, math.inf]])
-        enters = rank_rule(cand[:, None], [scores], alpha)
-        quant_ok = quant_ok and np.array_equal(enters, cand <= quantile_by_counting(scores, alpha))
-
-    # c) membership rule vs a direct double loop on 50 synthetic score tables
-    rng = np.random.default_rng(161803)
-    member_ok = True
-    for _ in range(50):
-        n_labels = int(rng.integers(2, 6))
-        n = int(rng.integers(3, 30))
-        alpha = float(rng.uniform(0.02, 0.5))
-        cand = rng.integers(0, 5, size=(n_labels, n)).astype(float)
-        val = rng.integers(0, 5, size=n).astype(float)
-        got = rank_rule(cand, val[:, None], alpha)
-        need = math.floor(Fraction(alpha) * (n + 1))
-        for l in range(n_labels):
-            count = sum(1 for i in range(n) if cand[l, i] <= val[i])
-            member_ok = member_ok and bool(got[l]) == (count >= need)
-
-    # d) leave-fold-out with one-point folds is exactly leave-one-out
-    frame = generate_frame(6, 10, SNR_5DB, QPSK, np.random.default_rng(55))
-    learner = GDLearner(ModelArch())
-    loo = CrossValConformalPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, None, 8)
-    kn = CrossValConformalPredictor(frame.pilot_x, frame.pilot_y, 0.1, learner, 6, 8)
-    fold_ok = np.array_equal(loo.predict_mask(frame.test_x), kn.predict_mask(frame.test_x))
-
-    ok = _report(6, "numerical core", grad_ok and quant_ok and member_ok and fold_ok)
-    assert ok, (
-        f"gradient={grad_ok} quantile={quant_ok} membership={member_ok} folds={fold_ok}"
-    )
-
-
-def test_criterion_7_same_seed_same_bytes(tmp_path):
-    config = ExperimentConfig(n_pilots_grid=(10,), n_test=10, n_frames=2, master_seed=0)
-    first = str(tmp_path / "first.csv")
-    second = str(tmp_path / "second.csv")
-    write_csv(run_experiment(config), first)
-    write_csv(run_experiment(config), second)
-    with open(first, "rb") as fa, open(second, "rb") as fb:
-        same = fa.read() == fb.read()
-    ok = _report(7, "same master seed, byte-identical CSV", same)
-    assert ok
 
 
 def test_default_grid_reproduces_committed_results_csv(grid, tmp_path):

@@ -227,7 +227,3 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "coverage 2/2" in proc.stdout
-
-
-def test_cli_module_exposes_entry_point():
-    assert callable(cli.main)

@@ -15,6 +15,7 @@ from cpdemod.conformal import (
     naive_mask,
     rank_threshold,
 )
+from cpdemod.harness import METHODS
 from cpdemod.mlp import (
     GDLearner,
     ModelArch,
@@ -27,6 +28,7 @@ from helpers import (
     fit_one,
     held_out_scores,
     layers,
+    predictor,
     quantile_by_counting,
     rank_rule,
     with_constants,
@@ -65,18 +67,6 @@ def test_rank_threshold_is_the_rational_floor():
     for alpha in map(float, alphas):
         for n in range(301):
             assert rank_threshold(n, alpha) == math.floor(Fraction(alpha) * (n + 1)), (n, alpha)
-
-
-def test_index_identity_covers_all_scores():
-    # The calibrated quantile's 1-based order statistic, ceil((1 - alpha) *
-    # (n + 1)) in exact arithmetic, and the rank threshold split n + 1
-    # between them for every (n, alpha).
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(0, 100))
-        alpha = float(rng.uniform(0.001, 0.999))
-        index = math.ceil((1 - Fraction(alpha)) * (n + 1))
-        assert index + rank_threshold(n, alpha) == n + 1
 
 
 def test_rank_rule_examples():
@@ -126,46 +116,43 @@ def test_score_counts_must_not_be_negative():
     assert rank_threshold(np.uint8(0), 0.1) == rank_threshold(0, 0.1) == 0
 
 
-def test_empirical_quantile_against_counting_oracle():
-    # Independent characterisation: the highest candidate that enters the
-    # rank rule is the smallest score with at least (1 - alpha) * (n + 1)
-    # scores at or below it, in exact arithmetic; a candidate at, between or
-    # beyond normal and tied scores enters exactly when it is at most that.
+def test_quantile_and_rank_rules_agree():
+    # Comparing against the calibrated quantile (the counting oracle's
+    # smallest score with at least (1 - alpha) * (n + 1) scores at or below
+    # it, in exact arithmetic) and counting scores at or above the candidate
+    # are the same decision, ties included.  First case list: 1000 random
+    # (n, alpha) draws of 0-39 normal or integer 0-4 scores, with candidates
+    # at, between and beyond them.
     rng = np.random.default_rng(42)
-    for _ in range(300):
-        n = int(rng.integers(0, 30))
+    cases = []
+    for _ in range(1000):
+        n = int(rng.integers(0, 40))
         alpha = float(rng.uniform(0.01, 0.99))
         if rng.integers(0, 2):
             scores = rng.normal(size=n)
         else:
-            scores = rng.integers(0, 4, size=n).astype(float)
-        candidates = np.concatenate(
-            [scores, scores - 0.25, scores + 0.25, [-math.inf, math.inf]]
-        )
-        enters = rank_rule(candidates[:, None], [scores], alpha)
-        assert np.array_equal(enters, candidates <= quantile_by_counting(scores, alpha))
-
-
-def test_quantile_and_rank_rules_agree():
-    # Comparing against the calibrated quantile and counting scores at or
-    # above the candidate are the same decision, ties included.  Besides 200
-    # random (n, alpha) draws, every n in 1-25 is tried at the ends of the
-    # alpha range and at each alpha = j / (n + 1), where the threshold steps,
-    # and at the float on either side of it.
+            scores = rng.integers(0, 5, size=n).astype(float)
+        candidates = np.concatenate([scores, scores - 0.25, scores + 0.25, [-math.inf, math.inf]])
+        cases.append((scores, alpha, candidates))
+    # Second: integer 0-5 scores against a fixed candidate grid, with every n
+    # in 1-25 at the ends of the alpha range and at each alpha = j / (n + 1),
+    # where the threshold steps, and at the float on either side of it, then
+    # 200 random (n, alpha) draws.
     rng = np.random.default_rng(16)
-    cases = [(n, alpha) for n in range(1, 26) for alpha in (0.01, 0.99)]
+    alphas = [(n, alpha) for n in range(1, 26) for alpha in (0.01, 0.99)]
     for n in range(1, 26):
         for j in range(1, n + 1):
             step = j / (n + 1)
-            cases += [(n, np.nextafter(step, 0.0)), (n, step), (n, np.nextafter(step, 1.0))]
-    cases += [(int(rng.integers(1, 26)), rng.uniform(0.01, 0.99)) for _ in range(200)]
-    candidates = np.arange(-2, 15) / 2.0
-    for n, alpha in cases:
-        scores = rng.integers(0, 6, size=n).astype(float)
-        via_quantile = candidates <= quantile_by_counting(scores, float(alpha))
-        via_rank = rank_rule(candidates[:, None], [scores], float(alpha))
+            alphas += [(n, np.nextafter(step, 0.0)), (n, step), (n, np.nextafter(step, 1.0))]
+    alphas += [(int(rng.integers(1, 26)), rng.uniform(0.01, 0.99)) for _ in range(200)]
+    grid = np.arange(-2, 15) / 2.0
+    for n, alpha in alphas:
+        cases.append((rng.integers(0, 6, size=n).astype(float), float(alpha), grid))
+    for scores, alpha, candidates in cases:
+        via_quantile = candidates <= quantile_by_counting(scores, alpha)
+        via_rank = rank_rule(candidates[:, None], [scores], alpha)
         assert np.array_equal(via_quantile, via_rank), (
-            f"n = {n}, alpha = {float(alpha)!r}, scores = {scores}: "
+            f"n = {len(scores)}, alpha = {alpha!r}, scores = {scores}: "
             f"the rules disagree on {candidates[via_quantile != via_rank]}"
         )
 
@@ -350,19 +337,12 @@ class _DivergedLearner:
         return np.full((len(rng), 1, zero_weights(self.arch).size), np.nan)
 
 
-@pytest.mark.parametrize(
-    "n,build",
-    [
-        (10, lambda x, y, l: SplitConformalPredictor(x, y, 0.1, l, seed=32)),
-        (5, lambda x, y, l: CrossValConformalPredictor(x, y, 0.1, l, None, 32)),
-    ],
-    ids=["vb", "cv"],
-)
-def test_vacuous_threshold_admits_every_label_even_from_a_diverged_model(n, build):
+@pytest.mark.parametrize("n,method", [(10, "vb"), (5, "cv")], ids=["vb", "cv"])
+def test_vacuous_threshold_admits_every_label_even_from_a_diverged_model(n, method):
     # A threshold count of 0 asks for no calibration score at all, so NaN
     # scores from a diverged model must still yield the full alphabet.
     frame = _pilot_frame(n, seed=33, n_test=7)
-    pred = build(frame.pilot_x, frame.pilot_y, _DivergedLearner())
+    pred = predictor(method, frame.pilot_x, frame.pilot_y, 0.1, _DivergedLearner(), 32)
     assert rank_threshold(pred.plan.folds.size, pred.alpha) == 0
     assert np.isnan(held_out_scores(pred).ravel()).all()
     assert np.all(pred.predict_mask(frame.test_x))
@@ -377,37 +357,24 @@ def test_cross_threshold_count_value():
     assert held_out_scores(pred).ravel().size == 9
 
 
-def test_rank_rule_matches_direct_count():
-    # Leave-one-out tables: cand[l, i] is label l's score under the model
-    # that left out pilot i, val[i] that pilot's own score.
-    rng = np.random.default_rng(15)
-    for _ in range(50):
-        n_labels = int(rng.integers(2, 6))
-        n = int(rng.integers(3, 30))
-        alpha = float(rng.uniform(0.02, 0.5))
-        cand = rng.integers(0, 5, size=(n_labels, n)).astype(float)
-        val = rng.integers(0, 5, size=n).astype(float)
-        got = rank_rule(cand, val[:, None], alpha)
-        need = math.floor(Fraction(alpha) * (n + 1))
-        for l in range(n_labels):
-            count = sum(1 for i in range(n) if cand[l, i] <= val[i])
-            assert got[l] == (count >= need)
-
-
 def test_rank_counts_match_the_comparison_oracle_with_ties_and_nan():
     # searchsorted over sorted folds must count exactly what comparing every
     # pair counts, with NaN ranking above every number, +inf included: a NaN
     # held-out score counts for every candidate, a NaN candidate only for NaN.
+    # Every other table is a leave-one-out table: up to 29 folds of one score.
     rng = np.random.default_rng(44)
     values = np.array([0.0, 1.0, 1.0, 2.5, np.inf, np.nan])
-    for _ in range(200):
-        k, f = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+    for draw in range(400):
+        if draw % 2:
+            k, f = int(rng.integers(1, 30)), 1
+        else:
+            k, f = int(rng.integers(1, 6)), int(rng.integers(1, 8))
         held = rng.choice(values, size=(k, f))
         scores = rng.choice(values, size=(3, 4, k))
         want = sum(
             (np.isnan(held[j]) | (scores[..., j, None] <= held[j])).sum(-1) for j in range(k)
         )
-        assert np.array_equal(conformal._rank_counts(scores, held), want)
+        assert np.array_equal(conformal._rank_counts(scores, held), want), f"draw {draw}"
 
 
 def test_a_nan_held_out_score_never_removes_a_label():
@@ -547,13 +514,11 @@ def test_calibrated_predictors_ignore_pilot_order():
     frame = _pilot_frame(12, seed=21, n_test=6)
     perm = np.random.default_rng(22).permutation(12)
     learner = _quick_learner()
-    for build in (
-        lambda x, y: SplitConformalPredictor(x, y, 0.1, learner, seed=23),
-        lambda x, y: CrossValConformalPredictor(x, y, 0.1, learner, None, 23),
-        lambda x, y: CrossValConformalPredictor(x, y, 0.1, learner, 4, 23),
-    ):
-        base = build(frame.pilot_x, frame.pilot_y)
-        shuffled = build(frame.pilot_x[perm], frame.pilot_y[perm])
+    for method in ("vb", "cv", "kcv"):
+        base = predictor(method, frame.pilot_x, frame.pilot_y, 0.1, learner, 23, k=4)
+        shuffled = predictor(
+            method, frame.pilot_x[perm], frame.pilot_y[perm], 0.1, learner, 23, k=4
+        )
         assert np.array_equal(held_out_scores(base).ravel(), held_out_scores(shuffled).ravel())
         assert np.array_equal(
             base.predict_mask(frame.test_x), shuffled.predict_mask(frame.test_x)
@@ -563,22 +528,13 @@ def test_calibrated_predictors_ignore_pilot_order():
 def test_all_methods_nest_in_alpha():
     frame = _pilot_frame(20, seed=24, n_test=10)
     learner = _quick_learner(steps=40)
-    builders = {
-        "naive": lambda a: NaiveSetPredictor(frame.pilot_x, frame.pilot_y, a, learner, 25),
-        "split": lambda a: SplitConformalPredictor(
-            frame.pilot_x, frame.pilot_y, a, learner, seed=25
-        ),
-        "loo": lambda a: CrossValConformalPredictor(
-            frame.pilot_x, frame.pilot_y, a, learner, None, 25
-        ),
-        "kfold": lambda a: CrossValConformalPredictor(
-            frame.pilot_x, frame.pilot_y, a, learner, 5, 25
-        ),
-    }
-    for name, build in builders.items():
-        wide = build(0.05).predict_mask(frame.test_x)
-        narrow = build(0.2).predict_mask(frame.test_x)
-        assert np.all(wide | ~narrow), f"{name} sets are not nested across alpha"
+    for method in METHODS:
+        wide, narrow = (
+            predictor(method, frame.pilot_x, frame.pilot_y, alpha, learner, 25, k=5)
+            .predict_mask(frame.test_x)
+            for alpha in (0.05, 0.2)
+        )
+        assert np.all(wide | ~narrow), f"{method} sets are not nested across alpha"
 
 
 def test_naive_predictor_uses_one_model_on_all_pilots():
@@ -593,15 +549,11 @@ def test_naive_predictor_uses_one_model_on_all_pilots():
     ).shape)
 
 
-_BUILDERS = {
-    "naive": lambda x, y: NaiveSetPredictor(x, y, 0.1, _quick_learner(5), 41),
-    "vb": lambda x, y: SplitConformalPredictor(x, y, 0.1, _quick_learner(5), seed=41),
-    "cv": lambda x, y: CrossValConformalPredictor(x, y, 0.1, _quick_learner(5), None, 41),
-    "kcv": lambda x, y: CrossValConformalPredictor(x, y, 0.1, _quick_learner(5), 5, 41),
-}
+def _build(method, x, y):
+    return predictor(method, x, y, 0.1, _quick_learner(5), 41, k=5)
 
 
-@pytest.mark.parametrize("method", sorted(_BUILDERS))
+@pytest.mark.parametrize("method", sorted(METHODS))
 def test_non_finite_pilot_or_payload_samples_are_rejected(method):
     # A NaN sample scores NaN against every label; it must fail loudly, not
     # turn into a silently empty or full set.
@@ -609,31 +561,31 @@ def test_non_finite_pilot_or_payload_samples_are_rejected(method):
     pilots = frame.pilot_x.copy()
     pilots[4] = complex(np.nan, 0.0)
     with pytest.raises(ValueError, match="finite"):
-        _BUILDERS[method](pilots, frame.pilot_y)
-    pred = _BUILDERS[method](frame.pilot_x, frame.pilot_y)
+        _build(method, pilots, frame.pilot_y)
+    pred = _build(method, frame.pilot_x, frame.pilot_y)
     for bad in (complex(np.nan, 1.0), complex(1.0, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             pred.predict_mask(np.array([0.5 + 0.5j, bad]))
 
 
-@pytest.mark.parametrize("method", sorted(_BUILDERS))
+@pytest.mark.parametrize("method", sorted(METHODS))
 def test_unequal_pilot_arrays_and_too_few_pilots_are_rejected(method):
     frame = _pilot_frame(10, seed=10)
     with pytest.raises(ValueError, match="matching lengths"):
-        _BUILDERS[method](frame.pilot_x, frame.pilot_y[:-1])
+        _build(method, frame.pilot_x, frame.pilot_y[:-1])
     if method != "naive":
         with pytest.raises(ValueError, match="two pilots"):
-            _BUILDERS[method](frame.pilot_x[:1], frame.pilot_y[:1])
+            _build(method, frame.pilot_x[:1], frame.pilot_y[:1])
 
 
-@pytest.mark.parametrize("method", sorted(_BUILDERS))
+@pytest.mark.parametrize("method", sorted(METHODS))
 def test_pilot_labels_must_be_integers_in_range(method):
     frame = _pilot_frame(10, seed=10)
     with pytest.raises(ValueError, match="labels must be integers"):
-        _BUILDERS[method](frame.pilot_x, frame.pilot_y + 0.7)
+        _build(method, frame.pilot_x, frame.pilot_y + 0.7)
     for bad in (-1, 4):
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
-            _BUILDERS[method](frame.pilot_x, np.full(10, bad))
+            _build(method, frame.pilot_x, np.full(10, bad))
 
 
 def test_held_out_labels_out_of_range_are_rejected():
@@ -652,9 +604,9 @@ _SEEDED = {
     "fold_plan_naive": lambda x, y, seed: conformal.fold_plan("naive", x, y, seed),
     "fold_plan_vb": lambda x, y, seed: conformal.fold_plan("vb", x, y, seed),
     "fold_plan_kcv": lambda x, y, seed: conformal.fold_plan("kcv", x, y, seed, 5),
-    "naive": lambda x, y, seed: NaiveSetPredictor(x, y, 0.1, _quick_learner(1), seed),
-    "vb": lambda x, y, seed: SplitConformalPredictor(x, y, 0.1, _quick_learner(1), seed),
-    "kcv": lambda x, y, seed: CrossValConformalPredictor(x, y, 0.1, _quick_learner(1), 5, seed),
+    "naive": lambda x, y, seed: predictor("naive", x, y, 0.1, _quick_learner(1), seed),
+    "vb": lambda x, y, seed: predictor("vb", x, y, 0.1, _quick_learner(1), seed),
+    "kcv": lambda x, y, seed: predictor("kcv", x, y, 0.1, _quick_learner(1), seed, k=5),
 }
 
 

@@ -34,7 +34,7 @@ from cpdemod.harness import (
 )
 from cpdemod.mlp import GDLearner, ModelArch, SGLDLearner, init_weights
 from cpdemod.seeding import hash64
-from helpers import with_constants
+from helpers import predictor, with_constants
 
 
 def _small_config(**overrides):
@@ -439,12 +439,27 @@ def test_dead_worker_names_its_unfinished_blocks(monkeypatch):
     assert ("('naive', 'frequentist', 10)", "0, 1, 2") in named
 
 
+def _predictor_mask(config, cell, frame_index, frame):
+    """A frame's mask from the predictor class of its method, which fits and
+    keeps every model of the frame before it scores any payload."""
+    method, learner, _ = cell
+    seed = hash64(frame_seed(config.master_seed, *cell, frame_index), 1)
+    halved = config.alpha_halving and method in ("cv", "kcv")
+    alpha = config.alpha / (2 if halved else 1)
+    pred = predictor(method, frame.pilot_x, frame.pilot_y, alpha, harness._make_learner(learner),
+                     seed, k=config.k_folds)
+    return pred.predict_mask(frame.test_x)
+
+
 @pytest.mark.parametrize("max_stack", [20, 8])
-def test_blocks_give_the_masks_of_single_frames(monkeypatch, max_stack):
-    # At the default cap, naive and vb run blocks of 3 frames, kcv (5 models
-    # a frame) 3, cv at 10 pilots 2 + 1 and cv at 20 pilots 1.  A cap of 8
-    # cuts cv and kcv frames into blocks of one and spreads a cv frame's
-    # models over two stacks.
+def test_blocks_give_the_masks_of_the_fitting_predictors(monkeypatch, max_stack):
+    # The block path scores each stack as soon as it is fitted and drops it;
+    # each frame's mask equals its mask in a block of one (simulate_frame)
+    # and its predictor's.  At the default cap, naive and vb run blocks of 3
+    # frames, kcv (5 models a frame) 3, cv at 10 pilots 2 + 1 and cv at 20
+    # pilots 1.  A cap of 8 cuts cv and kcv frames into blocks of one and
+    # spreads a cv frame's models over two stacks at 10 pilots and three at
+    # 20, while the naive and vb stacks hold several frames.
     monkeypatch.setattr(conformal, "MAX_STACK", max_stack)
     config = _small_config(n_pilots_grid=(10, 20), n_frames=3)
     blocks = harness._cell_blocks(config)
@@ -455,50 +470,14 @@ def test_blocks_give_the_masks_of_single_frames(monkeypatch, max_stack):
         assert sizes == {("naive", 10): [3, 3], ("naive", 20): [3, 3], ("vb", 10): [3, 3],
                          ("vb", 20): [3, 3], ("cv", 10): [2, 1, 2, 1], ("cv", 20): [1] * 6,
                          ("kcv", 10): [3, 3], ("kcv", 20): [3, 3]}
-    block_masks = [
-        mask for _, cell, frame_indices in blocks
-        for _, mask in harness._simulate_block(config, cell, frame_indices)
-    ]
-    single_masks = [
-        simulate_frame(config, cell, i)[1]
-        for _, cell, frame_indices in blocks for i in frame_indices
-    ]
-    assert len(block_masks) == len(single_masks) == 8 * 2 * 3
-    for got, want in zip(block_masks, single_masks):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-def _predictor_mask(config, cell, frame_index, frame):
-    """A frame's mask from the predictor class of its method, which fits and
-    keeps every model of the frame before it scores any payload."""
-    method, learner, _ = cell
-    seed = hash64(frame_seed(config.master_seed, *cell, frame_index), 1)
-    halved = config.alpha_halving and method in ("cv", "kcv")
-    alpha = config.alpha / (2 if halved else 1)
-    args = (frame.pilot_x, frame.pilot_y, alpha, harness._make_learner(learner))
-    if method == "naive":
-        predictor = conformal.NaiveSetPredictor(*args, seed)
-    elif method == "vb":
-        predictor = conformal.SplitConformalPredictor(*args, seed=seed)
-    else:
-        k = None if method == "cv" else config.k_folds
-        predictor = conformal.CrossValConformalPredictor(*args, k, seed)
-    return predictor.predict_mask(frame.test_x)
-
-
-@pytest.mark.parametrize("max_stack", [20, 8])
-def test_blocks_give_the_masks_of_the_fitting_predictors(monkeypatch, max_stack):
-    # The block path scores each stack as soon as it is fitted and drops it.
-    # At a cap of 8, a cv frame's models span two stacks at 10 pilots and
-    # three at 20, and the kcv and naive stacks hold several frames.
-    monkeypatch.setattr(conformal, "MAX_STACK", max_stack)
-    config = _small_config(n_pilots_grid=(10, 20), n_frames=3)
     compared = 0
-    for _, cell, frame_indices in harness._cell_blocks(config):
+    for _, cell, frame_indices in blocks:
         got = harness._simulate_block(config, cell, frame_indices)
         for frame_index, (frame, mask) in zip(frame_indices, got):
-            want = _predictor_mask(config, cell, frame_index, frame)
-            assert mask.dtype == want.dtype and np.array_equal(mask, want), (cell, frame_index)
+            single = simulate_frame(config, cell, frame_index)[1]
+            fitted = _predictor_mask(config, cell, frame_index, frame)
+            for want in (single, fitted):
+                assert mask.dtype == want.dtype and np.array_equal(mask, want), (cell, frame_index)
             compared += 1
     assert compared == 8 * 2 * 3
 

@@ -14,13 +14,15 @@ import pytest
 
 from cpdemod import conformal, mlp
 from cpdemod.channel import QPSK, generate_frame
-from cpdemod.conformal import CrossValConformalPredictor, SplitConformalPredictor
+from cpdemod.conformal import CrossValConformalPredictor
+from cpdemod.harness import METHODS
 from cpdemod.mlp import GDLearner, ModelArch, SGLDLearner, features, init_weights
 from cpdemod.seeding import derive_rng
 from helpers import (
     fit_one,
     held_out_scores,
     layers,
+    predictor,
     reference_forward,
     reference_grad,
     reference_predictive,
@@ -34,8 +36,6 @@ LEARNERS = {
     "gd": with_constants(GDLearner, steps=25)(ModelArch()),
     "sgld": with_constants(SGLDLearner, burn_in=10, ensemble_size=4)(ModelArch()),
 }
-# A fitted model is its block of member rows; a gradient-descent point estimate has one.
-MEMBERS = {"gd": 1, "sgld": 4}
 
 
 def _pilots(n, seed):
@@ -45,26 +45,6 @@ def _pilots(n, seed):
 
 def _loo_rows(n):
     return np.array([np.delete(np.arange(n), j) for j in range(n)])
-
-
-def _kfold_rows(n, k):
-    folds = np.arange(n).reshape(k, n // k)
-    return np.array([np.delete(folds, j, axis=0).ravel() for j in range(k)])
-
-
-@pytest.mark.parametrize("learner", sorted(LEARNERS))
-@pytest.mark.parametrize("rows", [_loo_rows(8), _kfold_rows(15, 5)], ids=["loo", "kfold"])
-def test_stacked_fit_equals_single_fits(learner, rows):
-    X, y = _pilots(rows.max() + 1, seed=1)
-    fit = LEARNERS[learner].fit
-    stacked = fit(X[rows], y[rows], [derive_rng(7, j) for j in range(len(rows))])
-    assert stacked.shape == (len(rows), MEMBERS[learner], 660)
-    probs = mlp.predictive_stack(stacked, X)
-    for j, model in enumerate(stacked):
-        single = fit_one(LEARNERS[learner], X[rows[j]], y[rows[j]], derive_rng(7, j))
-        assert np.array_equal(model, single), f"model {j}"
-        # A GD model's predictive is the forward pass of its one member, bit for bit.
-        assert np.array_equal(probs[:, j], reference_predictive(model, X)), f"model {j}"
 
 
 @pytest.mark.parametrize("learner", sorted(LEARNERS))
@@ -290,28 +270,21 @@ def _reference_scores(model, feats):
     return -np.log(np.maximum(reference_predictive(model, feats), mlp.PROB_FLOOR))
 
 
-_PLANS = {
-    "vb": lambda x, y, learner: SplitConformalPredictor(x, y, 0.2, learner, seed=8),
-    "loo": lambda x, y, learner: CrossValConformalPredictor(x, y, 0.2, learner, None, 8),
-    "kfold": lambda x, y, learner: CrossValConformalPredictor(x, y, 0.2, learner, 5, 8),
-}
+# The method of each plan: split, leave-one-out and 5-fold cross-validation.
+_PLANS = {"vb": "vb", "loo": "cv", "kfold": "kcv"}
 
 
-_METHODS = {
-    "naive": lambda x, y, learner: conformal.NaiveSetPredictor(x, y, 0.2, learner, seed=8),
-    "vb": _PLANS["vb"],
-    "cv": _PLANS["loo"],
-    "kcv": _PLANS["kfold"],
-}
+def _predictor(method, frame, learner):
+    return predictor(method, frame.pilot_x, frame.pilot_y, 0.2, LEARNERS[learner], 8, k=5)
 
 
 @pytest.mark.parametrize("learner", sorted(LEARNERS))
-@pytest.mark.parametrize("method", sorted(_METHODS))
+@pytest.mark.parametrize("method", sorted(METHODS))
 def test_model_j_equals_a_lone_fit_outside_fold_j(learner, method):
     # A plan stores only its folds: the training rows of every method rest on
     # this rule.
     frame = generate_frame(10, 1, SNR_5DB, QPSK, np.random.default_rng(6))
-    pred = _METHODS[method](frame.pilot_x, frame.pilot_y, LEARNERS[learner])
+    pred = _predictor(method, frame, learner)
     feats = features(frame.pilot_x)
     assert len(pred.models) == len(pred.plan.folds)
     for j, (fold, model) in enumerate(zip(pred.plan.folds, pred.models)):
@@ -327,7 +300,7 @@ def test_stacked_scoring_equals_per_model_scoring(learner, plan, n_test):
     # 2600 payload rows need more than MAX_PASS_BYTES for one network alone,
     # so every pass scores a single network on the whole payload.
     frame = generate_frame(10, n_test, SNR_5DB, QPSK, np.random.default_rng(9))
-    pred = _PLANS[plan](frame.pilot_x, frame.pilot_y, LEARNERS[learner])
+    pred = _predictor(_PLANS[plan], frame, learner)
     feats = features(frame.pilot_x)
     held_out = []
     for model, fold, got in zip(pred.models, pred.plan.folds, held_out_scores(pred)):
@@ -351,14 +324,8 @@ def test_one_predictor_scores_payloads_of_any_size_in_turn(learner, plan):
     # 2600 rows run one network per pass, 7 rows one pass for every network.
     frame = generate_frame(10, 2600, SNR_5DB, QPSK, np.random.default_rng(4))
     payloads = [frame.test_x[:7], frame.test_x, frame.test_x[7:14]]
-
-    def predictor():
-        if plan == "naive":
-            return conformal.NaiveSetPredictor(
-                frame.pilot_x, frame.pilot_y, 0.2, LEARNERS[learner], seed=8
-            )
-        return _PLANS[plan](frame.pilot_x, frame.pilot_y, LEARNERS[learner])
-
-    pred = predictor()
+    method = _PLANS.get(plan, plan)
+    pred = _predictor(method, frame, learner)
     for x in payloads:
-        assert np.array_equal(pred.predict_mask(x), predictor().predict_mask(x))
+        fresh = _predictor(method, frame, learner)
+        assert np.array_equal(pred.predict_mask(x), fresh.predict_mask(x))
