@@ -116,15 +116,23 @@ def test_score_counts_must_not_be_negative():
     assert rank_threshold(np.uint8(0), 0.1) == rank_threshold(0, 0.1) == 0
 
 
-def test_quantile_and_rank_rules_agree():
+def _assert_quantile_and_rank_rules_agree(scores, alpha, candidates):
     # Comparing against the calibrated quantile (the counting oracle's
     # smallest score with at least (1 - alpha) * (n + 1) scores at or below
     # it, in exact arithmetic) and counting scores at or above the candidate
-    # are the same decision, ties included.  First case list: 1000 random
-    # (n, alpha) draws of 0-39 normal or integer 0-4 scores, with candidates
-    # at, between and beyond them.
+    # are the same decision, ties included.
+    via_quantile = candidates <= quantile_by_counting(scores, alpha)
+    via_rank = rank_rule(candidates[:, None], [scores], alpha)
+    assert np.array_equal(via_quantile, via_rank), (
+        f"n = {len(scores)}, alpha = {alpha!r}, scores = {scores}: "
+        f"the rules disagree on {candidates[via_quantile != via_rank]}"
+    )
+
+
+def test_empirical_quantile_against_counting_oracle():
+    # 1000 random (n, alpha) draws of 0-39 normal or integer 0-4 scores, with
+    # candidates at, between and beyond them.
     rng = np.random.default_rng(42)
-    cases = []
     for _ in range(1000):
         n = int(rng.integers(0, 40))
         alpha = float(rng.uniform(0.01, 0.99))
@@ -133,11 +141,14 @@ def test_quantile_and_rank_rules_agree():
         else:
             scores = rng.integers(0, 5, size=n).astype(float)
         candidates = np.concatenate([scores, scores - 0.25, scores + 0.25, [-math.inf, math.inf]])
-        cases.append((scores, alpha, candidates))
-    # Second: integer 0-5 scores against a fixed candidate grid, with every n
-    # in 1-25 at the ends of the alpha range and at each alpha = j / (n + 1),
-    # where the threshold steps, and at the float on either side of it, then
-    # 200 random (n, alpha) draws.
+        _assert_quantile_and_rank_rules_agree(scores, alpha, candidates)
+
+
+def test_quantile_and_rank_rules_agree():
+    # Integer 0-5 scores against a fixed candidate grid, with every n in 1-25
+    # at the ends of the alpha range and at each alpha = j / (n + 1), where
+    # the threshold steps, and at the float on either side of it, then 200
+    # random (n, alpha) draws.
     rng = np.random.default_rng(16)
     alphas = [(n, alpha) for n in range(1, 26) for alpha in (0.01, 0.99)]
     for n in range(1, 26):
@@ -147,14 +158,8 @@ def test_quantile_and_rank_rules_agree():
     alphas += [(int(rng.integers(1, 26)), rng.uniform(0.01, 0.99)) for _ in range(200)]
     grid = np.arange(-2, 15) / 2.0
     for n, alpha in alphas:
-        cases.append((rng.integers(0, 6, size=n).astype(float), float(alpha), grid))
-    for scores, alpha, candidates in cases:
-        via_quantile = candidates <= quantile_by_counting(scores, alpha)
-        via_rank = rank_rule(candidates[:, None], [scores], alpha)
-        assert np.array_equal(via_quantile, via_rank), (
-            f"n = {len(scores)}, alpha = {alpha!r}, scores = {scores}: "
-            f"the rules disagree on {candidates[via_quantile != via_rank]}"
-        )
+        scores = rng.integers(0, 6, size=n).astype(float)
+        _assert_quantile_and_rank_rules_agree(scores, float(alpha), grid)
 
 
 # ---------------------------------------------------------------- scores

@@ -451,18 +451,36 @@ def _predictor_mask(config, cell, frame_index, frame):
     return pred.predict_mask(frame.test_x)
 
 
-@pytest.mark.parametrize("max_stack", [20, 8])
-def test_blocks_give_the_masks_of_the_fitting_predictors(monkeypatch, max_stack):
-    # The block path scores each stack as soon as it is fitted and drops it;
-    # each frame's mask equals its mask in a block of one (simulate_frame)
-    # and its predictor's.  At the default cap, naive and vb run blocks of 3
-    # frames, kcv (5 models a frame) 3, cv at 10 pilots 2 + 1 and cv at 20
-    # pilots 1.  A cap of 8 cuts cv and kcv frames into blocks of one and
-    # spreads a cv frame's models over two stacks at 10 pilots and three at
-    # 20, while the naive and vb stacks hold several frames.
-    monkeypatch.setattr(conformal, "MAX_STACK", max_stack)
+@pytest.fixture(scope="module", params=[20, 8])
+def streamed_blocks(request):
+    """The blocks of a two-grid config at a stack cap of 20 or 8, and each
+    frame of them with the mask the block path gave it.  The block path
+    scores each stack as soon as it is fitted and drops it.  Both block tests
+    read one build per cap."""
+    max_stack = request.param
     config = _small_config(n_pilots_grid=(10, 20), n_frames=3)
-    blocks = harness._cell_blocks(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conformal, "MAX_STACK", max_stack)
+        blocks = harness._cell_blocks(config)
+        frames = [
+            (cell, frame_index, frame, mask)
+            for _, cell, frame_indices in blocks
+            for frame_index, (frame, mask) in zip(
+                frame_indices, harness._simulate_block(config, cell, frame_indices)
+            )
+        ]
+    assert len(frames) == 8 * 2 * 3
+    return max_stack, config, blocks, frames
+
+
+def test_blocks_give_the_masks_of_single_frames(monkeypatch, streamed_blocks):
+    # At the default cap, naive and vb run blocks of 3 frames, kcv (5 models
+    # a frame) 3, cv at 10 pilots 2 + 1 and cv at 20 pilots 1.  A cap of 8
+    # cuts cv and kcv frames into blocks of one and spreads a cv frame's
+    # models over two stacks at 10 pilots and three at 20, while the naive
+    # and vb stacks hold several frames.
+    max_stack, config, blocks, frames = streamed_blocks
+    monkeypatch.setattr(conformal, "MAX_STACK", max_stack)
     sizes = {}
     for _, (method, _, n_pilots), frame_indices in blocks:
         sizes.setdefault((method, n_pilots), []).append(len(frame_indices))
@@ -470,16 +488,17 @@ def test_blocks_give_the_masks_of_the_fitting_predictors(monkeypatch, max_stack)
         assert sizes == {("naive", 10): [3, 3], ("naive", 20): [3, 3], ("vb", 10): [3, 3],
                          ("vb", 20): [3, 3], ("cv", 10): [2, 1, 2, 1], ("cv", 20): [1] * 6,
                          ("kcv", 10): [3, 3], ("kcv", 20): [3, 3]}
-    compared = 0
-    for _, cell, frame_indices in blocks:
-        got = harness._simulate_block(config, cell, frame_indices)
-        for frame_index, (frame, mask) in zip(frame_indices, got):
-            single = simulate_frame(config, cell, frame_index)[1]
-            fitted = _predictor_mask(config, cell, frame_index, frame)
-            for want in (single, fitted):
-                assert mask.dtype == want.dtype and np.array_equal(mask, want), (cell, frame_index)
-            compared += 1
-    assert compared == 8 * 2 * 3
+    for cell, frame_index, _, mask in frames:
+        want = simulate_frame(config, cell, frame_index)[1]
+        assert mask.dtype == want.dtype and np.array_equal(mask, want), (cell, frame_index)
+
+
+def test_blocks_give_the_masks_of_the_fitting_predictors(monkeypatch, streamed_blocks):
+    max_stack, config, _, frames = streamed_blocks
+    monkeypatch.setattr(conformal, "MAX_STACK", max_stack)
+    for cell, frame_index, frame, mask in frames:
+        want = _predictor_mask(config, cell, frame_index, frame)
+        assert mask.dtype == want.dtype and np.array_equal(mask, want), (cell, frame_index)
 
 
 def _memory_root(array: np.ndarray) -> np.ndarray:
