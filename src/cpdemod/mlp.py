@@ -38,9 +38,8 @@ from .checks import class_labels, integer
 #: log, the softmax output itself is never modified.
 PROB_FLOOR = 1e-12
 
-#: Most bytes of weights and activations one scoring pass covers.  Whole
-#: models join a pass while their networks' weights and activations fit; a
-#: model whose members alone do not fit runs as passes of its own members.  A
+#: Most bytes of weights and activations one scoring pass covers: a pass
+#: takes the next networks, in model-major order, while theirs fit.  A
 #: network's rows are never split, so a payload wider than this runs one
 #: network per pass.  A pass reads its weights in place, so a scoring call
 #: holds one pass's activations next to the models it scores.
@@ -300,14 +299,14 @@ def predictive_stack(models: np.ndarray, X) -> np.ndarray:
     ``models`` is a ``(K, E, n_params)`` array: each model's block of E member
     rows.  ``X`` is one ``(n, d)`` matrix that every model scores, or a
     sample-major ``(n, K, d)`` stack in which model ``k`` scores ``X[:, k]``.
-    A model averages its members' outputs, added in member order.  The models
-    run as stacked passes of at most ``MAX_PASS_BYTES`` each: a pass holds
-    consecutive whole models, or, when one model's members alone exceed the
-    budget, a run of that model's members.  Every network sees all ``n`` of
-    its rows in one product, two or more padded to a multiple of
-    ``ROW_BLOCK``, so each model's output has the bits it has when scored
-    alone, and each row the bits it has wherever it sits.  A pass reads its networks' rows in
-    place (a view of ``models`` as the learners return them), so the call
+    A model averages its members' outputs, added in member order.  The K·E
+    networks run model-major, members in order, as passes of at most
+    ``MAX_PASS_BYTES`` each: a pass is the next run of consecutive networks,
+    which may span models.  Every network sees all ``n`` of its rows in one
+    product, two or more padded to a multiple of ``ROW_BLOCK``, so each
+    model's output has the bits it has when scored alone, and each row the
+    bits it has wherever it sits.  A pass reads its networks' parameter rows
+    in place (a view of ``models`` as the learners return them), so the call
     copies no weights.
     There must be at least one model, and a model needs at least one member.
     """
@@ -327,23 +326,17 @@ def predictive_stack(models: np.ndarray, X) -> np.ndarray:
     if n > 1 and n % ROW_BLOCK:
         X = np.concatenate([X, np.zeros((-n % ROW_BLOCK, *X.shape[1:]))])
     m = len(X)
+    if X.ndim == 2:
+        X = np.broadcast_to(X[:, None], (m, k, X.shape[-1]))
     net_bytes = 8 * (m * sum(fan_out for _, fan_out in dims) + n_params)
     per_pass = max(1, MAX_PASS_BYTES // net_bytes)
-    # Whole models per pass, or runs of one model's members if they alone exceed the budget.
-    models_per_pass, members_per_pass = max(1, per_pass // size), min(per_pass, size)
+    nets = models.reshape(k * size, n_params)
     total = np.zeros((n, k, dims[-1][1]))
-    for k0 in range(0, k, models_per_pass):
-        k1 = min(k0 + models_per_pass, k)
-        for e0 in range(0, size, members_per_pass):
-            e1 = min(e0 + members_per_pass, size)
-            nets = models[k0:k1, e0:e1].reshape(-1, n_params)
-            if X.ndim == 2:
-                rows = np.broadcast_to(X[:, None], (m, len(nets), X.shape[-1]))
-            else:
-                rows = np.repeat(X[:, k0:k1], e1 - e0, axis=1)
-            probs = _Pass(nets, rows).forward()[:n].reshape(n, k1 - k0, e1 - e0, -1)
-            for member in range(e1 - e0):
-                total[:, k0:k1] += probs[:, :, member]
+    for start in range(0, len(nets), per_pass):
+        owners = np.arange(start, min(start + per_pass, len(nets))) // size
+        probs = _Pass(nets[start : start + len(owners)], X[:, owners]).forward()
+        for net, owner in enumerate(owners):
+            total[:, owner] += probs[:n, net]
     return np.divide(total, size, out=total)
 
 

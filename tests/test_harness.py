@@ -211,6 +211,8 @@ def test_run_experiment_record_fields():
 
 def test_run_experiment_is_deterministic_and_parallel_safe(tmp_path):
     config = _small_config()
+    costs = [cost for cost, _, _ in harness._cell_blocks(config)]
+    assert sorted(costs, reverse=True) != costs  # the pool order is not cell order
     serial_a = run_experiment(config, workers=1)
     serial_b = run_experiment(config, workers=1)
     parallel = run_experiment(config, workers=2)
@@ -550,14 +552,6 @@ def test_a_block_holds_one_stack_of_models_at_a_time(
     assert watch.models == (n_pilots if method == "cv" else n_frames)
     assert len(watch.refs) == 2 * fits
     assert not any(ref() is not None for ref in watch.refs)
-
-
-def test_longest_first_pool_gives_the_serial_records():
-    config = _small_config(n_pilots_grid=(10, 20), n_frames=3)
-    blocks = harness._cell_blocks(config)
-    costs = [cost for cost, _, _ in blocks]
-    assert sorted(costs, reverse=True) != costs  # the pool order is not cell order
-    assert run_experiment(config, workers=1) == run_experiment(config, workers=2)
 
 
 # Cells whose plans hold too few pilots out for any rank threshold: vb at 10

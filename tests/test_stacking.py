@@ -177,8 +177,9 @@ def test_stacked_backprop_equals_per_network_reference(k, m):
 def test_stacked_predictive_equals_per_model_reference(
     pass_bytes, members, per_model_rows, monkeypatch
 ):
-    # Pass budgets of one network, a few networks (a model's members split
-    # across passes when they alone exceed the budget) and everything at once.
+    # Pass budgets of one network, a few networks (two and six networks
+    # here, so passes span models and split their members) and everything
+    # at once.
     if pass_bytes is not None:
         monkeypatch.setattr(mlp, "MAX_PASS_BYTES", pass_bytes)
     rng = np.random.default_rng(members)
@@ -191,42 +192,6 @@ def test_stacked_predictive_equals_per_model_reference(
         for j, model in enumerate(models):
             rows = X[:, j] if per_model_rows else X
             assert np.array_equal(got[:, j], reference_predictive(model, rows), equal_nan=True)
-
-
-@pytest.mark.parametrize("pass_bytes", [1, 20_000, 60_000, None])
-@pytest.mark.parametrize("members", [1, 3, 5])
-@pytest.mark.parametrize("per_model_rows", [False, True])
-def test_scoring_passes_never_split_a_model_that_fits(
-    pass_bytes, members, per_model_rows, monkeypatch
-):
-    # Each pass is a run of consecutive whole models, or a run of one
-    # model's members, and the latter only when no pass can hold a model.
-    if pass_bytes is not None:
-        monkeypatch.setattr(mlp, "MAX_PASS_BYTES", pass_bytes)
-    rng = np.random.default_rng(members)
-    k, n = 4, 5
-    nets = _random_networks(rng, k * members)
-    models = np.reshape(nets, (k, members, -1))
-    X = rng.normal(size=(n, k, 2)) if per_model_rows else rng.normal(size=(n, 2))
-    pass_nets = []
-
-    class Recording(mlp._Pass):
-        def __init__(self, params, *args):
-            pass_nets.append(len(params))
-            super().__init__(params, *args)
-
-    monkeypatch.setattr(mlp, "_Pass", Recording)
-    with np.errstate(all="ignore"):
-        mlp.predictive_stack(models, X)
-    assert sum(pass_nets) == k * members
-    start, split = 0, False
-    for count in pass_nets:
-        whole_models = start % members == 0 and count % members == 0
-        one_model = start // members == (start + count - 1) // members
-        assert whole_models or one_model, pass_nets
-        split = split or not whole_models
-        start += count
-    assert not split or max(pass_nets) < members, pass_nets
 
 
 # ------------------------------------------------------------------ scoring
@@ -321,11 +286,14 @@ def test_stacked_scoring_equals_per_model_scoring(learner, plan, n_test):
 @pytest.mark.parametrize("learner", sorted(LEARNERS))
 @pytest.mark.parametrize("plan", ["naive", *sorted(_PLANS)])
 def test_one_predictor_scores_payloads_of_any_size_in_turn(learner, plan):
-    # 2600 rows run one network per pass, 7 rows one pass for every network.
+    # 2600 rows run one network per pass, 7 rows one pass for every network,
+    # and an empty payload gets an empty mask.
     frame = generate_frame(10, 2600, SNR_5DB, QPSK, np.random.default_rng(4))
-    payloads = [frame.test_x[:7], frame.test_x, frame.test_x[7:14]]
+    payloads = [frame.test_x[:7], frame.test_x, frame.test_x[:0], frame.test_x[7:14]]
     method = _PLANS.get(plan, plan)
     pred = _predictor(method, frame, learner)
     for x in payloads:
         fresh = _predictor(method, frame, learner)
-        assert np.array_equal(pred.predict_mask(x), fresh.predict_mask(x))
+        mask = pred.predict_mask(x)
+        assert mask.shape == (len(x), 4)
+        assert np.array_equal(mask, fresh.predict_mask(x))
